@@ -62,6 +62,7 @@ from .matching import (
 )
 from .harness import (
     CLAIMS,
+    AdmissionError,
     Claim,
     Failure,
     Report,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen, analyze, reduce, partition, verify, hly-search.
-Exit codes: 0 all conclusions held, 1 failures found, 2 usage error.
+Exit codes: 0 all conclusions held, 1 failures found, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .generators import GeneratorSpec, generate
 from .bounds import counting_lower_bound
 from .harness import (
     CLAIMS,
+    AdmissionError,
     TheoremSpec,
     emit_report,
     search_hly_counterexample,
@@ -46,8 +47,13 @@ def _float_range(text: str) -> tuple[float, float]:
 
 
 def _read_graph(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return load_ecg(text)
+    if path == "-":
+        return load_ecg(sys.stdin.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load_ecg(fh.read())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -235,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, AdmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,10 @@ edges, followed by a full re-check (so repair can never smuggle in a
 hypothesis-violating graph).
 
 The whole sample stream is a deterministic function of (spec, seed).
+Repair is part of it: it always works on the first deficient vertex in
+index order, draws its partner with one ``rng.choice`` per added edge over
+the non-neighbors in increasing order, and numbers fresh colors from the
+largest color + 1 upward.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ from .matching import gallai_partition, max_matching, verify_partition_lemmas
 
 class UnsatisfiableHypothesisError(ValueError):
     """The requested ranges admit no graph satisfying the hypothesis."""
+
+
+class AdmissionError(RuntimeError):
+    """Too few sampled graphs met the hypothesis to fill the budget."""
 
 
 def _ceil_half(a: int) -> int:
@@ -96,14 +104,6 @@ def _concl_fan(g: ColoredGraph, k: int) -> tuple[bool, str]:
     if cert is not None and cert.self_check(g):
         return True, ""
     return False, f"no {k} rainbow triangles at a common vertex (max {max_fan(g)})"
-
-
-def _concl_book2(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    return _concl_book(g, 2)
-
-
-def _concl_fan2(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    return _concl_fan(g, 2)
 
 
 def _concl_class_bounds(g: ColoredGraph, k: int) -> tuple[bool, str]:
@@ -229,7 +229,7 @@ def _register_builtin_claims() -> None:
                     "rainbow triangles on one edge",
         n_condition=lambda n, k: n >= 5,
         delta_target=lambda n, k: _ceil_half(n + 1),
-        conclusion=_concl_book2,
+        conclusion=lambda g, k: _concl_book(g, 2),
     ))
     register_claim(Claim(
         id="original_ii",
@@ -237,7 +237,7 @@ def _register_builtin_claims() -> None:
                     "rainbow triangles at one vertex",
         n_condition=lambda n, k: n >= 13,
         delta_target=lambda n, k: _ceil_half(n + 1),
-        conclusion=_concl_fan2,
+        conclusion=lambda g, k: _concl_fan(g, 2),
     ))
     register_claim(Claim(
         id="lemma1",
@@ -407,11 +407,6 @@ def emit_report(report: Report, path) -> None:
         fh.write("\n")
 
 
-def _sample_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)
-            if rng.random() < p]
-
-
 def _sample_colored(n: int, p: float, c: int, rng: random.Random) -> ColoredGraph:
     triples = []
     for u in range(n):
@@ -422,7 +417,7 @@ def _sample_colored(n: int, p: float, c: int, rng: random.Random) -> ColoredGrap
 
 
 def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:
-    edges = _sample_edges(n, p, rng)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
                         validate=False)
 
@@ -431,24 +426,33 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
                          rng: random.Random) -> ColoredGraph | None:
     """Raise every color degree to ``target`` by adding fresh-colored edges
     at deficient vertices; None when some deficient vertex is already full.
+
+    Determinism contract: each step takes the first deficient vertex in
+    index order and joins it, by one ``rng.choice`` over its non-neighbors
+    in increasing order, with the next fresh color from max(colors) + 1 up.
+    A fresh color adds one to both ends' color degrees and degrees never
+    fall, so the scan only moves forward.  The graph is built once, from
+    the original edges in insertion order followed by the added ones.
     """
-    g = graph
-    next_color = max(g.colors(), default=0) + 1
-    while True:
-        deficient = None
-        for v in range(g.n):
-            if len({g.color(v, u) for u in g.neighbors(v)}) < target:
-                deficient = v
-                break
-        if deficient is None:
-            return g
-        candidates = [u for u in range(g.n)
-                      if u != deficient and not g.has_edge(deficient, u)]
-        if not candidates:
-            return None
-        u = rng.choice(candidates)
-        g = g.with_edge(deficient, u, next_color)
-        next_color += 1
+    n = graph.n
+    seen = [graph.adjacency_bits(v) | 1 << v for v in range(n)]
+    dc = [len({graph.color(v, u) for u in graph.neighbors(v)}) for v in range(n)]
+    fresh = max(graph.colors(), default=0) + 1
+    added: list[tuple[int, int, int]] = []
+    for v in range(n):
+        while dc[v] < target:
+            candidates = [u for u in range(n) if not seen[v] >> u & 1]
+            if not candidates:
+                return None
+            u = rng.choice(candidates)
+            seen[v] |= 1 << u
+            seen[u] |= 1 << v
+            dc[v] += 1
+            dc[u] += 1
+            added.append((min(u, v), max(u, v), fresh + len(added)))
+    if not added:
+        return graph
+    return ColoredGraph(n, [(*e, c) for e, c in graph.edge_colors().items()] + added)
 
 
 def verify(spec: TheoremSpec) -> Report:
@@ -469,13 +473,8 @@ def verify(spec: TheoremSpec) -> Report:
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {spec.n_range}")
 
-    feasible = []
-    for n in range(lo, hi + 1):
-        if not claim.n_condition(n, k):
-            continue
-        if claim.delta_target is not None and claim.delta_target(n, k) > n - 1:
-            continue
-        feasible.append(n)
+    feasible = [n for n in range(lo, hi + 1) if claim.n_condition(n, k) and (
+        claim.delta_target is None or claim.delta_target(n, k) <= n - 1)]
     if not feasible:
         raise UnsatisfiableHypothesisError(
             f"hypothesis of {spec.id!r} unsatisfiable for n in "
@@ -487,7 +486,7 @@ def verify(spec: TheoremSpec) -> Report:
     max_attempts = 60 * spec.budget + 1000
     while report.samples_admitted < spec.budget:
         if report.samples_attempted >= max_attempts:
-            raise RuntimeError(
+            raise AdmissionError(
                 f"admission rate too low for {spec.id!r}: "
                 f"{report.samples_admitted}/{report.samples_attempted}")
         report.samples_attempted += 1
@@ -501,11 +500,8 @@ def verify(spec: TheoremSpec) -> Report:
         else:
             g = _sample_injective(n, p, rng)
         if claim.delta_target is not None:
-            repaired = _repair_color_degree(g, claim.delta_target(n, k), rng)
-            if repaired is None:
-                continue
-            g = repaired
-        if not claim.hypothesis(g, k):
+            g = _repair_color_degree(g, claim.delta_target(n, k), rng)
+        if g is None or not claim.hypothesis(g, k):
             continue
         index = report.samples_admitted
         report.samples_admitted += 1

@@ -11,24 +11,20 @@ from __future__ import annotations
 from .core import ColoredGraph
 
 
-def _color_counts(graph: ColoredGraph) -> list[dict[int, int]]:
+def _removals(graph: ColoredGraph) -> list[tuple[int, int]]:
+    """Edges :func:`edge_minimal_reduce` deletes, in lexicographic order."""
     counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for u, v in graph.edges:
-        c = graph.color(u, v)
+    for (u, v), c in graph.edge_colors().items():
         counts[u][c] = counts[u].get(c, 0) + 1
         counts[v][c] = counts[v].get(c, 0) + 1
-    return counts
-
-
-def _removable_edge(graph: ColoredGraph) -> tuple[int, int] | None:
-    """Lexicographically smallest edge whose removal keeps both endpoints'
-    color degrees, or None if the graph is edge-minimal."""
-    counts = _color_counts(graph)
+    removed = []
     for u, v in graph.edges:
         c = graph.color(u, v)
         if counts[u][c] >= 2 and counts[v][c] >= 2:
-            return (u, v)
-    return None
+            counts[u][c] -= 1
+            counts[v][c] -= 1
+            removed.append((u, v))
+    return removed
 
 
 def is_edge_minimal(graph: ColoredGraph) -> tuple[bool, tuple[int, int] | None]:
@@ -37,21 +33,22 @@ def is_edge_minimal(graph: ColoredGraph) -> tuple[bool, tuple[int, int] | None]:
     On False the witness is a removable edge (deterministically the
     lexicographically smallest one).
     """
-    witness = _removable_edge(graph)
-    return witness is None, witness
+    removed = _removals(graph)
+    return not removed, removed[0] if removed else None
 
 
 def edge_minimal_reduce(graph: ColoredGraph) -> ColoredGraph:
     """Delete removable edges until none remain.
 
-    Repeatedly removes the lexicographically smallest edge whose removal
-    preserves both endpoints' color degrees, rescanning from the start
-    after each deletion.  The result keeps d^c of every vertex and is
-    edge-minimal; the fixed deletion order makes it deterministic.
+    The rule deletes the lexicographically smallest removable edge, then
+    rescans.  Deletions only lower color counts, so an edge that is not
+    removable when reached never becomes so later: one forward pass in
+    lexicographic order with live counts deletes exactly the same edges.
+    The result keeps d^c of every vertex, is edge-minimal and keeps the
+    surviving edges in their original order (the input itself if none go).
     """
-    current = graph
-    while True:
-        edge = _removable_edge(current)
-        if edge is None:
-            return current
-        current = current.without_edge(*edge)
+    removed = set(_removals(graph))
+    if not removed:
+        return graph
+    return ColoredGraph(graph.n, [(*e, c) for e, c in graph.edge_colors().items()
+                                  if e not in removed], validate=False)

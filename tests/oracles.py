@@ -189,3 +189,46 @@ def random_colored(rng: random.Random, n: int, p: float, c: int) -> ColoredGraph
             if rng.random() < p:
                 triples.append((u, v, rng.randint(1, c)))
     return ColoredGraph(n, triples)
+
+
+def repair_rebuild_reference(graph: ColoredGraph, target: int,
+                             rng: random.Random) -> ColoredGraph | None:
+    """Color-degree repair by rebuilding the graph for every added edge.
+
+    Rescans every vertex from 0 for the first one below ``target``, draws
+    one partner with ``rng.choice`` from its non-neighbors in increasing
+    order, and joins them with a fresh color (max + 1 upward); None when a
+    deficient vertex has no non-neighbor left.
+    """
+    g = graph
+    next_color = max(g.colors(), default=0) + 1
+    while True:
+        deficient = next((v for v in range(g.n)
+                          if len({g.color(v, u) for u in g.neighbors(v)}) < target),
+                         None)
+        if deficient is None:
+            return g
+        candidates = [u for u in range(g.n)
+                      if u != deficient and not g.has_edge(deficient, u)]
+        if not candidates:
+            return None
+        g = g.with_edge(deficient, rng.choice(candidates), next_color)
+        next_color += 1
+
+
+def reduce_rescan_reference(graph: ColoredGraph) -> ColoredGraph:
+    """Edge-minimal reduction by rescanning from the first edge after every
+    deletion: repeatedly drop the lexicographically smallest edge whose
+    color appears at least twice at both of its ends."""
+    g = graph
+    while True:
+        counts: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for (u, v), c in g.edge_colors().items():
+            counts[u][c] = counts[u].get(c, 0) + 1
+            counts[v][c] = counts[v].get(c, 0) + 1
+        removable = next(((u, v) for u, v in g.edges
+                          if counts[u][g.color(u, v)] >= 2
+                          and counts[v][g.color(u, v)] >= 2), None)
+        if removable is None:
+            return g
+        g = g.without_edge(*removable)

@@ -117,3 +117,31 @@ def test_hly_search(tmp_path, capsys):
     assert "counterexamples: 0" in capsys.readouterr().out
     doc = json.loads(json_path.read_text())
     assert doc["spec"]["id"] == "hly_conjecture"
+
+
+def test_analyze_missing_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.ecg"
+    assert main(["analyze", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_verify_admission_too_low_is_usage_error(capsys):
+    # with p = 1 every sample on 4 vertices has a perfect matching, so the
+    # eg_partition hypothesis (an exposed vertex) is never met
+    rc = main(["verify", "--theorem", "eg_partition", "--n", "4", "--p", "1",
+               "--budget", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "admission rate too low" in err
+
+
+def test_internal_runtime_error_is_not_a_usage_error(monkeypatch):
+    import ecgraph.cli
+
+    def disagree(**kwargs):
+        raise RuntimeError("searcher disagreement")
+
+    monkeypatch.setattr(ecgraph.cli, "search_hly_counterexample", disagree)
+    with pytest.raises(RuntimeError, match="searcher disagreement"):
+        main(["hly-search", "--k", "1", "--n", "4:5", "--budget", "1"])

@@ -223,3 +223,13 @@ def test_harness_detects_fan_statement_boundary_violation():
     ok, gap = claim.conclusion(g, 3)
     assert not ok
     assert "max 2" in gap
+
+
+def test_low_admission_raises_admission_error():
+    from ecgraph.harness import AdmissionError
+
+    spec = TheoremSpec(id="eg_partition", n_range=(4, 4), p_range=(1.0, 1.0),
+                       budget=1)
+    with pytest.raises(AdmissionError, match="admission rate too low"):
+        verify(spec)
+    assert issubclass(AdmissionError, RuntimeError)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ColoredGraph, ColorDegreeProfile, color_profile
+from .core import ColoredGraph, ColorDegreeProfile, color_profile, max_mono_degree
 from .rainbow import RainbowTriangleIndex, build_index, rainbow_edge_graph
 from .reduction import is_edge_minimal
 
@@ -246,8 +246,7 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int,
     Precondition: v attains the maximum monochromatic degree of the graph.
     """
     profile = color_profile(graph, v)
-    delta_mon = max(
-        color_profile(graph, u).dmon for u in range(graph.n)) if graph.n else 0
+    delta_mon = max_mono_degree(graph)
     if profile.dmon != delta_mon:
         raise ValueError(
             f"vertex {v} does not attain the maximum monochromatic degree")

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .core import load_ecg, min_color_degree, color_profile, save_ecg
+from .core import load_ecg, max_mono_degree, min_color_degree, save_ecg
 from .generators import GeneratorSpec, generate
 from .bounds import counting_lower_bound
 from .harness import (
@@ -155,8 +155,7 @@ def _cmd_analyze(args) -> int:
         "m": g.edge_count,
         "colors": len(g.colors()),
         "min_color_degree": min_color_degree(g),
-        "max_mono_degree": max((color_profile(g, v).dmon for v in range(g.n)),
-                               default=0),
+        "max_mono_degree": max_mono_degree(g),
         "edge_minimal": minimal,
         "removable_edge": list(witness) if witness else None,
         "rainbow_triangles": index.count(),

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import ColoredGraph, color_profile, min_color_degree, save_ecg, load_ecg
+from .core import (ColoredGraph, color_profile, load_ecg, max_mono_degree,
+                   min_color_degree, save_ecg)
 from .generators import gen_example1, gen_proper_complete
 from .rainbow import (
     build_index,
@@ -126,7 +127,7 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
     if h.edge_count == 0:
         return True, ""
     index = build_index(h)
-    delta = max(color_profile(h, v).dmon for v in range(h.n))
+    delta = max_mono_degree(h)
     for v in range(h.n):
         if color_profile(h, v).dmon != delta:
             continue

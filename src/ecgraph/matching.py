@@ -23,20 +23,30 @@ def _normalize_edges(n: int, edges) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def max_matching(n: int, edges) -> list[tuple[int, int]]:
-    """Maximum matching in a general graph via augmenting paths with
-    blossom contraction.  Returns the matched pairs sorted lexicographically.
-    """
-    es = _normalize_edges(n, edges)
+def _adjacency(n: int, es: list[tuple[int, int]]) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in es:
         adj[u].append(v)
         adj[v].append(u)
     for a in adj:
         a.sort()
-    match = [-1] * n
+    return adj
 
-    def lca(base, parent, a: int, b: int) -> int:
+
+def _alternating_forest(adj: list[list[int]], match: list[int],
+                        roots: list[int]) -> list[bool] | None:
+    """Edmonds' search: alternating trees grown breadth-first from ``roots``,
+    each blossom (odd cycle) contracted to its base.  Augments ``match`` in
+    place and returns None on reaching an exposed vertex outside the forest;
+    otherwise returns the flags of the outer (even) vertices."""
+    n = len(adj)
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    for r in roots:
+        used[r] = True
+
+    def lca(a: int, b: int) -> int:
         seen = [False] * n
         while True:
             a = base[a]
@@ -50,7 +60,7 @@ def max_matching(n: int, edges) -> list[tuple[int, int]]:
                 return b
             b = parent[match[b]]
 
-    def mark_path(base, parent, blossom, v: int, b: int, child: int) -> None:
+    def mark_path(blossom, v: int, b: int, child: int) -> None:
         while base[v] != b:
             blossom[base[v]] = True
             blossom[base[match[v]]] = True
@@ -58,47 +68,51 @@ def max_matching(n: int, edges) -> list[tuple[int, int]]:
             child = match[v]
             v = parent[match[v]]
 
-    def find_augmenting(root: int) -> bool:
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # odd cycle: contract the blossom to its base
-                    cur = lca(base, parent, v, to)
-                    blossom = [False] * n
-                    mark_path(base, parent, blossom, v, cur, to)
-                    mark_path(base, parent, blossom, to, cur, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            nxt = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = nxt
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
+    q = deque(roots)
+    while q:
+        v = q.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            # is ``to`` outer?  An exposed vertex is outer iff it is a root;
+            # a matched one iff its mate has a tree parent
+            if used[to] if match[to] == -1 else parent[match[to]] != -1:
+                # odd cycle: contract the blossom to its base
+                cur = lca(v, to)
+                blossom = [False] * n
+                mark_path(blossom, v, cur, to)
+                mark_path(blossom, to, cur, v)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = parent[u]
+                        nxt = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = nxt
+                    return None
+                used[match[to]] = True
+                q.append(match[to])
+    return used
 
+
+def max_matching(n: int, edges) -> list[tuple[int, int]]:
+    """Maximum matching in a general graph via augmenting paths with
+    blossom contraction.  Returns the matched pairs sorted lexicographically.
+    """
+    adj = _adjacency(n, _normalize_edges(n, edges))
+    match = [-1] * n
     for v in range(n):
         if match[v] == -1:
-            find_augmenting(v)
+            _alternating_forest(adj, match, [v])
     return sorted((v, match[v]) for v in range(n) if v < match[v])
 
 
@@ -165,10 +179,7 @@ def cover_number(n: int, edges) -> int:
 
 def connected_components(n: int, edges) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in _normalize_edges(n, edges):
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(n, _normalize_edges(n, edges))
     seen = [False] * n
     comps = []
     for s in range(n):
@@ -198,10 +209,18 @@ class GallaiPartition:
     matching, with a virtual vertex joined to every unsaturated vertex.
 
     ``v0`` is the set of vertices reachable from the virtual vertex only by
-    alternating paths that end with a non-matching edge; ``components`` are
-    the connected components of the graph minus ``v0``.  The identity
-    alpha' = |v0| + sum(floor(|V_i| / 2)) holds and is checked at build
-    time, together with the structure of matching edges at ``v0``.
+    alternating paths that end with a non-matching edge: the outside
+    neighbors of the set D of vertices that some maximum matching misses.
+    D comes from one Edmonds alternating forest grown from all unsaturated
+    vertices at once, with blossoms contracted: its outer (even) vertices
+    are D.  An outer vertex ends an even alternating path from an
+    unsaturated root, and swapping along that path misses it; with no
+    augmenting path the inner vertices form a Tutte-Berge barrier whose odd
+    components are the outer blossoms, so every maximum matching covers the
+    rest.  ``components`` are the connected components of the graph minus
+    ``v0``.  The identity alpha' = |v0| + sum(floor(|V_i| / 2)) holds and is
+    checked at build time, together with the structure of matching edges at
+    ``v0``.
     """
 
     n: int
@@ -232,27 +251,24 @@ class GallaiPartition:
         }
 
 
-def _gamma_vertices(n: int, es: list[tuple[int, int]], alpha_prime: int) -> frozenset[int]:
-    # A vertex lies in V_0 exactly when it neighbors some vertex that a
-    # maximum matching can miss, while no maximum matching misses it.
-    missable = []
-    for v in range(n):
-        if matching_number(n, [e for e in es if v not in e]) == alpha_prime:
-            missable.append(v)
-    mset = set(missable)
-    v0 = set()
-    for u, v in es:
-        if u in mset and v not in mset:
-            v0.add(v)
-        elif v in mset and u not in mset:
-            v0.add(u)
-    return frozenset(v0)
+def _gamma_vertices(n: int, es: list[tuple[int, int]],
+                    m: list[tuple[int, int]]) -> frozenset[int]:
+    # V_0 is the outside neighborhood of D, the outer vertices of the
+    # forest grown on the maximum matching ``m`` (see GallaiPartition)
+    match = [-1] * n
+    for u, v in m:
+        match[u], match[v] = v, u
+    outer = _alternating_forest(_adjacency(n, es), match,
+                                [v for v in range(n) if match[v] == -1])
+    return frozenset(w for u, v in es for a, w in ((u, v), (v, u))
+                     if outer[a] and not outer[w])
 
 
 def gallai_partition(n: int, edges, matching) -> GallaiPartition:
     """Build the partition for a maximum matching; raises if the matching is
     not maximum or if n <= 2 * alpha' (the decomposition needs unsaturated
-    vertices).
+    vertices).  The maximality check comes first, so the alternating forest
+    that finds ``v0`` never meets an augmenting path.
     """
     es = _normalize_edges(n, edges)
     eset = set(es)
@@ -270,7 +286,7 @@ def gallai_partition(n: int, edges, matching) -> GallaiPartition:
     if n <= 2 * alpha_prime:
         raise ValueError("partition undefined: n <= 2 * alpha'")
 
-    v0 = _gamma_vertices(n, es, alpha_prime)
+    v0 = _gamma_vertices(n, es, m)
     rest_edges = [e for e in es if e[0] not in v0 and e[1] not in v0]
     comps = tuple(c for c in connected_components(n, rest_edges)
                   if c[0] not in v0)

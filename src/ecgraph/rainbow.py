@@ -8,10 +8,13 @@ which keeps outputs deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import ColoredGraph
 from .matching import max_matching
+
+SEARCH_NODE_LIMIT = 1_000_000
 
 
 def _bits(mask: int):
@@ -215,24 +218,49 @@ def _fan_matching(graph: ColoredGraph, v: int) -> list[tuple[int, int]]:
 
 
 def max_fan(graph: ColoredGraph) -> int:
-    """Largest k such that k rainbow triangles share only one vertex."""
-    return max((len(_fan_matching(graph, v)) for v in range(graph.n)), default=0)
+    """Largest k such that k rainbow triangles share only one vertex.
+
+    A fan at v has disjoint rims among the neighbors of v, so at most
+    floor(deg(v) / 2) triangles: centers are tried in decreasing degree
+    until that bound cannot beat the best found."""
+    best = 0
+    for v in sorted(range(graph.n), key=graph.degree, reverse=True):
+        if graph.degree(v) // 2 <= best:
+            break
+        best = max(best, len(_fan_matching(graph, v)))
+    return best
 
 
 def find_fan(graph: ColoredGraph, k: int) -> Certificate | None:
     """Fan of k rainbow triangles at the first center that admits one.
 
     A fan at v exists iff the rainbow-triangle edges of v contain a
-    matching of size k, so the search reduces to maximum matching.
+    matching of size k, so the search reduces to maximum matching.  Its k
+    rims are disjoint pairs of neighbors of v, so centers of degree below
+    2k are skipped without one.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     for v in range(graph.n):
+        if graph.degree(v) < 2 * k:
+            continue
         matched = _fan_matching(graph, v)
         if len(matched) >= k:
             tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
             return Certificate(kind="fan", base=v, triangles=tris)
     return None
+
+
+def _node_budget(search: str):
+    """Node counter for one backtracking search: each call counts a node,
+    and passing SEARCH_NODE_LIMIT raises a ValueError naming the search."""
+    nodes = itertools.count(1)
+
+    def visit() -> None:
+        if next(nodes) > SEARCH_NODE_LIMIT:
+            raise ValueError(f"{search} exceeded its limit of "
+                             f"{SEARCH_NODE_LIMIT} search nodes")
+    return visit
 
 
 def find_disjoint_rainbow_triangles(graph: ColoredGraph, k: int,
@@ -241,15 +269,18 @@ def find_disjoint_rainbow_triangles(graph: ColoredGraph, k: int,
     """k pairwise vertex-disjoint rainbow triangles, by exact backtracking.
 
     Intended for small instances (n up to ~20): branches over the sorted
-    triangle list and prunes on the remaining vertex count.
+    triangle list and prunes on the remaining vertex count.  Raises
+    ValueError past SEARCH_NODE_LIMIT nodes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     index = index if index is not None else build_index(graph)
     tris = index.triangles
     chosen: list[tuple[int, int, int]] = []
+    visit = _node_budget("find_disjoint_rainbow_triangles")
 
     def extend(start: int, used: set[int]) -> bool:
+        visit()
         if len(chosen) == k:
             return True
         if len(chosen) + (graph.n - len(used)) // 3 < k:
@@ -284,11 +315,14 @@ def find_pc_spanning_fan(graph: ColoredGraph) -> Certificate | None:
     Looks for a center v and a perfect matching M on the remaining
     vertices such that each triangle v, x, y (xy in M) is properly colored:
     c(vx) != c(xy) and c(xy) != c(yv), while c(vx) == c(vy) is allowed.
+    Raises ValueError past SEARCH_NODE_LIMIT nodes over all centers.
     """
     if graph.n % 2 == 0:
         raise ValueError("spanning fan needs an odd vertex count")
+    visit = _node_budget("find_pc_spanning_fan")
 
     def matchable(v: int, free: list[int], picked: list[tuple[int, int]]) -> bool:
+        visit()
         if not free:
             return True
         x = free[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from ecgraph.core import ColoredGraph
 
@@ -232,3 +233,114 @@ def reduce_rescan_reference(graph: ColoredGraph) -> ColoredGraph:
         if removable is None:
             return g
         g = g.without_edge(*removable)
+
+
+def _reference_normalize_edges(n: int, edges) -> list[tuple[int, int]]:
+    out = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        out.add((u, v) if u < v else (v, u))
+    return sorted(out)
+
+
+def blossom_matching_reference(n: int, edges) -> list[tuple[int, int]]:
+    """Single-root blossom matching, frozen as ``matching.max_matching``
+    stood before the Gallai-Edmonds forest shared its search code."""
+    es = _reference_normalize_edges(n, edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in es:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    match = [-1] * n
+
+    def lca(base, parent, a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(base, parent, blossom, v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting(root: int) -> bool:
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # odd cycle: contract the blossom to its base
+                    cur = lca(base, parent, v, to)
+                    blossom = [False] * n
+                    mark_path(base, parent, blossom, v, cur, to)
+                    mark_path(base, parent, blossom, to, cur, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            nxt = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = nxt
+                        return True
+                    used[match[to]] = True
+                    q.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            find_augmenting(v)
+    return sorted((v, match[v]) for v in range(n) if v < match[v])
+
+
+def gamma_vertices_deletion_reference(n: int, edges) -> frozenset[int]:
+    """V_0 by definition: delete each vertex in turn and rerun the frozen
+    blossom matching; the vertices whose deletion keeps the matching number
+    are missable, and V_0 is their outside neighborhood."""
+    es = _reference_normalize_edges(n, edges)
+    alpha_prime = len(blossom_matching_reference(n, es))
+    # A vertex lies in V_0 exactly when it neighbors some vertex that a
+    # maximum matching can miss, while no maximum matching misses it.
+    missable = []
+    for v in range(n):
+        if len(blossom_matching_reference(n, [e for e in es if v not in e])) == alpha_prime:
+            missable.append(v)
+    mset = set(missable)
+    v0 = set()
+    for u, v in es:
+        if u in mset and v not in mset:
+            v0.add(v)
+        elif v in mset and u not in mset:
+            v0.add(u)
+    return frozenset(v0)

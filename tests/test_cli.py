@@ -145,3 +145,18 @@ def test_internal_runtime_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(ecgraph.cli, "search_hly_counterexample", disagree)
     with pytest.raises(RuntimeError, match="searcher disagreement"):
         main(["hly-search", "--k", "1", "--n", "4:5", "--budget", "1"])
+
+
+@pytest.mark.parametrize("argv, search", [
+    (["verify", "--theorem", "fact_spanning_fan", "--n", "7", "--budget", "1"],
+     "find_pc_spanning_fan"),
+    (["hly-search", "--k", "2", "--n", "6:8", "--budget", "1"],
+     "find_disjoint_rainbow_triangles"),
+])
+def test_search_node_limit_is_usage_error(monkeypatch, capsys, argv, search):
+    import ecgraph.rainbow
+
+    monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 2)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{search} exceeded its limit of 2" in err

@@ -1,19 +1,34 @@
-"""Repair and reduction agree with the rebuild-per-step reference versions.
+"""Package searches agree with slower reference versions of themselves.
 
-The package builds one graph at the end of each; the references in
-``oracles.py`` rebuild the graph after every added or deleted edge.  Both
-must give the same graph, the same ``edge_colors()`` order and, for repair,
-leave the random generator in the same state.
+- Repair and reduction build one graph at the end; the references in
+  ``oracles.py`` rebuild the graph after every added or deleted edge.  Both
+  must give the same graph, the same ``edge_colors()`` order and, for
+  repair, leave the random generator in the same state.
+- The Gallai-Edmonds set V_0 comes from one alternating forest; the frozen
+  reference in ``oracles.py`` deletes each vertex and reruns a blossom
+  matching.  ``max_matching`` must return the reference's exact matching.
+- ``max_fan`` and ``find_fan`` skip centers by the floor(deg / 2) bound;
+  the unpruned loops over every center must give the same value and the
+  same certificate.
 """
 
 from __future__ import annotations
 
 import random
 
-from oracles import random_colored, reduce_rescan_reference, repair_rebuild_reference
+from oracles import (
+    blossom_matching_reference,
+    gamma_vertices_deletion_reference,
+    random_colored,
+    reduce_rescan_reference,
+    repair_rebuild_reference,
+)
 
 from ecgraph.core import ColoredGraph
+from ecgraph.generators import gen_example1, gen_proper_complete
 from ecgraph.harness import _repair_color_degree
+from ecgraph.matching import gallai_partition, max_matching
+from ecgraph.rainbow import Certificate, find_fan, max_fan, rainbow_edge_graph
 from ecgraph.reduction import edge_minimal_reduce
 
 
@@ -83,3 +98,109 @@ def test_reduce_keeps_insertion_order():
     got = edge_minimal_reduce(g)
     assert _same(got, reduce_rescan_reference(g))
     assert list(got.edge_colors()) == [(2, 3), (0, 3), (1, 3)]
+
+
+def _check_v0(n: int, edges: list[tuple[int, int]],
+              rng: random.Random) -> frozenset[int] | None:
+    """Compare V_0 with the deletion reference, under the package's own
+    maximum matching and under a second one found on relabeled vertices;
+    None when the partition is undefined (n <= 2 alpha')."""
+    m = max_matching(n, edges)
+    assert m == blossom_matching_reference(n, edges)
+    if n <= 2 * len(m):
+        return None
+    expected = gamma_vertices_deletion_reference(n, edges)
+    assert gallai_partition(n, edges, m).v0 == expected
+    perm = list(range(n))
+    rng.shuffle(perm)
+    back = {perm[v]: v for v in range(n)}
+    other = [(back[u], back[v]) for u, v in max_matching(n, [(perm[u], perm[v]) for u, v in edges])]
+    assert gallai_partition(n, edges, other).v0 == expected
+    return expected
+
+
+def test_v0_matches_deletion_reference_on_random_graphs():
+    rng = random.Random(41)
+    checked = nonempty = large = 0
+    while checked < 2000:
+        n = rng.randint(2, 60 if rng.random() < 0.12 else 20)
+        # mostly sparse (average degree 0.3 to 6), where V_0 has structure
+        p = min(1.0, rng.uniform(0.3, 6.0) / n) if rng.random() < 0.8 else rng.uniform(0.3, 1.0)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        v0 = _check_v0(n, edges, rng)
+        if v0 is not None:
+            checked += 1
+            nonempty += bool(v0)
+            large += n > 40
+    assert nonempty >= 800 and large >= 60, (nonempty, large)
+
+
+def _odd_pieces(rng: random.Random, sizes: list[int]) -> tuple[int, list]:
+    """Dense odd-order pieces (a spanning path plus edges at p = 0.8)
+    joined through len(sizes) - 2 hubs, each meeting three vertices of
+    every piece."""
+    edges, start, pieces = [], 0, []
+    for size in sizes:
+        piece = list(range(start, start + size))
+        pieces.append(piece)
+        edges += [(piece[i], piece[j]) for i in range(size) for j in range(i + 1, size)
+                  if j == i + 1 or rng.random() < 0.8]
+        start += size
+    n = start + len(sizes) - 2
+    edges += [(v, hub) for hub in range(start, n) for piece in pieces
+              for v in rng.sample(piece, 3)]
+    return n, edges
+
+
+def test_v0_matches_deletion_reference_on_partition_shapes():
+    rng = random.Random(43)
+    shapes = 0
+    for _ in range(6):
+        for sizes in ([13, 11, 11, 9], [7, 5, 5, 3, 3], [9, 9, 7]):
+            shapes += _check_v0(*_odd_pieces(rng, sizes), rng) is not None
+        for left, right, p in ((36, 20, 0.15), (30, 18, 0.25), (25, 6, 0.4), (40, 12, 0.08)):
+            edges = [(u, v) for u in range(left) for v in range(left, left + right)
+                     if rng.random() < p]
+            shapes += _check_v0(left + right, edges, rng) is not None
+    assert shapes == 42
+
+
+def _max_fan_unpruned(g: ColoredGraph) -> int:
+    return max((len(max_matching(g.n, rainbow_edge_graph(g, v).edges))
+                for v in range(g.n)), default=0)
+
+
+def _find_fan_unpruned(g: ColoredGraph, k: int) -> Certificate | None:
+    for v in range(g.n):
+        matched = max_matching(g.n, rainbow_edge_graph(g, v).edges)
+        if len(matched) >= k:
+            return Certificate(kind="fan", base=v,
+                               triangles=tuple(tuple(sorted((v, x, y))) for x, y in matched[:k]))
+    return None
+
+
+def _check_fans(g: ColoredGraph) -> int:
+    best = max_fan(g)
+    assert best == _max_fan_unpruned(g)
+    for k in range(1, 6):
+        assert find_fan(g, k) == _find_fan_unpruned(g, k)
+    return best
+
+
+def test_fan_pruning_at_the_degree_bound():
+    for k in range(2, 7):
+        g = gen_example1(k)
+        assert all(g.degree(v) == 2 * (k - 1) for v in range(g.n))
+        assert _check_fans(g) == k - 1
+    for n in range(3, 14):
+        g = gen_proper_complete(n, seed=n)
+        assert _check_fans(g) == (n - 1) // 2
+
+
+def test_fan_pruning_on_random_graphs():
+    rng = random.Random(53)
+    found = 0
+    for _ in range(120):
+        n = rng.randint(1, 60 if rng.random() < 0.2 else 14)
+        found += _check_fans(random_colored(rng, n, rng.uniform(0.05, 0.9), rng.randint(1, 40))) > 0
+    assert found >= 60

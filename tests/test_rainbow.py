@@ -169,6 +169,21 @@ class TestDisjointFamilies:
         assert max_disjoint_rainbow_triangles(g) == brute_max_disjoint(g)
 
 
+class TestSearchNodeLimit:
+    @pytest.mark.parametrize("search, call", [
+        ("find_disjoint_rainbow_triangles",
+         lambda: find_disjoint_rainbow_triangles(gen_example1(3), 2)),
+        ("find_pc_spanning_fan", lambda: find_pc_spanning_fan(gen_proper_complete(7, 1))),
+    ])
+    def test_exceeding_the_limit_raises(self, monkeypatch, search, call):
+        import ecgraph.rainbow
+
+        assert call() is not None
+        monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 2)
+        with pytest.raises(ValueError, match=f"{search} exceeded its limit of 2 search nodes"):
+            call()
+
+
 class TestSpanningFan:
     def test_rainbow_k3(self):
         cert = find_pc_spanning_fan(RAINBOW_K3)

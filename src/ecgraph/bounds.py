@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ColoredGraph, ColorDegreeProfile, color_profile, max_mono_degree
+from .core import (ColoredGraph, ColorDegreeProfile, color_degree, color_profile,
+                   max_mono_degree, min_color_degree, mono_degree)
 from .rainbow import RainbowTriangleIndex, build_index, rainbow_edge_graph
 from .reduction import is_edge_minimal
 
@@ -50,14 +51,10 @@ def _unique_color_hits(graph: ColoredGraph, profile: ColorDegreeProfile,
     """Sum over singleton-class neighbors y of the number of edges from y
     into ``target`` carrying y's unique color at v."""
     v = profile.vertex
-    total = 0
     tset = set(target)
-    for y in profile.unique_nbrs:
-        cvy = graph.color(v, y)
-        total += sum(
-            1 for w in graph.neighbors(y) if w in tset and graph.color(y, w) == cvy
-        )
-    return total
+    table = graph.color_table()
+    return sum(len(tset.intersection(table[y][graph.color(v, y)]))
+               for y in profile.unique_nbrs)
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,9 @@ def triangle_bound_report(graph: ColoredGraph, v: int,
         - sum over singleton-class neighbors y of the edges from y into N_i
           carrying y's color at v.
     ``lower_bound_strict`` restricts that last sum to y outside N_i, which
-    is what the underlying argument actually produces; the plain bound is
-    the weaker, safe form.
+    is what the underlying argument produces.  It always equals the plain
+    bound: a singleton-class neighbor y inside N_i makes N_i = {y}, and y
+    has no edge into {y}.
     """
     profile = color_profile(graph, v)
     index = index if index is not None else build_index(graph)
@@ -156,44 +154,25 @@ def triangle_bound_report(graph: ColoredGraph, v: int,
     excess = sum(s - 1 for s in profile.sorted_sizes)
 
     per_class: list[ClassBound] = []
-    balances: list[int] = []
     for color, members in profile.sorted_classes:
         di = len(members)
-        neighbor_sum = sum(color_profile(graph, x).dc + dcv - n for x in members)
+        neighbor_sum = sum(color_degree(graph, x) + dcv - n for x in members)
         hits = _unique_color_hits(graph, profile, members)
-        # strict variant: only singleton-class neighbors outside this class
-        strict_hits = 0
-        mset = set(members)
-        for y in profile.unique_nbrs - mset:
-            cvy = graph.color(v, y)
-            strict_hits += sum(
-                1 for w in graph.neighbors(y)
-                if w in mset and graph.color(y, w) == cvy
-            )
         balance = di * excess - di * (di - 1) - hits
         lower = neighbor_sum + balance
-        lower_strict = neighbor_sum + di * excess - di * (di - 1) - strict_hits
         per_class.append(ClassBound(
             color=color,
             size=di,
             rt_observed=index.rt_set(v, members),
             lower_bound=lower,
-            lower_bound_strict=lower_strict,
+            lower_bound_strict=lower,
             balance=balance,
         ))
-        balances.append(balance)
 
-    forms = _balance_forms(graph, profile, balances)
+    forms = _balance_forms(graph, profile, [cb.balance for cb in per_class])
     if len(set(forms)) != 1:
         raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
 
-    nbrs = graph.neighbors(v)
-    half_sum = (
-        sum(color_profile(graph, x).dc + dcv - n for x in nbrs)
-        + profile.degree * excess
-        - sum(s * (s - 1) for s in profile.sorted_sizes)
-        - _unique_color_hits(graph, profile, nbrs)
-    )
     minimal, _ = is_edge_minimal(graph)
     return TriangleBoundReport(
         vertex=v,
@@ -201,7 +180,7 @@ def triangle_bound_report(graph: ColoredGraph, v: int,
         per_class=tuple(per_class),
         balance_total=forms[0],
         rt_vertex=index.rt(v),
-        vertex_lower=Fraction(half_sum, 2),
+        vertex_lower=Fraction(sum(cb.lower_bound for cb in per_class), 2),
     )
 
 
@@ -262,7 +241,7 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int,
         largest = set(profile.sorted_classes[0][1])
         cond_a = profile.unique_nbrs == frozenset(graph.neighbors(v)) - largest
         cond_b = all(
-            color_profile(graph, u).dmon == delta_mon for u in profile.unique_nbrs)
+            mono_degree(graph, u) == delta_mon for u in profile.unique_nbrs)
         b_first = report.per_class[0].balance
         cond_c_applicable = b_first == 0 and minimal
         if cond_c_applicable:
@@ -292,7 +271,5 @@ def counting_lower_bound(graph: ColoredGraph) -> Fraction:
     May be nonpositive, in which case the bound is vacuous.  Tight for the
     rainbow triangle itself (bound 1, count 1).
     """
-    from .core import min_color_degree
-
     dc = min_color_degree(graph)
     return Fraction(dc * (2 * dc - graph.n) * graph.n, 6)

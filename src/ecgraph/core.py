@@ -33,7 +33,7 @@ class ColoredGraph:
     intersection.  Isolated vertices are legal and have color degree 0.
     """
 
-    __slots__ = ("n", "_color", "_adj", "_bits", "_edges")
+    __slots__ = ("n", "_color", "_adj", "_bits", "_edges", "_table")
 
     def __init__(self, n: int, edges: object = (), validate: bool = True):
         """Build a graph on vertices 0..n-1 from (u, v, color) triples."""
@@ -64,6 +64,7 @@ class ColoredGraph:
             adj[v].append(u)
         self._adj = [tuple(sorted(a)) for a in adj]
         self._edges = sorted(color)
+        self._table: list[dict[int, list[int]]] | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -97,6 +98,22 @@ class ColoredGraph:
 
     def colors(self) -> set[int]:
         return set(self._color.values())
+
+    def color_table(self) -> list[dict[int, list[int]]]:
+        """Per vertex, each color mapped to the neighbors joined by it.
+
+        Neighbors are ascending, and colors are keyed in the order of their
+        first neighbor.  Built on first use in one pass over the sorted
+        edges (which meets every vertex's neighbors in ascending order) and
+        cached, since the graph never changes; callers must not mutate it.
+        """
+        if self._table is None:
+            table: list[dict[int, list[int]]] = [{} for _ in range(self.n)]
+            for (u, v), c in zip(self._edges, map(self._color.get, self._edges)):
+                table[u].setdefault(c, []).append(v)
+                table[v].setdefault(c, []).append(u)
+            self._table = table
+        return self._table
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -152,45 +169,43 @@ class ColorDegreeProfile:
 
 
 def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
-    """Compute the color classes, color degree and singleton neighbors of v.
+    """Color classes, color degree and singleton neighbors of v.
 
-    Recomputed from scratch on every call; no caching is part of the
-    contract.
+    Read from the graph's cached :meth:`ColoredGraph.color_table`, as are
+    all color-degree queries below; each call returns a new profile, equal
+    for equal graphs.
     """
     graph._check_vertex(v)
-    classes: dict[int, set[int]] = {}
-    for u in graph.neighbors(v):
-        classes.setdefault(graph.color(u, v), set()).add(u)
+    classes = graph.color_table()[v]
     ordered = sorted(classes.items(), key=lambda item: (-len(item[1]), item[0]))
-    unique = frozenset().union(*(m for m in classes.values() if len(m) == 1)) \
-        if classes else frozenset()
     return ColorDegreeProfile(
         vertex=v,
         color_classes={c: frozenset(m) for c, m in classes.items()},
         dc=len(classes),
-        dmon=max((len(m) for m in classes.values()), default=0),
+        dmon=max(map(len, classes.values()), default=0),
         sorted_sizes=tuple(len(m) for _, m in ordered),
         sorted_classes=tuple((c, frozenset(m)) for c, m in ordered),
-        unique_nbrs=unique,
+        unique_nbrs=frozenset(m[0] for m in classes.values() if len(m) == 1),
     )
 
 
 def color_degree(graph: ColoredGraph, v: int) -> int:
     """Number of distinct colors on edges incident to v."""
     graph._check_vertex(v)
-    return len({graph.color(u, v) for u in graph.neighbors(v)})
+    return len(graph.color_table()[v])
 
 
 def min_color_degree(graph: ColoredGraph) -> int:
     """Minimum color degree over all vertices (isolated vertices give 0)."""
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
-    return min(color_degree(graph, v) for v in range(graph.n))
+    return min(map(len, graph.color_table()))
 
 
 def mono_degree(graph: ColoredGraph, v: int) -> int:
     """Largest number of equally colored edges at v."""
-    return color_profile(graph, v).dmon
+    graph._check_vertex(v)
+    return max(map(len, graph.color_table()[v].values()), default=0)
 
 
 def max_mono_degree(graph: ColoredGraph) -> int:

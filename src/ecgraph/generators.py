@@ -68,7 +68,14 @@ def gen_random_colored(n: int, p: float, c: int, seed: int) -> ColoredGraph:
         raise ValueError("p must be in [0, 1]")
     if c < 1:
         raise ValueError("palette size must be >= 1")
-    rng = random.Random(seed)
+    return sample_random_colored(n, p, c, random.Random(seed))
+
+
+def sample_random_colored(n: int, p: float, c: int,
+                          rng: random.Random) -> ColoredGraph:
+    """G(n, p) with uniform colors from 1..c, drawn from ``rng``: one
+    ``rng.random()`` per pair u < v in lexicographic order and one
+    ``rng.randint(1, c)`` per edge kept."""
     triples = []
     for u in range(n):
         for v in range(u + 1, n):

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, color_profile, load_ecg, max_mono_degree,
-                   min_color_degree, save_ecg)
-from .generators import gen_example1, gen_proper_complete
+from .core import (ColoredGraph, load_ecg, max_mono_degree, min_color_degree,
+                   mono_degree, save_ecg)
+from .generators import gen_example1, gen_proper_complete, sample_random_colored
 from .rainbow import (
+    _node_budget,
     build_index,
     find_book,
     find_disjoint_rainbow_triangles,
@@ -129,7 +130,7 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
     index = build_index(h)
     delta = max_mono_degree(h)
     for v in range(h.n):
-        if color_profile(h, v).dmon != delta:
+        if mono_degree(h, v) != delta:
             continue
         diag = mono_balance_diagnostics(h, v, index)
         if not diag.passed():
@@ -408,15 +409,6 @@ def emit_report(report: Report, path) -> None:
         fh.write("\n")
 
 
-def _sample_colored(n: int, p: float, c: int, rng: random.Random) -> ColoredGraph:
-    triples = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                triples.append((u, v, rng.randint(1, c)))
-    return ColoredGraph(n, triples, validate=False)
-
-
 def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
@@ -437,7 +429,7 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
     """
     n = graph.n
     seen = [graph.adjacency_bits(v) | 1 << v for v in range(n)]
-    dc = [len({graph.color(v, u) for u in graph.neighbors(v)}) for v in range(n)]
+    dc = [len(classes) for classes in graph.color_table()]
     fresh = max(graph.colors(), default=0) + 1
     added: list[tuple[int, int, int]] = []
     for v in range(n):
@@ -473,6 +465,10 @@ def verify(spec: TheoremSpec) -> Report:
     lo, hi = spec.n_range
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {spec.n_range}")
+    if not 1 <= spec.c_range[0] <= spec.c_range[1]:
+        raise ValueError(f"bad colors range {spec.c_range}")
+    if not 0 <= spec.p_range[0] <= spec.p_range[1] <= 1:
+        raise ValueError(f"bad p range {spec.p_range}")
 
     feasible = [n for n in range(lo, hi + 1) if claim.n_condition(n, k) and (
         claim.delta_target is None or claim.delta_target(n, k) <= n - 1)]
@@ -497,7 +493,7 @@ def verify(spec: TheoremSpec) -> Report:
             g = gen_proper_complete(n, rng.getrandbits(32))
         elif claim.colored:
             c = rng.randint(*spec.c_range)
-            g = _sample_colored(n, p, c, rng)
+            g = sample_random_colored(n, p, c, rng)
         else:
             g = _sample_injective(n, p, rng)
         if claim.delta_target is not None:
@@ -552,18 +548,13 @@ def check_example1_sharpness(k_range) -> Report:
 
 def _disjoint_family_exists_bruteforce(g: ColoredGraph, k: int) -> bool:
     """Independent exhaustive check used to confirm candidate
-    counterexamples before they are reported."""
-    tris = build_index(g).triangles
-    for combo in itertools.combinations(range(len(tris)), k):
-        used: set[int] = set()
-        good = True
-        for i in combo:
-            t = tris[i]
-            if used & set(t):
-                good = False
-                break
-            used.update(t)
-        if good:
+    counterexamples before they are reported: k triangles are disjoint iff
+    they cover 3k vertices.  Raises ValueError past SEARCH_NODE_LIMIT
+    subsets tried."""
+    visit = _node_budget("_disjoint_family_exists_bruteforce")
+    for combo in itertools.combinations(build_index(g).triangles, k):
+        visit()
+        if len(set().union(*combo)) == 3 * k:
             return True
     return False
 

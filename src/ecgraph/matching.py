@@ -120,15 +120,14 @@ def matching_number(n: int, edges) -> int:
     return len(max_matching(n, edges))
 
 
-def _greedy_matching_size(edges: list[tuple[int, int]]) -> int:
+def _greedy_matched(edges: list[tuple[int, int]]) -> set[int]:
+    """Vertices covered by the greedy maximal matching of ``edges`` in order."""
     used: set[int] = set()
-    size = 0
     for u, v in edges:
         if u not in used and v not in used:
             used.add(u)
             used.add(v)
-            size += 1
-    return size
+    return used
 
 
 def min_vertex_cover(n: int, edges, size_limit: int = COVER_SIZE_LIMIT) -> list[int]:
@@ -143,12 +142,7 @@ def min_vertex_cover(n: int, edges, size_limit: int = COVER_SIZE_LIMIT) -> list[
     es = _normalize_edges(n, edges)
 
     # both endpoints of a greedy maximal matching form a valid initial cover
-    initial: set[int] = set()
-    for u, v in es:
-        if u not in initial and v not in initial:
-            initial.add(u)
-            initial.add(v)
-    best: list[int] = sorted(initial)
+    best: list[int] = sorted(_greedy_matched(es))
 
     def bnb(remaining: list[tuple[int, int]], chosen: list[int]) -> None:
         nonlocal best
@@ -156,7 +150,7 @@ def min_vertex_cover(n: int, edges, size_limit: int = COVER_SIZE_LIMIT) -> list[
             if len(chosen) < len(best):
                 best = sorted(chosen)
             return
-        if len(chosen) + _greedy_matching_size(remaining) >= len(best):
+        if len(chosen) + len(_greedy_matched(remaining)) // 2 >= len(best):
             return
         deg: dict[int, int] = {}
         for u, v in remaining:

@@ -17,13 +17,6 @@ from .matching import max_matching
 SEARCH_NODE_LIMIT = 1_000_000
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class RainbowTriangleIndex:
     """All rainbow triangles of a graph plus per-vertex/per-edge counts."""
@@ -46,39 +39,41 @@ class RainbowTriangleIndex:
         return sum(self.rt_pair(v, x) for x in others)
 
 
+def _rainbow_triangles(graph: ColoredGraph):
+    """Rainbow triangles (u, v, w) with u < v < w, by edge uv in
+    lexicographic order and then ascending w: the apexes of uv are the
+    bits above v of the intersection of both adjacency bitsets."""
+    color = graph.edge_colors()
+    bits = [graph.adjacency_bits(x) for x in range(graph.n)]
+    for u, v in graph.edges:
+        cuv = color[u, v]
+        common = (bits[u] & bits[v]) >> (v + 1)
+        while common:
+            low = common & -common
+            common ^= low
+            w = v + low.bit_length()
+            cuw = color[u, w]
+            cvw = color[v, w]
+            if cuv != cuw and cuv != cvw and cuw != cvw:
+                yield u, v, w
+
+
 def build_index(graph: ColoredGraph) -> RainbowTriangleIndex:
-    """Enumerate rainbow triangles by bitset intersection over edges."""
-    tris: list[tuple[int, int, int]] = []
+    """Every rainbow triangle, in scan order, with its vertex and edge counts."""
+    tris = tuple(_rainbow_triangles(graph))
     rt_v: dict[int, int] = {}
     rt_e: dict[tuple[int, int], int] = {}
-    for u, v in graph.edges:
-        cuv = graph.color(u, v)
-        common = graph.adjacency_bits(u) & graph.adjacency_bits(v)
-        for w in _bits(common >> (v + 1)):
-            w += v + 1
-            cuw = graph.color(u, w)
-            cvw = graph.color(v, w)
-            if cuv != cuw and cuv != cvw and cuw != cvw:
-                tris.append((u, v, w))
-                for a in (u, v, w):
-                    rt_v[a] = rt_v.get(a, 0) + 1
-                for e in ((u, v), (u, w), (v, w)):
-                    rt_e[e] = rt_e.get(e, 0) + 1
-    return RainbowTriangleIndex(tuple(tris), rt_v, rt_e)
+    for u, v, w in tris:
+        for a in (u, v, w):
+            rt_v[a] = rt_v.get(a, 0) + 1
+        for e in ((u, v), (u, w), (v, w)):
+            rt_e[e] = rt_e.get(e, 0) + 1
+    return RainbowTriangleIndex(tris, rt_v, rt_e)
 
 
 def has_rainbow_triangle(graph: ColoredGraph) -> bool:
-    """Early-exit existence test (same scan order as build_index)."""
-    for u, v in graph.edges:
-        cuv = graph.color(u, v)
-        common = graph.adjacency_bits(u) & graph.adjacency_bits(v)
-        for w in _bits(common >> (v + 1)):
-            w += v + 1
-            cuw = graph.color(u, w)
-            cvw = graph.color(v, w)
-            if cuv != cuw and cuv != cvw and cuw != cvw:
-                return True
-    return False
+    """Early-exit existence test over the same scan as build_index."""
+    return any(_rainbow_triangles(graph))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ from .core import ColoredGraph
 
 def _removals(graph: ColoredGraph) -> list[tuple[int, int]]:
     """Edges :func:`edge_minimal_reduce` deletes, in lexicographic order."""
-    counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), c in graph.edge_colors().items():
-        counts[u][c] = counts[u].get(c, 0) + 1
-        counts[v][c] = counts[v].get(c, 0) + 1
+    counts = [{c: len(m) for c, m in classes.items()}
+              for classes in graph.color_table()]
     removed = []
     for u, v in graph.edges:
         c = graph.color(u, v)

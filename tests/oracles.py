@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 
 from ecgraph.core import ColoredGraph
 
@@ -183,7 +184,11 @@ def mono_triangle_or_path3(g: ColoredGraph) -> bool:
 
 
 def random_colored(rng: random.Random, n: int, p: float, c: int) -> ColoredGraph:
-    """Test-local sampler, independent of the package generators."""
+    """Test-local sampler, independent of the package generators.
+
+    Draw for draw the harness's colored sampler: one ``rng.random()`` per
+    pair u < v in lexicographic order, one ``rng.randint(1, c)`` per edge.
+    """
     triples = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -344,3 +349,60 @@ def gamma_vertices_deletion_reference(n: int, edges) -> frozenset[int]:
         elif v in mset and u not in mset:
             v0.add(u)
     return frozenset(v0)
+
+
+def color_classes_reference(g: ColoredGraph) -> list[dict[int, set[int]]]:
+    """Per vertex, color -> neighbors joined by that color, counted
+    straight from ``edge_colors()``."""
+    classes: list[dict[int, set[int]]] = [{} for _ in range(g.n)]
+    for (u, v), c in g.edge_colors().items():
+        classes[u].setdefault(c, set()).add(v)
+        classes[v].setdefault(c, set()).add(u)
+    return classes
+
+
+def removable_edges_reference(g: ColoredGraph) -> list[tuple[int, int]]:
+    """Edges whose color appears at least twice at both ends, sorted."""
+    classes = color_classes_reference(g)
+    return sorted((u, v) for (u, v), c in g.edge_colors().items()
+                  if len(classes[u][c]) >= 2 and len(classes[v][c]) >= 2)
+
+
+def _bound_terms(g: ColoredGraph, v: int):
+    classes = color_classes_reference(g)
+    at_v = classes[v]
+    dcv = len(at_v)
+    excess = sum(len(m) - 1 for m in at_v.values())
+    unique = [(c, y) for c, m in at_v.items() if len(m) == 1 for y in m]
+
+    def neighbor_sum(members) -> int:
+        return sum(len(classes[x]) + dcv - g.n for x in members)
+
+    def hits(ys, target) -> int:
+        return sum(len(classes[y][c] & set(target)) for c, y in ys)
+    return at_v, excess, unique, neighbor_sum, hits
+
+
+def strict_class_bounds_reference(g: ColoredGraph, v: int) -> list[tuple[int, int]]:
+    """(color, strict lower bound) per class at v in canonical order
+    (decreasing size, then color), with the singleton-class hits counted
+    only from neighbors y outside the class."""
+    at_v, excess, unique, neighbor_sum, hits = _bound_terms(g, v)
+    out = []
+    for c, members in sorted(at_v.items(), key=lambda item: (-len(item[1]), item[0])):
+        di = len(members)
+        outside = [(cy, y) for cy, y in unique if y not in members]
+        out.append((c, neighbor_sum(members) + di * excess - di * (di - 1)
+                    - hits(outside, members)))
+    return out
+
+
+def vertex_lower_half_sum_reference(g: ColoredGraph, v: int) -> Fraction:
+    """Half of: sum over x in N(v) of (d^c(x) + d^c(v) - n) + d(v) times
+    the sum of (d_j - 1) - the sum of d_j (d_j - 1) - the singleton-class
+    hits into N(v)."""
+    at_v, excess, unique, neighbor_sum, hits = _bound_terms(g, v)
+    nbrs = set().union(*at_v.values())
+    sizes = [len(m) for m in at_v.values()]
+    return Fraction(neighbor_sum(nbrs) + len(nbrs) * excess
+                    - sum(s * (s - 1) for s in sizes) - hits(unique, nbrs), 2)

@@ -160,3 +160,19 @@ def test_search_node_limit_is_usage_error(monkeypatch, capsys, argv, search):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{search} exceeded its limit of 2" in err
+
+
+def test_verify_probability_range_outside_unit_interval_is_usage_error(capsys):
+    rc = main(["verify", "--theorem", "li_triangle", "--p", "1.5:2",
+               "--budget", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad p range" in err
+
+
+def test_verify_empty_palette_is_usage_error(capsys):
+    rc = main(["verify", "--theorem", "li_triangle", "--colors", "0:0",
+               "--budget", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad colors range" in err

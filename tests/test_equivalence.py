@@ -10,26 +10,43 @@
 - ``max_fan`` and ``find_fan`` skip centers by the floor(deg / 2) bound;
   the unpruned loops over every center must give the same value and the
   same certificate.
+- Every color-degree query reads the graph's cached color table; each
+  must equal the same quantity counted straight from ``edge_colors()``,
+  also on graphs derived with ``with_edge``/``without_edge`` after the
+  parent's table was built.
+- The colored sampler makes the same draws as the test-local
+  ``random_colored``; the class bounds equal the strict form recounted in
+  ``oracles.py``, and the vertex bound equals the half-sum formula.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from oracles import (
     blossom_matching_reference,
+    color_classes_reference,
     gamma_vertices_deletion_reference,
+    naive_rainbow_triangles,
     random_colored,
     reduce_rescan_reference,
+    removable_edges_reference,
     repair_rebuild_reference,
+    strict_class_bounds_reference,
+    vertex_lower_half_sum_reference,
 )
 
-from ecgraph.core import ColoredGraph
-from ecgraph.generators import gen_example1, gen_proper_complete
+from ecgraph.bounds import triangle_bound_report
+from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
+                          min_color_degree, mono_degree)
+from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
+                                sample_random_colored)
 from ecgraph.harness import _repair_color_degree
 from ecgraph.matching import gallai_partition, max_matching
-from ecgraph.rainbow import Certificate, find_fan, max_fan, rainbow_edge_graph
-from ecgraph.reduction import edge_minimal_reduce
+from ecgraph.rainbow import (Certificate, build_index, find_fan, has_rainbow_triangle,
+                             max_fan, rainbow_edge_graph)
+from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
 
 
 def _same(a: ColoredGraph, b: ColoredGraph) -> bool:
@@ -204,3 +221,94 @@ def test_fan_pruning_on_random_graphs():
         n = rng.randint(1, 60 if rng.random() < 0.2 else 14)
         found += _check_fans(random_colored(rng, n, rng.uniform(0.05, 0.9), rng.randint(1, 40))) > 0
     assert found >= 60
+
+
+def _check_color_queries(g: ColoredGraph) -> None:
+    ref = color_classes_reference(g)
+    for v in range(g.n):
+        classes = ref[v]
+        assert color_degree(g, v) == len(classes)
+        assert mono_degree(g, v) == max(map(len, classes.values()), default=0)
+        assert {c: sorted(m) for c, m in classes.items()} == g.color_table()[v]
+        profile = color_profile(g, v)
+        assert profile.color_classes == {c: frozenset(m) for c, m in classes.items()}
+        # colors keyed by first appearance among the ascending neighbors
+        assert list(profile.color_classes) == sorted(classes, key=lambda c: min(classes[c]))
+        canonical = sorted(classes.items(), key=lambda item: (-len(item[1]), item[0]))
+        assert profile.sorted_classes == tuple((c, frozenset(m)) for c, m in canonical)
+        assert profile.sorted_sizes == tuple(len(m) for _, m in canonical)
+        assert profile.unique_nbrs == frozenset(
+            y for m in classes.values() if len(m) == 1 for y in m)
+        assert (profile.dc, profile.dmon, profile.degree) == (
+            color_degree(g, v), mono_degree(g, v), g.degree(v))
+    for v in (-1, g.n):
+        for query in (color_degree, mono_degree, color_profile):
+            with pytest.raises(ValueError):
+                query(g, v)
+    if g.n:
+        assert min_color_degree(g) == min(len(classes) for classes in ref)
+    else:
+        with pytest.raises(ValueError):
+            min_color_degree(g)
+    assert max_mono_degree(g) == max(
+        (len(m) for classes in ref for m in classes.values()), default=0)
+    removable = removable_edges_reference(g)
+    assert is_edge_minimal(g) == (not removable, removable[0] if removable else None)
+
+
+def test_color_queries_match_edge_colors():
+    for g in (ColoredGraph(0), ColoredGraph(1), ColoredGraph(3),
+              ColoredGraph(5, [(3, 1, 2), (1, 0, 2), (0, 3, 7)])):  # 2 and 4 isolated
+        _check_color_queries(g)
+    isolated = 0
+    for rng, g in _corpus(seed=61, count=400):
+        _check_color_queries(g)
+        isolated += any(g.degree(v) == 0 for v in range(g.n))
+        if g.n < 2:
+            continue
+        u, v = rng.sample(range(g.n), 2)
+        if g.has_edge(u, v):
+            derived = g.without_edge(u, v)
+        else:
+            derived = g.with_edge(u, v, rng.randint(1, 6))
+        _check_color_queries(derived)
+        _check_color_queries(edge_minimal_reduce(derived))
+        _check_color_queries(g)
+    assert isolated >= 40
+
+
+def test_rainbow_triangle_scan_matches_naive():
+    for rng, g in _corpus(seed=67, count=300):
+        naive = sorted(naive_rainbow_triangles(g))
+        assert build_index(g).triangles == tuple(naive)
+        assert has_rainbow_triangle(g) == bool(naive)
+
+
+def test_sampler_matches_random_colored():
+    rng = random.Random(71)
+    for _ in range(300):
+        n, p, c = rng.randint(0, 15), rng.uniform(0.0, 1.0), rng.randint(1, 8)
+        seed = rng.getrandbits(32)
+        ref_rng, new_rng = random.Random(seed), random.Random(seed)
+        got = sample_random_colored(n, p, c, new_rng)
+        assert _same(got, random_colored(ref_rng, n, p, c))
+        assert new_rng.getstate() == ref_rng.getstate()
+        if n:
+            assert _same(gen_random_colored(n, p, c, seed), got)
+
+
+def test_class_bounds_match_strict_and_half_sum_references():
+    rng = random.Random(73)
+    singleton_classes = 0
+    for _ in range(150):
+        g = random_colored(rng, rng.randint(1, 10), rng.uniform(0.2, 1.0), rng.randint(1, 6))
+        for h in (g, edge_minimal_reduce(g)):
+            index = build_index(h)
+            for v in range(h.n):
+                report = triangle_bound_report(h, v, index)
+                assert [(cb.color, cb.lower_bound) for cb in report.per_class] \
+                    == strict_class_bounds_reference(h, v)
+                assert all(cb.lower_bound_strict == cb.lower_bound for cb in report.per_class)
+                assert report.vertex_lower == vertex_lower_half_sum_reference(h, v)
+                singleton_classes += sum(cb.size == 1 for cb in report.per_class)
+    assert singleton_classes >= 1000

@@ -233,3 +233,20 @@ def test_low_admission_raises_admission_error():
     with pytest.raises(AdmissionError, match="admission rate too low"):
         verify(spec)
     assert issubclass(AdmissionError, RuntimeError)
+
+
+def test_bruteforce_disjoint_check_has_a_subset_limit(monkeypatch):
+    import ecgraph.rainbow
+    from ecgraph.generators import gen_proper_complete
+    from ecgraph.harness import _disjoint_family_exists_bruteforce
+
+    # every triangle of a properly colored K5 is rainbow, and no two of
+    # its 10 triangles are disjoint: all C(10, 2) = 45 pairs are tried
+    g = gen_proper_complete(5, seed=1)
+    assert _disjoint_family_exists_bruteforce(g, 2) is False
+    monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 45)
+    assert _disjoint_family_exists_bruteforce(g, 2) is False
+    monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 44)
+    with pytest.raises(ValueError, match="_disjoint_family_exists_bruteforce "
+                                         "exceeded its limit of 44"):
+        _disjoint_family_exists_bruteforce(g, 2)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core import (ColoredGraph, ColorDegreeProfile, color_degree, color_profile,
                    max_mono_degree, min_color_degree, mono_degree)
-from .rainbow import RainbowTriangleIndex, build_index, rainbow_edge_graph
+from .rainbow import build_index, rainbow_edge_graph
 from .reduction import is_edge_minimal
 
 
@@ -28,6 +28,7 @@ def restriction_count(graph: ColoredGraph, v: int, x_set, y: int) -> int:
     on any edge from y to N(y) outside X.  Note that when vy is an edge,
     v itself lies in N(y) minus X, so c(vy) is excluded automatically.
     """
+    graph._check_vertex(v)
     graph._check_vertex(y)
     xs = frozenset(x_set)
     nbrs_v = set(graph.neighbors(v))
@@ -132,9 +133,7 @@ def _balance_forms(graph: ColoredGraph, profile: ColorDegreeProfile,
     return form1, form2, form3
 
 
-def triangle_bound_report(graph: ColoredGraph, v: int,
-                          index: RainbowTriangleIndex | None = None
-                          ) -> TriangleBoundReport:
+def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
     """Evaluate the per-class lower bounds on rt(v, N_i(v)).
 
     For class i the bound is
@@ -148,7 +147,7 @@ def triangle_bound_report(graph: ColoredGraph, v: int,
     has no edge into {y}.
     """
     profile = color_profile(graph, v)
-    index = index if index is not None else build_index(graph)
+    index = build_index(graph)
     n = graph.n
     dcv = profile.dc
     excess = sum(s - 1 for s in profile.sorted_sizes)
@@ -173,10 +172,9 @@ def triangle_bound_report(graph: ColoredGraph, v: int,
     if len(set(forms)) != 1:
         raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
 
-    minimal, _ = is_edge_minimal(graph)
     return TriangleBoundReport(
         vertex=v,
-        edge_minimal=minimal,
+        edge_minimal=is_edge_minimal(graph)[0],
         per_class=tuple(per_class),
         balance_total=forms[0],
         rt_vertex=index.rt(v),
@@ -217,9 +215,7 @@ class MonoBalanceDiagnostics:
         return True
 
 
-def mono_balance_diagnostics(graph: ColoredGraph, v: int,
-                             index: RainbowTriangleIndex | None = None
-                             ) -> MonoBalanceDiagnostics:
+def mono_balance_diagnostics(graph: ColoredGraph, v: int) -> MonoBalanceDiagnostics:
     """Check the balance sign and its equality conditions at v.
 
     Precondition: v attains the maximum monochromatic degree of the graph.
@@ -230,7 +226,7 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int,
         raise ValueError(
             f"vertex {v} does not attain the maximum monochromatic degree")
 
-    report = triangle_bound_report(graph, v, index)
+    report = triangle_bound_report(graph, v)
     b_total = report.balance_total
     applicable = delta_mon >= 2 and b_total == 0
 

@@ -147,7 +147,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _read_graph(args.file)
-    index = build_index(g)
     minimal, witness = is_edge_minimal(g)
     bound = counting_lower_bound(g)
     doc = {
@@ -158,8 +157,8 @@ def _cmd_analyze(args) -> int:
         "max_mono_degree": max_mono_degree(g),
         "edge_minimal": minimal,
         "removable_edge": list(witness) if witness else None,
-        "rainbow_triangles": index.count(),
-        "max_book": max_book(g, index),
+        "rainbow_triangles": build_index(g).count(),
+        "max_book": max_book(g),
         "max_fan": max_fan(g),
         "counting_lower_bound": [bound.numerator, bound.denominator],
     }

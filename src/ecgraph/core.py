@@ -33,7 +33,7 @@ class ColoredGraph:
     intersection.  Isolated vertices are legal and have color degree 0.
     """
 
-    __slots__ = ("n", "_color", "_adj", "_bits", "_edges", "_table")
+    __slots__ = ("n", "_color", "_adj", "_bits", "_edges", "_derived")
 
     def __init__(self, n: int, edges: object = (), validate: bool = True):
         """Build a graph on vertices 0..n-1 from (u, v, color) triples."""
@@ -64,7 +64,7 @@ class ColoredGraph:
             adj[v].append(u)
         self._adj = [tuple(sorted(a)) for a in adj]
         self._edges = sorted(color)
-        self._table: list[dict[int, list[int]]] | None = None
+        self._derived: dict = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -81,7 +81,8 @@ class ColoredGraph:
         return _key(u, v) in self._color
 
     def color(self, u: int, v: int) -> int:
-        return self._color[_key(u, v)]
+        # the key is built inline: this is the graph's most frequent query
+        return self._color[(u, v) if u < v else (v, u)]
 
     def edge_colors(self) -> dict[tuple[int, int], int]:
         return dict(self._color)
@@ -99,21 +100,24 @@ class ColoredGraph:
     def colors(self) -> set[int]:
         return set(self._color.values())
 
+    def derived(self, build):
+        """``build(self)``, computed on the first call for this graph and
+        cached under ``build`` for every later one.
+
+        The graph never changes, so any fact derived from it alone stays
+        valid for its lifetime; callers must not mutate the result.
+        """
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
+
     def color_table(self) -> list[dict[int, list[int]]]:
         """Per vertex, each color mapped to the neighbors joined by it.
 
         Neighbors are ascending, and colors are keyed in the order of their
-        first neighbor.  Built on first use in one pass over the sorted
-        edges (which meets every vertex's neighbors in ascending order) and
-        cached, since the graph never changes; callers must not mutate it.
+        first neighbor.  Built once per graph (see :meth:`derived`).
         """
-        if self._table is None:
-            table: list[dict[int, list[int]]] = [{} for _ in range(self.n)]
-            for (u, v), c in zip(self._edges, map(self._color.get, self._edges)):
-                table[u].setdefault(c, []).append(v)
-                table[v].setdefault(c, []).append(u)
-            self._table = table
-        return self._table
+        return self.derived(_color_table)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -143,6 +147,16 @@ class ColoredGraph:
 
     def __repr__(self) -> str:
         return f"ColoredGraph(n={self.n}, m={self.edge_count})"
+
+
+def _color_table(graph: ColoredGraph) -> list[dict[int, list[int]]]:
+    """One pass over the sorted edges, which meets every vertex's neighbors
+    in ascending order."""
+    table: list[dict[int, list[int]]] = [{} for _ in range(graph.n)]
+    for (u, v), c in zip(graph._edges, map(graph._color.get, graph._edges)):
+        table[u].setdefault(c, []).append(v)
+        table[v].setdefault(c, []).append(u)
+    return table
 
 
 @dataclass(frozen=True)

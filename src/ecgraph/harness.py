@@ -110,9 +110,8 @@ def _concl_fan(g: ColoredGraph, k: int) -> tuple[bool, str]:
 
 def _concl_class_bounds(g: ColoredGraph, k: int) -> tuple[bool, str]:
     h = edge_minimal_reduce(g)
-    index = build_index(h)
     for v in range(h.n):
-        report = triangle_bound_report(h, v, index)
+        report = triangle_bound_report(h, v)
         for cb in report.per_class:
             if cb.rt_observed < cb.lower_bound:
                 return False, (f"class bound fails at v={v}, color={cb.color}: "
@@ -127,12 +126,11 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
     h = edge_minimal_reduce(g)
     if h.edge_count == 0:
         return True, ""
-    index = build_index(h)
     delta = max_mono_degree(h)
     for v in range(h.n):
         if mono_degree(h, v) != delta:
             continue
-        diag = mono_balance_diagnostics(h, v, index)
+        diag = mono_balance_diagnostics(h, v)
         if not diag.passed():
             return False, f"balance diagnostics fail at v={v}: {diag}"
     return True, ""
@@ -469,6 +467,8 @@ def verify(spec: TheoremSpec) -> Report:
         raise ValueError(f"bad colors range {spec.c_range}")
     if not 0 <= spec.p_range[0] <= spec.p_range[1] <= 1:
         raise ValueError(f"bad p range {spec.p_range}")
+    if spec.budget < 1:
+        raise ValueError(f"budget must be >= 1, got {spec.budget}")
 
     feasible = [n for n in range(lo, hi + 1) if claim.n_condition(n, k) and (
         claim.delta_target is None or claim.delta_target(n, k) <= n - 1)]

@@ -9,6 +9,8 @@ which keeps outputs deterministic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import ColoredGraph
@@ -39,36 +41,57 @@ class RainbowTriangleIndex:
         return sum(self.rt_pair(v, x) for x in others)
 
 
-def _rainbow_triangles(graph: ColoredGraph):
-    """Rainbow triangles (u, v, w) with u < v < w, by edge uv in
-    lexicographic order and then ascending w: the apexes of uv are the
-    bits above v of the intersection of both adjacency bitsets."""
-    color = graph.edge_colors()
-    bits = [graph.adjacency_bits(x) for x in range(graph.n)]
-    for u, v in graph.edges:
-        cuv = color[u, v]
-        common = (bits[u] & bits[v]) >> (v + 1)
+def _color_rows(graph: ColoredGraph) -> list[dict[int, int]]:
+    """Per vertex v, each neighbor x mapped to c(vx)."""
+    rows: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, v), c in graph.edge_colors().items():
+        rows[u][v] = rows[v][u] = c
+    return rows
+
+
+def _rainbow_links(graph: ColoredGraph, v: int, lo: int):
+    """Pairs (x, y) with lo <= x < y such that v, x, y is a rainbow
+    triangle, in lexicographic order: x walks N(v) upward from lo, and y
+    the bits of N(v) & N(x) above x."""
+    rows = graph.derived(_color_rows)
+    row = rows[v]
+    nv = graph.adjacency_bits(v)
+    nbrs = graph.neighbors(v)
+    for x in nbrs[bisect_left(nbrs, lo):]:
+        cvx, row_x = row[x], rows[x]
+        common = (nv & graph.adjacency_bits(x)) >> (x + 1)
         while common:
             low = common & -common
             common ^= low
-            w = v + low.bit_length()
-            cuw = color[u, w]
-            cvw = color[v, w]
-            if cuv != cuw and cuv != cvw and cuw != cvw:
+            y = x + low.bit_length()
+            cvy, cxy = row[y], row_x[y]
+            if cvx != cvy and cvx != cxy and cvy != cxy:
+                yield x, y
+
+
+def _rainbow_triangles(graph: ColoredGraph):
+    """Rainbow triangles (u, v, w) with u < v < w in lexicographic order,
+    which is edge uv in lexicographic order and then ascending apex w.
+    Only vertices with two neighbors above them are scanned as u."""
+    for u in range(graph.n):
+        above = graph.adjacency_bits(u) >> (u + 1)
+        if above & (above - 1):
+            for v, w in _rainbow_links(graph, u, u + 1):
                 yield u, v, w
 
 
-def build_index(graph: ColoredGraph) -> RainbowTriangleIndex:
-    """Every rainbow triangle, in scan order, with its vertex and edge counts."""
+def _index(graph: ColoredGraph) -> RainbowTriangleIndex:
     tris = tuple(_rainbow_triangles(graph))
-    rt_v: dict[int, int] = {}
-    rt_e: dict[tuple[int, int], int] = {}
-    for u, v, w in tris:
-        for a in (u, v, w):
-            rt_v[a] = rt_v.get(a, 0) + 1
-        for e in ((u, v), (u, w), (v, w)):
-            rt_e[e] = rt_e.get(e, 0) + 1
+    rt_v = Counter(itertools.chain.from_iterable(tris))
+    rt_e = Counter(itertools.chain.from_iterable(
+        ((u, v), (u, w), (v, w)) for u, v, w in tris))
     return RainbowTriangleIndex(tris, rt_v, rt_e)
+
+
+def build_index(graph: ColoredGraph) -> RainbowTriangleIndex:
+    """Every rainbow triangle, in lexicographic order, with its vertex and
+    edge counts.  Built once per graph (see :meth:`ColoredGraph.derived`)."""
+    return graph.derived(_index)
 
 
 def has_rainbow_triangle(graph: ColoredGraph) -> bool:
@@ -87,19 +110,9 @@ class RainbowEdgeGraph:
 
 def rainbow_edge_graph(graph: ColoredGraph, v: int) -> RainbowEdgeGraph:
     graph._check_vertex(v)
-    es = []
-    nbrs = graph.neighbors(v)
-    for i, x in enumerate(nbrs):
-        cvx = graph.color(v, x)
-        for y in nbrs[i + 1:]:
-            if not graph.has_edge(x, y):
-                continue
-            cvy = graph.color(v, y)
-            cxy = graph.color(x, y)
-            if cvx != cvy and cvx != cxy and cvy != cxy:
-                es.append((x, y))
+    es = tuple(_rainbow_links(graph, v, 0))
     verts = tuple(sorted({w for e in es for w in e}))
-    return RainbowEdgeGraph(center=v, vertices=verts, edges=tuple(es))
+    return RainbowEdgeGraph(center=v, vertices=verts, edges=es)
 
 
 @dataclass(frozen=True)
@@ -184,18 +197,16 @@ class Certificate:
         }
 
 
-def max_book(graph: ColoredGraph, index: RainbowTriangleIndex | None = None) -> int:
+def max_book(graph: ColoredGraph) -> int:
     """Largest k such that k rainbow triangles share one edge."""
-    index = index if index is not None else build_index(graph)
-    return max(index.rt_edge.values(), default=0)
+    return max(build_index(graph).rt_edge.values(), default=0)
 
 
-def find_book(graph: ColoredGraph, k: int,
-              index: RainbowTriangleIndex | None = None) -> Certificate | None:
+def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
     """First edge (lexicographically) carrying k rainbow triangles."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    index = index if index is not None else build_index(graph)
+    index = build_index(graph)
     for u, v in graph.edges:
         if index.rt_pair(u, v) >= k:
             apexes = sorted(
@@ -258,9 +269,8 @@ def _node_budget(search: str):
     return visit
 
 
-def find_disjoint_rainbow_triangles(graph: ColoredGraph, k: int,
-                                    index: RainbowTriangleIndex | None = None
-                                    ) -> Certificate | None:
+def find_disjoint_rainbow_triangles(graph: ColoredGraph,
+                                    k: int) -> Certificate | None:
     """k pairwise vertex-disjoint rainbow triangles, by exact backtracking.
 
     Intended for small instances (n up to ~20): branches over the sorted
@@ -269,8 +279,7 @@ def find_disjoint_rainbow_triangles(graph: ColoredGraph, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    index = index if index is not None else build_index(graph)
-    tris = index.triangles
+    tris = build_index(graph).triangles
     chosen: list[tuple[int, int, int]] = []
     visit = _node_budget("find_disjoint_rainbow_triangles")
 
@@ -297,9 +306,8 @@ def find_disjoint_rainbow_triangles(graph: ColoredGraph, k: int,
 
 def max_disjoint_rainbow_triangles(graph: ColoredGraph) -> int:
     """Largest k for which a disjoint family exists (exact, small n)."""
-    index = build_index(graph)
     k = 0
-    while find_disjoint_rainbow_triangles(graph, k + 1, index) is not None:
+    while find_disjoint_rainbow_triangles(graph, k + 1) is not None:
         k += 1
     return k
 

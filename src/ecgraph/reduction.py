@@ -13,11 +13,14 @@ from .core import ColoredGraph
 
 def _removals(graph: ColoredGraph) -> list[tuple[int, int]]:
     """Edges :func:`edge_minimal_reduce` deletes, in lexicographic order."""
-    counts = [{c: len(m) for c, m in classes.items()}
-              for classes in graph.color_table()]
+    color = graph.edge_colors()
+    counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, v), c in color.items():
+        counts[u][c] = counts[u].get(c, 0) + 1
+        counts[v][c] = counts[v].get(c, 0) + 1
     removed = []
     for u, v in graph.edges:
-        c = graph.color(u, v)
+        c = color[u, v]
         if counts[u][c] >= 2 and counts[v][c] >= 2:
             counts[u][c] -= 1
             counts[v][c] -= 1
@@ -29,9 +32,10 @@ def is_edge_minimal(graph: ColoredGraph) -> tuple[bool, tuple[int, int] | None]:
     """Whether every edge removal drops an endpoint's color degree.
 
     On False the witness is a removable edge (deterministically the
-    lexicographically smallest one).
+    lexicographically smallest one).  Computed once per graph (see
+    :meth:`ColoredGraph.derived`).
     """
-    removed = _removals(graph)
+    removed = graph.derived(_removals)
     return not removed, removed[0] if removed else None
 
 
@@ -45,7 +49,7 @@ def edge_minimal_reduce(graph: ColoredGraph) -> ColoredGraph:
     The result keeps d^c of every vertex, is edge-minimal and keeps the
     surviving edges in their original order (the input itself if none go).
     """
-    removed = set(_removals(graph))
+    removed = set(graph.derived(_removals))
     if not removed:
         return graph
     return ColoredGraph(graph.n, [(*e, c) for e, c in graph.edge_colors().items()

@@ -406,3 +406,23 @@ def vertex_lower_half_sum_reference(g: ColoredGraph, v: int) -> Fraction:
     sizes = [len(m) for m in at_v.values()]
     return Fraction(neighbor_sum(nbrs) + len(nbrs) * excess
                     - sum(s * (s - 1) for s in sizes) - hits(unique, nbrs), 2)
+
+
+def rainbow_edge_graph_reference(g: ColoredGraph, v: int
+                                 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(vertices, edges) of the rainbow edge graph at v, frozen as
+    ``rainbow.rainbow_edge_graph`` stood before it shared the rainbow
+    triangle scan: a double loop over pairs x < y of N(v) in lexicographic
+    order, reading every color through ``has_edge`` and ``color``."""
+    es = []
+    nbrs = g.neighbors(v)
+    for i, x in enumerate(nbrs):
+        cvx = g.color(v, x)
+        for y in nbrs[i + 1:]:
+            if not g.has_edge(x, y):
+                continue
+            cvy = g.color(v, y)
+            cxy = g.color(x, y)
+            if cvx != cvy and cvx != cxy and cvy != cxy:
+                es.append((x, y))
+    return tuple(sorted({w for e in es for w in e})), tuple(es)

@@ -47,6 +47,9 @@ class TestRestrictionCount:
             restriction_count(RAINBOW_K3, 0, {2, 1, 0}, 2)  # 0 not in N(0)
         with pytest.raises(ValueError):
             restriction_count(RAINBOW_K3, 0, {1}, 0)  # y == v
+        for v in (-1, 99):  # v out of range
+            with pytest.raises(ValueError):
+                restriction_count(RAINBOW_K3, v, set(), 0)
 
     def test_rt_dominates_restriction_count_fuzz(self):
         rng = random.Random(31)
@@ -127,9 +130,8 @@ class TestTriangleBoundReport:
             g = random_colored(rng, rng.randint(2, 10),
                                rng.uniform(0.2, 0.95), rng.randint(1, 6))
             h = edge_minimal_reduce(g)
-            idx = build_index(h)
             for v in range(h.n):
-                rep = triangle_bound_report(h, v, idx)
+                rep = triangle_bound_report(h, v)
                 assert rep.edge_minimal
                 for cb in rep.per_class:
                     assert cb.rt_observed >= cb.lower_bound_strict
@@ -193,11 +195,10 @@ class TestMonoBalance:
             if h.edge_count == 0:
                 continue
             delta = max(color_profile(h, v).dmon for v in range(h.n))
-            idx = build_index(h)
             for v in range(h.n):
                 if color_profile(h, v).dmon != delta:
                     continue
-                diag = mono_balance_diagnostics(h, v, idx)
+                diag = mono_balance_diagnostics(h, v)
                 assert diag.balance_total >= 0
                 if diag.equality_applicable:
                     found_equality += 1

@@ -176,3 +176,11 @@ def test_verify_empty_palette_is_usage_error(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bad colors range" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_verify_budget_below_one_is_usage_error(budget, capsys):
+    rc = main(["verify", "--theorem", "li_triangle", "--budget", budget])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget must be >= 1" in err

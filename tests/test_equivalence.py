@@ -17,6 +17,11 @@
 - The colored sampler makes the same draws as the test-local
   ``random_colored``; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
+- One link scan per vertex serves the rainbow triangle index and the
+  rainbow edge graph; the latter must equal the frozen double loop in
+  ``oracles.py``, edge order included.  Whole-graph facts are built once
+  per graph, and graphs derived after the parent's facts were cached get
+  their own.
 """
 
 from __future__ import annotations
@@ -24,11 +29,15 @@ from __future__ import annotations
 import random
 
 import pytest
+import ecgraph.core
+import ecgraph.rainbow
+import ecgraph.reduction
 from oracles import (
     blossom_matching_reference,
     color_classes_reference,
     gamma_vertices_deletion_reference,
     naive_rainbow_triangles,
+    rainbow_edge_graph_reference,
     random_colored,
     reduce_rescan_reference,
     removable_edges_reference,
@@ -303,12 +312,67 @@ def test_class_bounds_match_strict_and_half_sum_references():
     for _ in range(150):
         g = random_colored(rng, rng.randint(1, 10), rng.uniform(0.2, 1.0), rng.randint(1, 6))
         for h in (g, edge_minimal_reduce(g)):
-            index = build_index(h)
             for v in range(h.n):
-                report = triangle_bound_report(h, v, index)
+                report = triangle_bound_report(h, v)
                 assert [(cb.color, cb.lower_bound) for cb in report.per_class] \
                     == strict_class_bounds_reference(h, v)
                 assert all(cb.lower_bound_strict == cb.lower_bound for cb in report.per_class)
                 assert report.vertex_lower == vertex_lower_half_sum_reference(h, v)
                 singleton_classes += sum(cb.size == 1 for cb in report.per_class)
     assert singleton_classes >= 1000
+
+
+def test_rainbow_edge_graph_matches_double_loop_reference():
+    graphs = [g for _, g in _corpus(seed=79, count=300)]
+    graphs += [gen_proper_complete(n, seed=n) for n in range(3, 14)]
+    graphs += [gen_example1(k) for k in range(2, 7)]
+    edges = 0
+    for g in graphs:
+        for v in range(g.n):
+            sub = rainbow_edge_graph(g, v)
+            assert (sub.vertices, sub.edges) == rainbow_edge_graph_reference(g, v)
+            edges += len(sub.edges)
+    assert edges >= 1000
+
+
+def _count_builds(monkeypatch, module, name: str) -> list:
+    """Wrap a build function so that each call is recorded."""
+    calls = []
+    build = getattr(module, name)
+
+    def counted(graph):
+        calls.append(graph)
+        return build(graph)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
+    tables = _count_builds(monkeypatch, ecgraph.core, "_color_table")
+    indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
+    removals = _count_builds(monkeypatch, ecgraph.reduction, "_removals")
+    g = random_colored(random.Random(83), 9, 0.7, 4)
+    assert build_index(g) is build_index(g)
+    assert g.color_table() is g.color_table()
+    for v in range(g.n):
+        triangle_bound_report(g, v)
+        color_profile(g, v)
+    assert is_edge_minimal(g) == is_edge_minimal(g)
+    edge_minimal_reduce(g)
+    assert (tables, indexes, removals) == ([g], [g], [g])
+
+
+def test_derived_graphs_get_their_own_facts():
+    for rng, g in _corpus(seed=89, count=300):
+        build_index(g), is_edge_minimal(g), g.color_table()
+        if g.n < 2:
+            continue
+        u, v = rng.sample(range(g.n), 2)
+        if g.has_edge(u, v):
+            derived = g.without_edge(u, v)
+        else:
+            derived = g.with_edge(u, v, rng.randint(1, 6))
+        for h in (derived, edge_minimal_reduce(derived)):
+            assert build_index(h).triangles == tuple(sorted(naive_rainbow_triangles(h)))
+            removable = removable_edges_reference(h)
+            assert is_edge_minimal(h) == (not removable, removable[0] if removable else None)

@@ -20,6 +20,27 @@ from .rainbow import build_index, rainbow_edge_graph
 from .reduction import is_edge_minimal
 
 
+def _color_class_bits(graph: ColoredGraph) -> list[dict[int, int]]:
+    """Per vertex, each color mapped to the bitset of the neighbors joined
+    by it (the color class C_v(a) of color a at v)."""
+    classes: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, v), c in graph.edge_colors().items():
+        at_u, at_v = classes[u], classes[v]
+        at_u[c] = at_u.get(c, 0) | 1 << v
+        at_v[c] = at_v.get(c, 0) | 1 << u
+    return classes
+
+
+def _sigma(classes: list[dict[int, int]], v: int, x_bits: int, y: int) -> int:
+    """The restriction count of y by (v, X), with X given as a bitset."""
+    at_v = classes[v]
+    count = 0
+    for a, c_y in classes[y].items():
+        if not c_y & ~x_bits and c_y & ~at_v.get(a, 0):
+            count += 1
+    return count
+
+
 def restriction_count(graph: ColoredGraph, v: int, x_set, y: int) -> int:
     """Number of colors restricted for y by (v, X).
 
@@ -27,24 +48,37 @@ def restriction_count(graph: ColoredGraph, v: int, x_set, y: int) -> int:
     two-edge path v, x, y is rainbow (c(vx) != c(xy)) and a does not appear
     on any edge from y to N(y) outside X.  Note that when vy is an edge,
     v itself lies in N(y) minus X, so c(vy) is excluded automatically.
+
+    With C_u(a) the class of color a at u (the neighbors of u joined by a),
+
+        sigma(v, X, y) = #{colors a at y : C_y(a) is a subset of X
+                                           and not a subset of C_v(a)}:
+
+    a is outside exactly when its class at y leaves X, and restricted
+    exactly when some x in that class has c(vx) != a.  The classes are
+    bitsets built once per graph (see :meth:`ColoredGraph.derived`).
     """
     graph._check_vertex(v)
     graph._check_vertex(y)
     xs = frozenset(x_set)
-    nbrs_v = set(graph.neighbors(v))
-    if not xs <= nbrs_v:
+    nbrs = graph.neighbors(v)
+    if not xs.issubset(nbrs):
         raise ValueError("X must be a subset of N(v)")
     if y == v:
         raise ValueError("y must differ from v")
-    outside = {graph.color(y, w) for w in graph.neighbors(y) if w not in xs}
-    restricted = set()
-    for x in xs:
-        if not graph.has_edge(x, y):
-            continue
-        a = graph.color(x, y)
-        if a != graph.color(v, x) and a not in outside:
-            restricted.add(a)
-    return len(restricted)
+    x_bits = sum(1 << x for x in nbrs if x in xs)
+    return _sigma(graph.derived(_color_class_bits), v, x_bits, y)
+
+
+def edge_restriction_counts(graph: ColoredGraph):
+    """(a, b, sigma(a, X, b)) for each ordered edge, with X = N(a) minus the
+    class of c(ab) at a: edges in lexicographic order, (u, v) then (v, u)."""
+    classes = graph.derived(_color_class_bits)
+    for u, v in graph.edges:
+        c = graph.color(u, v)
+        for a, b in ((u, v), (v, u)):
+            x_bits = graph.adjacency_bits(a) & ~classes[a][c]
+            yield a, b, _sigma(classes, a, x_bits, b)
 
 
 def _unique_color_hits(graph: ColoredGraph, profile: ColorDegreeProfile,

@@ -223,8 +223,14 @@ def mono_degree(graph: ColoredGraph, v: int) -> int:
 
 
 def max_mono_degree(graph: ColoredGraph) -> int:
-    """Maximum of :func:`mono_degree` over all vertices."""
-    return max((mono_degree(graph, v) for v in range(graph.n)), default=0)
+    """Maximum of :func:`mono_degree` over all vertices.  Computed once per
+    graph (see :meth:`ColoredGraph.derived`)."""
+    return graph.derived(_max_mono_degree)
+
+
+def _max_mono_degree(graph: ColoredGraph) -> int:
+    return max((len(m) for row in graph.color_table() for m in row.values()),
+               default=0)
 
 
 def relabel_colors(graph: ColoredGraph, mapping: dict[int, int]) -> ColoredGraph:

@@ -41,8 +41,8 @@ from .rainbow import (
 from .reduction import edge_minimal_reduce
 from .bounds import (
     counting_lower_bound,
+    edge_restriction_counts,
     mono_balance_diagnostics,
-    restriction_count,
     triangle_bound_report,
 )
 from .matching import gallai_partition, max_matching, verify_partition_lemmas
@@ -137,15 +137,11 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
 
 
 def _concl_restriction(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    index = build_index(g)
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            cab = g.color(a, b)
-            x_set = [w for w in g.neighbors(a) if g.color(a, w) != cab]
-            sigma = restriction_count(g, a, x_set, b)
-            if index.rt_pair(a, b) < sigma:
-                return False, (f"rt({a},{b}) = {index.rt_pair(a, b)} "
-                               f"< restriction count {sigma}")
+    # rt(a, b) >= 0 always dominates sigma = 0, so the rainbow triangle
+    # index is built only for a graph with a positive restriction count
+    for a, b, sigma in edge_restriction_counts(g):
+        if sigma and (rt := build_index(g).rt_pair(a, b)) < sigma:
+            return False, f"rt({a},{b}) = {rt} < restriction count {sigma}"
     return True, ""
 
 

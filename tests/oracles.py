@@ -426,3 +426,27 @@ def rainbow_edge_graph_reference(g: ColoredGraph, v: int
             if cvx != cvy and cvx != cxy and cvy != cxy:
                 es.append((x, y))
     return tuple(sorted({w for e in es for w in e})), tuple(es)
+
+
+def restriction_count_reference(g: ColoredGraph, v: int, x_set, y: int) -> int:
+    """The restriction count of y by (v, X), frozen as
+    ``bounds.restriction_count`` stood before it read color-class bitsets:
+    y's outside colors and the restricted colors as Python sets, every
+    color read through ``has_edge`` and ``color``."""
+    g._check_vertex(v)
+    g._check_vertex(y)
+    xs = frozenset(x_set)
+    nbrs_v = set(g.neighbors(v))
+    if not xs <= nbrs_v:
+        raise ValueError("X must be a subset of N(v)")
+    if y == v:
+        raise ValueError("y must differ from v")
+    outside = {g.color(y, w) for w in g.neighbors(y) if w not in xs}
+    restricted = set()
+    for x in xs:
+        if not g.has_edge(x, y):
+            continue
+        a = g.color(x, y)
+        if a != g.color(v, x) and a not in outside:
+            restricted.add(a)
+    return len(restricted)

@@ -50,6 +50,14 @@ class TestRestrictionCount:
         for v in (-1, 99):  # v out of range
             with pytest.raises(ValueError):
                 restriction_count(RAINBOW_K3, v, set(), 0)
+        for x in (-1, RAINBOW_K3.n):  # no vertex, so not in N(v)
+            with pytest.raises(ValueError, match="X must be a subset of N"):
+                restriction_count(RAINBOW_K3, 0, {x}, 1)
+            # v and y are checked first, and X before y != v
+            with pytest.raises(ValueError, match="vertex 5 out of range"):
+                restriction_count(RAINBOW_K3, 0, {x}, 5)
+            with pytest.raises(ValueError, match="X must be a subset of N"):
+                restriction_count(RAINBOW_K3, 0, {x}, 0)
 
     def test_rt_dominates_restriction_count_fuzz(self):
         rng = random.Random(31)

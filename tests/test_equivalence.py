@@ -22,14 +22,20 @@
   ``oracles.py``, edge order included.  Whole-graph facts are built once
   per graph, and graphs derived after the parent's facts were cached get
   their own.
+- Restriction counts come from per-vertex color-class bitsets; each must
+  equal the frozen set-based count in ``oracles.py``, on every ordered
+  edge the ``prop1`` conclusion visits and on random subsets X.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+import ecgraph.bounds
 import ecgraph.core
+import ecgraph.harness
 import ecgraph.rainbow
 import ecgraph.reduction
 from oracles import (
@@ -42,16 +48,18 @@ from oracles import (
     reduce_rescan_reference,
     removable_edges_reference,
     repair_rebuild_reference,
+    restriction_count_reference,
     strict_class_bounds_reference,
     vertex_lower_half_sum_reference,
 )
 
-from ecgraph.bounds import triangle_bound_report
+from ecgraph.bounds import (edge_restriction_counts, mono_balance_diagnostics,
+                            restriction_count, triangle_bound_report)
 from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
                           min_color_degree, mono_degree)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
-from ecgraph.harness import _repair_color_degree
+from ecgraph.harness import _concl_restriction, _repair_color_degree
 from ecgraph.matching import gallai_partition, max_matching
 from ecgraph.rainbow import (Certificate, build_index, find_fan, has_rainbow_triangle,
                              max_fan, rainbow_edge_graph)
@@ -351,20 +359,28 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     tables = _count_builds(monkeypatch, ecgraph.core, "_color_table")
     indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
     removals = _count_builds(monkeypatch, ecgraph.reduction, "_removals")
+    monos = _count_builds(monkeypatch, ecgraph.core, "_max_mono_degree")
+    classes = _count_builds(monkeypatch, ecgraph.bounds, "_color_class_bits")
     g = random_colored(random.Random(83), 9, 0.7, 4)
     assert build_index(g) is build_index(g)
     assert g.color_table() is g.color_table()
     for v in range(g.n):
         triangle_bound_report(g, v)
         color_profile(g, v)
+        if mono_degree(g, v) == max_mono_degree(g):
+            mono_balance_diagnostics(g, v)
     assert is_edge_minimal(g) == is_edge_minimal(g)
     edge_minimal_reduce(g)
-    assert (tables, indexes, removals) == ([g], [g], [g])
+    for a, xs, b in _ordered_edge_queries(g):
+        restriction_count(g, a, xs, b)
+    list(edge_restriction_counts(g))
+    assert (tables, indexes, removals, monos, classes) == ([g], [g], [g], [g], [g])
 
 
 def test_derived_graphs_get_their_own_facts():
     for rng, g in _corpus(seed=89, count=300):
-        build_index(g), is_edge_minimal(g), g.color_table()
+        build_index(g), is_edge_minimal(g), g.color_table(), max_mono_degree(g)
+        list(edge_restriction_counts(g))
         if g.n < 2:
             continue
         u, v = rng.sample(range(g.n), 2)
@@ -376,3 +392,102 @@ def test_derived_graphs_get_their_own_facts():
             assert build_index(h).triangles == tuple(sorted(naive_rainbow_triangles(h)))
             removable = removable_edges_reference(h)
             assert is_edge_minimal(h) == (not removable, removable[0] if removable else None)
+            assert max_mono_degree(h) == max(
+                (len(m) for at_v in color_classes_reference(h) for m in at_v.values()),
+                default=0)
+            assert list(edge_restriction_counts(h)) == _reference_edge_counts(h)
+
+
+def _ordered_edge_queries(g: ColoredGraph):
+    """(a, X, b) for each ordered edge (a, b), with X = N(a) minus the class
+    of c(ab) at a, in the order the prop1 conclusion visits them."""
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            cab = g.color(a, b)
+            yield a, [w for w in g.neighbors(a) if g.color(a, w) != cab], b
+
+
+def _reference_edge_counts(g: ColoredGraph) -> list[tuple[int, int, int]]:
+    return [(a, b, restriction_count_reference(g, a, xs, b))
+            for a, xs, b in _ordered_edge_queries(g)]
+
+
+def _restriction_graphs(seed: int, count: int) -> list[ColoredGraph]:
+    graphs = [g for _, g in _corpus(seed=seed, count=count)]
+    graphs += [gen_proper_complete(n, seed=n) for n in range(3, 14)]
+    graphs += [gen_example1(k) for k in range(2, 7)]
+    return graphs
+
+
+def test_restriction_counts_match_reference_on_every_ordered_edge():
+    positive = 0
+    for g in _restriction_graphs(seed=97, count=300):
+        expected = _reference_edge_counts(g)
+        assert list(edge_restriction_counts(g)) == expected
+        for (a, xs, b), (_, _, sigma) in zip(_ordered_edge_queries(g), expected):
+            assert restriction_count(g, a, xs, b) == sigma
+        positive += sum(sigma > 0 for _, _, sigma in expected)
+    assert positive >= 1000
+
+
+def test_restriction_count_matches_reference_on_random_subsets():
+    rng = random.Random(101)
+    cases = Counter()
+    for _, g in _corpus(seed=103, count=300):
+        for v in range(g.n):
+            nbrs = g.neighbors(v)
+            for y in range(g.n):
+                if y == v:
+                    continue
+                xs = {x for x in nbrs if rng.random() < 0.5}
+                for x_set in (xs, set(), nbrs):
+                    assert restriction_count(g, v, x_set, y) \
+                        == restriction_count_reference(g, v, x_set, y)
+                cases["y in X"] += y in xs
+                cases["y not adjacent to v"] += not g.has_edge(v, y)
+                cases["v or y isolated"] += not (nbrs and g.degree(y))
+    assert len(cases) == 3 and min(cases.values()) >= 100
+
+
+class _OrderedRt:
+    """Stands in for the rainbow triangle index: rt_pair(a, b) reads a
+    table keyed by the ordered edge."""
+
+    def __init__(self, rt: dict):
+        self.rt = rt
+
+    def rt_pair(self, a: int, b: int) -> int:
+        return self.rt[a, b]
+
+
+def test_prop1_conclusion_compares_the_reference_counts(monkeypatch):
+    # With rt(a, b) set to the reference count on every ordered edge the
+    # conclusion must pass, so no count it compares exceeds the reference.
+    # With rt lowered by one on a single edge it must fail there, with that
+    # edge's reference count in the gap, so no count falls short of it.
+    rt: dict = {}
+    monkeypatch.setattr(ecgraph.harness, "build_index", lambda g: _OrderedRt(rt))
+    checked = 0
+    for g in _restriction_graphs(seed=107, count=150):
+        expected = _reference_edge_counts(g)
+        rt.clear()
+        rt.update(((a, b), sigma) for a, b, sigma in expected)
+        assert _concl_restriction(g, 0) == (True, "")
+        for a, b, sigma in expected:
+            if sigma:
+                rt[a, b] = sigma - 1
+                assert _concl_restriction(g, 0) == (
+                    False, f"rt({a},{b}) = {sigma - 1} < restriction count {sigma}")
+                rt[a, b] = sigma
+                checked += 1
+    assert checked >= 1000
+
+
+def test_prop1_conclusion_builds_the_index_only_for_positive_counts(monkeypatch):
+    indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
+    built = []
+    for _, g in _corpus(seed=109, count=200):
+        assert _concl_restriction(g, 0) == (True, "")
+        if any(sigma for _, _, sigma in _reference_edge_counts(g)):
+            built.append(g)
+    assert indexes == built and 0 < len(built) < 200

@@ -10,6 +10,8 @@ from collections import deque
 from dataclasses import dataclass
 
 COVER_SIZE_LIMIT = 64
+# node limit of every exact backtracking search; ``rainbow`` re-exports it
+SEARCH_NODE_LIMIT = 1_000_000
 
 
 def _normalize_edges(n: int, edges) -> list[tuple[int, int]]:
@@ -133,9 +135,42 @@ def _greedy_matched(edges: list[tuple[int, int]]) -> set[int]:
 def min_vertex_cover(n: int, edges, size_limit: int = COVER_SIZE_LIMIT) -> list[int]:
     """Exact minimum vertex cover by branch and bound.
 
-    Branches on a highest-degree endpoint of an uncovered edge (in cover /
-    all its neighbors in cover), pruned by a greedy matching lower bound.
-    Raises for instances above ``size_limit`` vertices.
+    Branches on a highest-degree vertex, lowest index first (in cover /
+    all its neighbors in cover), pruned by a greedy clique-partition lower
+    bound.  Raises for instances above ``size_limit`` vertices, and with a
+    ValueError past SEARCH_NODE_LIMIT search nodes.
+    """
+    return _cover_search(n, edges, size_limit, 0)
+
+
+def _clique_bound(adj: list[int], live: int) -> int:
+    """Lower bound on the cover number of G[live]: sum(|Q| - 1) over a
+    greedy partition of ``live`` into cliques Q, each started at its lowest
+    vertex and grown by its lowest common neighbor.  A cover misses at most
+    one vertex of each clique."""
+    total = 0
+    while live:
+        low = live & -live
+        live ^= low
+        cand = adj[low.bit_length() - 1] & live
+        while cand:
+            w = cand & -cand
+            total += 1
+            live ^= w
+            cand &= adj[w.bit_length() - 1]
+    return total
+
+
+def _cover_search(n: int, edges, size_limit: int, lower: int) -> list[int]:
+    """``min_vertex_cover`` that may stop as soon as its cover has ``lower``
+    vertices, where ``lower`` is at most the cover number (a matching size).
+
+    A node is the bitset ``live`` of undecided vertices; the edges left to
+    cover are those of G[live].  The greedy initial cover is kept when it
+    is optimal; otherwise the result is the first optimal leaf in DFS
+    order.  An admissible bound never prunes the path to that leaf, and the
+    global stop only ends the search once the cover is optimal, so bounds
+    change the node count, never the cover.
     """
     if n > size_limit:
         raise ValueError(f"instance too large for exact cover search (n={n})")
@@ -143,27 +178,52 @@ def min_vertex_cover(n: int, edges, size_limit: int = COVER_SIZE_LIMIT) -> list[
 
     # both endpoints of a greedy maximal matching form a valid initial cover
     best: list[int] = sorted(_greedy_matched(es))
+    adj = [0] * n
+    for u, v in es:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    live = sum(1 << v for v in range(n) if adj[v])
+    stop = max(lower, _clique_bound(adj, live))
+    nodes = 0
 
-    def bnb(remaining: list[tuple[int, int]], chosen: list[int]) -> None:
-        nonlocal best
-        if not remaining:
+    def bnb(live: int, chosen: list[int]) -> bool:
+        """Search below one node; True once the cover reaches ``stop``."""
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_LIMIT:
+            raise ValueError(f"min_vertex_cover exceeded its limit of "
+                             f"{SEARCH_NODE_LIMIT} search nodes")
+        # the highest live degree, lowest vertex first; isolated vertices
+        # leave ``live``
+        x, dx, rest = -1, 0, live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & live).bit_count()
+            if not d:
+                live ^= low
+            elif d > dx:
+                x, dx = v, d
+        if x < 0:
             if len(chosen) < len(best):
                 best = sorted(chosen)
-            return
-        if len(chosen) + len(_greedy_matched(remaining)) // 2 >= len(best):
-            return
-        deg: dict[int, int] = {}
-        for u, v in remaining:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        x = max(deg.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        bnb([e for e in remaining if x not in e], chosen + [x])
-        nbrs = sorted({w for e in remaining if x in e for w in e if w != x})
-        rest = [e for e in remaining
-                if e[0] not in nbrs and e[1] not in nbrs and x not in e]
-        bnb(rest, chosen + nbrs)
+            return len(best) <= stop
+        if len(chosen) + _clique_bound(adj, live) >= len(best):
+            return False
+        bit = 1 << x
+        if bnb(live ^ bit, chosen + [x]):
+            return True
+        nbrs = adj[x] & live
+        chosen, rest = list(chosen), nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            chosen.append(low.bit_length() - 1)
+        return bnb(live & ~(nbrs | bit), chosen)
 
-    bnb(es, [])
+    if len(best) > stop:
+        bnb(live, [])
     return best
 
 
@@ -378,6 +438,16 @@ class PartitionDiagnostics:
                 for k, v in self.__dict__.items()}
 
 
+def _matching_size(matching, eset: set) -> int:
+    """Size of ``matching`` if it is a matching of the graph with edge set
+    ``eset``, else 0: only a matching of the graph bounds its cover number
+    from below, and a partition may come from another graph."""
+    ends = {v for e in matching for v in e}
+    if len(ends) == 2 * len(matching) and all((min(e), max(e)) in eset for e in matching):
+        return len(matching)
+    return 0
+
+
 def verify_partition_lemmas(n: int, edges, part: GallaiPartition) -> PartitionDiagnostics:
     """Evaluate the matching/covering bounds against an exact cover.
 
@@ -386,7 +456,7 @@ def verify_partition_lemmas(n: int, edges, part: GallaiPartition) -> PartitionDi
     """
     es = _normalize_edges(n, edges)
     eset = set(es)
-    cover = min_vertex_cover(n, es)
+    cover = _cover_search(n, es, COVER_SIZE_LIMIT, _matching_size(part.matching, eset))
     beta = len(cover)
     a = part.alpha_prime
     v0 = len(part.v0)

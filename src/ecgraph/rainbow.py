@@ -14,9 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import ColoredGraph
-from .matching import max_matching
-
-SEARCH_NODE_LIMIT = 1_000_000
+from .matching import SEARCH_NODE_LIMIT, max_matching
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,23 @@ def random_colored(rng: random.Random, n: int, p: float, c: int) -> ColoredGraph
     return ColoredGraph(n, triples)
 
 
+def odd_pieces(rng: random.Random, sizes: list[int]) -> tuple[int, list]:
+    """Dense odd-order pieces (a spanning path plus edges at p = 0.8)
+    joined through len(sizes) - 2 hubs, each meeting three vertices of
+    every piece."""
+    edges, start, pieces = [], 0, []
+    for size in sizes:
+        piece = list(range(start, start + size))
+        pieces.append(piece)
+        edges += [(piece[i], piece[j]) for i in range(size) for j in range(i + 1, size)
+                  if j == i + 1 or rng.random() < 0.8]
+        start += size
+    n = start + len(sizes) - 2
+    edges += [(v, hub) for hub in range(start, n) for piece in pieces
+              for v in rng.sample(piece, 3)]
+    return n, edges
+
+
 def repair_rebuild_reference(graph: ColoredGraph, target: int,
                              rng: random.Random) -> ColoredGraph | None:
     """Color-degree repair by rebuilding the graph for every added edge.
@@ -450,3 +467,45 @@ def restriction_count_reference(g: ColoredGraph, v: int, x_set, y: int) -> int:
         if a != g.color(v, x) and a not in outside:
             restricted.add(a)
     return len(restricted)
+
+
+def min_vertex_cover_reference(n: int, edges, size_limit: int = 64) -> list[int]:
+    """Exact minimum vertex cover, frozen as ``matching.min_vertex_cover``
+    stood before its bitset search: edge lists filtered at every node,
+    branching on a highest-degree vertex (lowest index first), pruned only
+    by a greedy matching, starting from the greedy matching's endpoints."""
+    if n > size_limit:
+        raise ValueError(f"instance too large for exact cover search (n={n})")
+    es = _reference_normalize_edges(n, edges)
+
+    def greedy_matched(edges: list[tuple[int, int]]) -> set[int]:
+        used: set[int] = set()
+        for u, v in edges:
+            if u not in used and v not in used:
+                used.add(u)
+                used.add(v)
+        return used
+
+    best: list[int] = sorted(greedy_matched(es))
+
+    def bnb(remaining: list[tuple[int, int]], chosen: list[int]) -> None:
+        nonlocal best
+        if not remaining:
+            if len(chosen) < len(best):
+                best = sorted(chosen)
+            return
+        if len(chosen) + len(greedy_matched(remaining)) // 2 >= len(best):
+            return
+        deg: dict[int, int] = {}
+        for u, v in remaining:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        x = max(deg.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        bnb([e for e in remaining if x not in e], chosen + [x])
+        nbrs = sorted({w for e in remaining if x in e for w in e if w != x})
+        rest = [e for e in remaining
+                if e[0] not in nbrs and e[1] not in nbrs and x not in e]
+        bnb(rest, chosen + nbrs)
+
+    bnb(es, [])
+    return best

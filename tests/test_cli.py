@@ -162,6 +162,29 @@ def test_search_node_limit_is_usage_error(monkeypatch, capsys, argv, search):
     assert err.startswith("error:") and f"{search} exceeded its limit of 2" in err
 
 
+def test_cover_search_node_limit_is_usage_error(monkeypatch, tmp_path, capsys):
+    import ecgraph.matching
+
+    # C5: tau = 3 > nu = 2, so the cover search runs (7 nodes)
+    src = tmp_path / "c5.ecg"
+    src.write_text("ecg 5 5\n0 1 1\n0 4 5\n1 2 2\n2 3 3\n3 4 4\n")
+    monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 7)
+    assert main(["partition", str(src)]) == 0
+    assert "beta: 3" in capsys.readouterr().out
+    monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 6)
+    assert main(["partition", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "min_vertex_cover exceeded its limit of 6" in err
+
+
+def test_partition_above_cover_size_limit_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "k30_35.ecg"
+    assert main(["gen", "--kind", "complete_multipartite", "--parts", "30,35",
+                 "--out", str(src)]) == 0
+    assert main(["partition", str(src)]) == 2
+    assert "instance too large for exact cover search (n=65)" in capsys.readouterr().err
+
+
 def test_verify_probability_range_outside_unit_interval_is_usage_error(capsys):
     rc = main(["verify", "--theorem", "li_triangle", "--p", "1.5:2",
                "--budget", "5"])

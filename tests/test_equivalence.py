@@ -25,6 +25,11 @@
 - Restriction counts come from per-vertex color-class bitsets; each must
   equal the frozen set-based count in ``oracles.py``, on every ordered
   edge the ``prop1`` conclusion visits and on random subsets X.
+- The minimum vertex cover comes from a bitset branch and bound with a
+  clique-partition bound and a stop at the matching number; the cover
+  itself, not only its size, must equal the frozen edge-list search in
+  ``oracles.py``, through ``min_vertex_cover`` and through
+  ``verify_partition_lemmas``.
 """
 
 from __future__ import annotations
@@ -36,13 +41,16 @@ import pytest
 import ecgraph.bounds
 import ecgraph.core
 import ecgraph.harness
+import ecgraph.matching
 import ecgraph.rainbow
 import ecgraph.reduction
 from oracles import (
     blossom_matching_reference,
     color_classes_reference,
     gamma_vertices_deletion_reference,
+    min_vertex_cover_reference,
     naive_rainbow_triangles,
+    odd_pieces,
     rainbow_edge_graph_reference,
     random_colored,
     reduce_rescan_reference,
@@ -60,7 +68,9 @@ from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_de
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
 from ecgraph.harness import _concl_restriction, _repair_color_degree
-from ecgraph.matching import gallai_partition, max_matching
+from ecgraph.matching import (COVER_SIZE_LIMIT, _cover_search, _greedy_matched,
+                              _normalize_edges, gallai_partition, max_matching,
+                              min_vertex_cover, verify_partition_lemmas)
 from ecgraph.rainbow import (Certificate, build_index, find_fan, has_rainbow_triangle,
                              max_fan, rainbow_edge_graph)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
@@ -169,21 +179,10 @@ def test_v0_matches_deletion_reference_on_random_graphs():
     assert nonempty >= 800 and large >= 60, (nonempty, large)
 
 
-def _odd_pieces(rng: random.Random, sizes: list[int]) -> tuple[int, list]:
-    """Dense odd-order pieces (a spanning path plus edges at p = 0.8)
-    joined through len(sizes) - 2 hubs, each meeting three vertices of
-    every piece."""
-    edges, start, pieces = [], 0, []
-    for size in sizes:
-        piece = list(range(start, start + size))
-        pieces.append(piece)
-        edges += [(piece[i], piece[j]) for i in range(size) for j in range(i + 1, size)
-                  if j == i + 1 or rng.random() < 0.8]
-        start += size
-    n = start + len(sizes) - 2
-    edges += [(v, hub) for hub in range(start, n) for piece in pieces
-              for v in rng.sample(piece, 3)]
-    return n, edges
+def _bipartite(rng: random.Random, left: int, right: int, p: float) -> tuple[int, list]:
+    """Unbalanced random bipartite graph, left part first."""
+    return left + right, [(u, v) for u in range(left) for v in range(left, left + right)
+                          if rng.random() < p]
 
 
 def test_v0_matches_deletion_reference_on_partition_shapes():
@@ -191,12 +190,98 @@ def test_v0_matches_deletion_reference_on_partition_shapes():
     shapes = 0
     for _ in range(6):
         for sizes in ([13, 11, 11, 9], [7, 5, 5, 3, 3], [9, 9, 7]):
-            shapes += _check_v0(*_odd_pieces(rng, sizes), rng) is not None
+            shapes += _check_v0(*odd_pieces(rng, sizes), rng) is not None
         for left, right, p in ((36, 20, 0.15), (30, 18, 0.25), (25, 6, 0.4), (40, 12, 0.08)):
-            edges = [(u, v) for u in range(left) for v in range(left, left + right)
-                     if rng.random() < p]
-            shapes += _check_v0(left + right, edges, rng) is not None
+            shapes += _check_v0(*_bipartite(rng, left, right, p), rng) is not None
     assert shapes == 42
+
+
+def _check_cover(n: int, edges) -> bool:
+    """Compare the cover with the reference: plain, stopped at the
+    matching number, and in the partition diagnostics where the partition
+    is defined.  True when the greedy initial cover was already optimal."""
+    expected = min_vertex_cover_reference(n, edges)
+    assert min_vertex_cover(n, edges) == expected
+    m = max_matching(n, edges)
+    assert _cover_search(n, edges, COVER_SIZE_LIMIT, len(m)) == expected
+    if n > 2 * len(m):
+        diag = verify_partition_lemmas(n, edges, gallai_partition(n, edges, m))
+        assert diag.cover == tuple(expected) and diag.beta == len(expected)
+    return len(expected) == len(_greedy_matched(_normalize_edges(n, edges)))
+
+
+def test_cover_matches_reference_on_partition_shapes():
+    # the shapes ``ecgraph partition`` gets in the benchmark, rebuilt here:
+    # odd pieces 13/11/11/9 with two hubs, and unbalanced bipartite graphs
+    for seed in range(6):
+        rng = random.Random(f"cover:{seed}")
+        assert not _check_cover(*odd_pieces(rng, [13, 11, 11, 9]))
+        for left, right, p in ((36, 20, 0.15), (30, 18, 0.25)):
+            _check_cover(*_bipartite(rng, left, right, p))
+
+
+def test_cover_matches_reference_on_random_graphs():
+    rng = random.Random(53)
+    greedy_optimal = large = 0
+    for _ in range(400):
+        n = rng.randint(0, 40)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice((1.5 / max(n, 1), 0.2, 0.5, 0.9))]
+        greedy_optimal += _check_cover(n, edges)
+        large += n > 30
+    assert greedy_optimal >= 30 and large >= 60, (greedy_optimal, large)
+
+
+def test_cover_keeps_an_optimal_greedy_cover_the_bounds_cannot_prove(monkeypatch):
+    # dense graphs where the greedy cover is optimal but the root bounds
+    # are below it: the search runs, and its leaves of the same size must
+    # not replace the greedy cover
+    rng = random.Random(59)
+    searched = 0
+    for _ in range(600):
+        n = rng.randint(6, 12)
+        p = rng.choice((0.7, 0.8, 0.9))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if not _check_cover(n, edges):
+            continue
+        with monkeypatch.context() as patched:
+            patched.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 0)
+            try:
+                min_vertex_cover(n, edges)
+            except ValueError:
+                searched += 1
+    assert searched >= 10, searched
+
+
+def test_cover_matches_reference_on_structured_graphs():
+    def shift(edges, k):
+        return [(u + k, v + k) for u, v in edges]
+
+    def complete(n):
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def cycle(n):
+        return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+
+    def complete_bipartite(a, b):
+        return [(u, a + v) for u in range(a) for v in range(b)]
+
+    graphs = [(0, [])] + [(n, []) for n in range(1, 6)]
+    graphs += [(n, complete(n)) for n in range(2, 15)]
+    graphs += [(a + b, complete_bipartite(a, b)) for a in range(1, 8) for b in range(1, 8)]
+    graphs += [(n, cycle(n)) for n in range(3, 24, 2)]
+    graphs += [(17, complete(4) + shift(cycle(5), 4) + shift(complete_bipartite(2, 3), 9)
+                + [(14, 15)]),
+               (21, cycle(7) + shift(cycle(9), 7) + shift(complete(5), 16)),
+               (12, shift(complete(5), 3) + shift(cycle(3), 8))]
+    # the greedy cover is optimal: odd cliques and disjoint triangles
+    optimal = [(n, complete(n)) for n in range(3, 14, 2)]
+    optimal += [(3 * k, [e for i in range(k) for e in shift(cycle(3), 3 * i)])
+                for k in range(1, 6)]
+    for n, edges in graphs:
+        _check_cover(n, edges)
+    for n, edges in optimal:
+        assert _check_cover(n, edges)
 
 
 def _max_fan_unpruned(g: ColoredGraph) -> int:

@@ -6,19 +6,24 @@ recorded once and must never change unless an output change is intended.
 
 Each built-in claim runs at a small budget on two fixed seeds with every
 admitted sample kept, so the digest covers the whole sample stream (every
-admitted graph, the attempt count and each failure witness).
+admitted graph, the attempt count and each failure witness).  The output of
+``ecgraph partition --json``, whose minimum vertex cover is part of the
+output contract, is pinned on two fixed instances.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 
 import pytest
 
-from oracles import random_colored
+from oracles import odd_pieces, random_colored
 
-from ecgraph.core import save_ecg
+from ecgraph.cli import main
+from ecgraph.core import ColoredGraph, save_ecg
 from ecgraph.harness import CLAIMS, TheoremSpec, emit_report, verify
 from ecgraph.reduction import edge_minimal_reduce
 
@@ -121,3 +126,40 @@ def test_report_bytes_match_golden(claim_id, seed, tmp_path):
 
 def test_reduction_corpus_matches_golden():
     assert reduction_digest() == EXPECTED_REDUCTIONS
+
+
+EXPECTED_PARTITIONS = {
+    "odd_pieces": "bbead6c8b6617f17f13d93300a541196100bc43c38e27685e1b558a3458a0019",
+    "bipartite": "851422d70a2ba5ede844026a485f44106d99bd4a1f23d550c51c1f9451a84ba2",
+}
+
+
+def _partition_instance(name: str) -> ColoredGraph:
+    """Injectively colored instances of the two shapes ``ecgraph partition``
+    gets in the benchmark: odd pieces 13/11/11/9 joined through two hubs,
+    and an unbalanced bipartite graph."""
+    rng = random.Random(f"partition:{name}")
+    if name == "odd_pieces":
+        n, edges = odd_pieces(rng, [13, 11, 11, 9])
+    else:
+        n = 36 + 20
+        edges = [(u, v) for u in range(36) for v in range(36, n) if rng.random() < 0.15]
+    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)])
+
+
+def partition_digest(name: str, tmp_path) -> str:
+    """Digest of the exit code, the standard output and the JSON document
+    of ``ecgraph partition --json`` on one instance."""
+    src, out = tmp_path / f"{name}.ecg", tmp_path / f"{name}.json"
+    src.write_text(save_ecg(_partition_instance(name)), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["partition", str(src), "--json", str(out)])
+    h = hashlib.sha256(f"exit {code}\n{stdout.getvalue()}".encode())
+    h.update(b"\0" + out.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PARTITIONS))
+def test_partition_json_matches_golden(name, tmp_path):
+    assert partition_digest(name, tmp_path) == EXPECTED_PARTITIONS[name]

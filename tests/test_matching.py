@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import ecgraph.matching
 from oracles import (
     brute_max_independent_set,
     brute_max_matching,
@@ -14,6 +15,9 @@ from oracles import (
 )
 
 from ecgraph.matching import (
+    _clique_bound as clique_bound,
+    _cover_search,
+    _matching_size,
     connected_components,
     gallai_partition,
     is_connected,
@@ -111,6 +115,50 @@ class TestMinVertexCover:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             min_vertex_cover(65, [])
+
+    def test_every_lower_bound_is_admissible(self, monkeypatch):
+        # each clique bound the search computes, at the root and at every
+        # node, and the matching size it may stop at, is at most the cover
+        # number of the graph it bounds (brute force)
+        seen = []
+
+        def recording_bound(adj, live):
+            value = clique_bound(adj, live)
+            seen.append((adj, live, value))
+            return value
+
+        monkeypatch.setattr(ecgraph.matching, "_clique_bound", recording_bound)
+        rng = random.Random(11)
+        below = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            edges = _random_edges(rng, n, rng.uniform(0.1, 0.95))
+            nu = _matching_size(max_matching(n, edges), set(edges))
+            assert nu <= brute_min_cover_size(n, edges)
+            seen.clear()
+            assert len(_cover_search(n, edges, 64, nu)) == \
+                len(min_vertex_cover(n, edges)) == brute_min_cover_size(n, edges)
+            for adj, live, value in seen:
+                sub = [(u, v) for u, v in edges if live >> u & 1 and live >> v & 1]
+                tau = brute_min_cover_size(n, sub)
+                assert value <= tau
+                below += value < tau
+        assert below >= 50
+
+    def test_every_node_counts_against_the_limit(self, monkeypatch):
+        # C5: the root, the path 1-2-3-4 left after taking 0, then 3-4,
+        # two leaves below it, one leaf after taking {1, 3}, and the
+        # pruned node after taking N(0) = {1, 4}: 7 nodes
+        c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+        monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 7)
+        assert min_vertex_cover(5, c5) == [0, 2, 3]
+        monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 6)
+        with pytest.raises(ValueError, match="min_vertex_cover exceeded its "
+                                             "limit of 6 search nodes"):
+            min_vertex_cover(5, c5)
+        # an optimal greedy cover needs no search at all
+        monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 0)
+        assert min_vertex_cover(7, _complete(7)) == [0, 1, 2, 3, 4, 5]
 
 
 class TestDualityInvariants:
@@ -256,6 +304,16 @@ class TestPartitionDiagnostics:
         # n = 7 = 2 alpha' + 1: the strong bounds do not apply
         assert not diag.strong_applicable
         assert diag.size_identity_ok and diag.structure_ok and diag.chain_ok
+
+    def test_partition_of_another_graph_gives_the_exact_cover(self):
+        # C7's matching is not a matching of the star, so its size is no
+        # lower bound there: the cover is still exact
+        c7 = [(i, i + 1) for i in range(6)] + [(0, 6)]
+        part = gallai_partition(7, c7, max_matching(7, c7))
+        star = [(0, v) for v in range(1, 7)]
+        assert _matching_size(part.matching, set(star)) == 0
+        diag = verify_partition_lemmas(7, star, part)
+        assert diag.beta == 1 and diag.cover == (0,)
 
     def test_tripwire_k5_plus_two_isolated(self):
         """Designated boundary instance, resolved by brute force.

@@ -20,22 +20,11 @@ from .rainbow import build_index, rainbow_edge_graph
 from .reduction import is_edge_minimal
 
 
-def _color_class_bits(graph: ColoredGraph) -> list[dict[int, int]]:
-    """Per vertex, each color mapped to the bitset of the neighbors joined
-    by it (the color class C_v(a) of color a at v)."""
-    classes: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), c in graph.edge_colors().items():
-        at_u, at_v = classes[u], classes[v]
-        at_u[c] = at_u.get(c, 0) | 1 << v
-        at_v[c] = at_v.get(c, 0) | 1 << u
-    return classes
-
-
-def _sigma(classes: list[dict[int, int]], v: int, x_bits: int, y: int) -> int:
+def _sigma(table: list[dict[int, int]], v: int, x_bits: int, y: int) -> int:
     """The restriction count of y by (v, X), with X given as a bitset."""
-    at_v = classes[v]
+    at_v = table[v]
     count = 0
-    for a, c_y in classes[y].items():
+    for a, c_y in table[y].items():
         if not c_y & ~x_bits and c_y & ~at_v.get(a, 0):
             count += 1
     return count
@@ -55,8 +44,8 @@ def restriction_count(graph: ColoredGraph, v: int, x_set, y: int) -> int:
                                            and not a subset of C_v(a)}:
 
     a is outside exactly when its class at y leaves X, and restricted
-    exactly when some x in that class has c(vx) != a.  The classes are
-    bitsets built once per graph (see :meth:`ColoredGraph.derived`).
+    exactly when some x in that class has c(vx) != a.  The classes are the
+    bitsets of :meth:`ColoredGraph.color_table`.
     """
     graph._check_vertex(v)
     graph._check_vertex(y)
@@ -67,28 +56,27 @@ def restriction_count(graph: ColoredGraph, v: int, x_set, y: int) -> int:
     if y == v:
         raise ValueError("y must differ from v")
     x_bits = sum(1 << x for x in nbrs if x in xs)
-    return _sigma(graph.derived(_color_class_bits), v, x_bits, y)
+    return _sigma(graph.color_table(), v, x_bits, y)
 
 
 def edge_restriction_counts(graph: ColoredGraph):
     """(a, b, sigma(a, X, b)) for each ordered edge, with X = N(a) minus the
     class of c(ab) at a: edges in lexicographic order, (u, v) then (v, u)."""
-    classes = graph.derived(_color_class_bits)
+    table = graph.color_table()
     for u, v in graph.edges:
         c = graph.color(u, v)
         for a, b in ((u, v), (v, u)):
-            x_bits = graph.adjacency_bits(a) & ~classes[a][c]
-            yield a, b, _sigma(classes, a, x_bits, b)
+            x_bits = graph.adjacency_bits(a) & ~table[a][c]
+            yield a, b, _sigma(table, a, x_bits, b)
 
 
 def _unique_color_hits(graph: ColoredGraph, profile: ColorDegreeProfile,
-                       target) -> int:
+                       target_bits: int) -> int:
     """Sum over singleton-class neighbors y of the number of edges from y
-    into ``target`` carrying y's unique color at v."""
+    into the bitset ``target_bits`` carrying y's unique color at v."""
     v = profile.vertex
-    tset = set(target)
     table = graph.color_table()
-    return sum(len(tset.intersection(table[y][graph.color(v, y)]))
+    return sum((table[y][graph.color(v, y)] & target_bits).bit_count()
                for y in profile.unique_nbrs)
 
 
@@ -155,7 +143,7 @@ def _balance_forms(graph: ColoredGraph, profile: ColorDegreeProfile,
     d = profile.degree
     sizes = profile.sorted_sizes
     excess = sum(s - 1 for s in sizes)
-    hits_all = _unique_color_hits(graph, profile, graph.neighbors(v))
+    hits_all = _unique_color_hits(graph, profile, graph.adjacency_bits(v))
     form1 = sum(per_class_balance)
     form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
     if sizes:
@@ -181,6 +169,7 @@ def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
     has no edge into {y}.
     """
     profile = color_profile(graph, v)
+    classes = graph.color_table()[v]
     index = build_index(graph)
     n = graph.n
     dcv = profile.dc
@@ -190,7 +179,7 @@ def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
     for color, members in profile.sorted_classes:
         di = len(members)
         neighbor_sum = sum(color_degree(graph, x) + dcv - n for x in members)
-        hits = _unique_color_hits(graph, profile, members)
+        hits = _unique_color_hits(graph, profile, classes[color])
         balance = di * excess - di * (di - 1) - hits
         lower = neighbor_sum + balance
         per_class.append(ClassBound(

@@ -49,11 +49,8 @@ def _float_range(text: str) -> tuple[float, float]:
 def _read_graph(path: str):
     if path == "-":
         return load_ecg(sys.stdin.read())
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return load_ecg(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with open(path, encoding="utf-8") as fh:
+        return load_ecg(fh.read())
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -241,6 +238,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ValueError, AdmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a file that cannot be read or written is an input error, not a failure
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -111,11 +111,12 @@ class ColoredGraph:
             self._derived[build] = build(self)
         return self._derived[build]
 
-    def color_table(self) -> list[dict[int, list[int]]]:
-        """Per vertex, each color mapped to the neighbors joined by it.
+    def color_table(self) -> list[dict[int, int]]:
+        """Per vertex, each color mapped to the bitset of the neighbors
+        joined by it (the color class of that color at the vertex).
 
-        Neighbors are ascending, and colors are keyed in the order of their
-        first neighbor.  Built once per graph (see :meth:`derived`).
+        Colors are keyed in the order of their lowest neighbor.  Built once
+        per graph (see :meth:`derived`).
         """
         return self.derived(_color_table)
 
@@ -149,14 +150,25 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, m={self.edge_count})"
 
 
-def _color_table(graph: ColoredGraph) -> list[dict[int, list[int]]]:
+def _color_table(graph: ColoredGraph) -> list[dict[int, int]]:
     """One pass over the sorted edges, which meets every vertex's neighbors
     in ascending order."""
-    table: list[dict[int, list[int]]] = [{} for _ in range(graph.n)]
+    table: list[dict[int, int]] = [{} for _ in range(graph.n)]
     for (u, v), c in zip(graph._edges, map(graph._color.get, graph._edges)):
-        table[u].setdefault(c, []).append(v)
-        table[v].setdefault(c, []).append(u)
+        at_u, at_v = table[u], table[v]
+        at_u[c] = at_u.get(c, 0) | 1 << v
+        at_v[c] = at_v.get(c, 0) | 1 << u
     return table
+
+
+def _members(bits: int) -> frozenset[int]:
+    """The vertices of a bitset, inserted in ascending order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -190,16 +202,16 @@ def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
     for equal graphs.
     """
     graph._check_vertex(v)
-    classes = graph.color_table()[v]
+    classes = {c: _members(bits) for c, bits in graph.color_table()[v].items()}
     ordered = sorted(classes.items(), key=lambda item: (-len(item[1]), item[0]))
     return ColorDegreeProfile(
         vertex=v,
-        color_classes={c: frozenset(m) for c, m in classes.items()},
+        color_classes=classes,
         dc=len(classes),
         dmon=max(map(len, classes.values()), default=0),
         sorted_sizes=tuple(len(m) for _, m in ordered),
-        sorted_classes=tuple((c, frozenset(m)) for c, m in ordered),
-        unique_nbrs=frozenset(m[0] for m in classes.values() if len(m) == 1),
+        sorted_classes=tuple(ordered),
+        unique_nbrs=frozenset(y for m in classes.values() if len(m) == 1 for y in m),
     )
 
 
@@ -219,7 +231,7 @@ def min_color_degree(graph: ColoredGraph) -> int:
 def mono_degree(graph: ColoredGraph, v: int) -> int:
     """Largest number of equally colored edges at v."""
     graph._check_vertex(v)
-    return max(map(len, graph.color_table()[v].values()), default=0)
+    return max(map(int.bit_count, graph.color_table()[v].values()), default=0)
 
 
 def max_mono_degree(graph: ColoredGraph) -> int:
@@ -229,8 +241,7 @@ def max_mono_degree(graph: ColoredGraph) -> int:
 
 
 def _max_mono_degree(graph: ColoredGraph) -> int:
-    return max((len(m) for row in graph.color_table() for m in row.values()),
-               default=0)
+    return max((mono_degree(graph, v) for v in range(graph.n)), default=0)
 
 
 def relabel_colors(graph: ColoredGraph, mapping: dict[int, int]) -> ColoredGraph:

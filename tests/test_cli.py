@@ -126,6 +126,25 @@ def test_analyze_missing_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "example1", "--k", "3", "--out"],
+    ["analyze", "{src}", "--json"],
+    ["reduce", "{src}", "--out"],
+    ["partition", "{src}", "--json"],
+    ["verify", "--theorem", "li_triangle", "--budget", "5", "--seed", "1", "--json"],
+    ["hly-search", "--k", "1", "--n", "4:7", "--budget", "5", "--seed", "3", "--json"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    src = tmp_path / "p5.ecg"
+    src.write_text(P5_ECG)
+    out = tmp_path / "missing-dir" / "out"
+    argv = [arg.format(src=src) for arg in argv] + [str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_verify_admission_too_low_is_usage_error(capsys):
     # with p = 1 every sample on 4 vertices has a perfect matching, so the
     # eg_partition hypothesis (an exposed vertex) is never met

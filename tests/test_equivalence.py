@@ -22,7 +22,7 @@
   ``oracles.py``, edge order included.  Whole-graph facts are built once
   per graph, and graphs derived after the parent's facts were cached get
   their own.
-- Restriction counts come from per-vertex color-class bitsets; each must
+- Restriction counts come from the color table's class bitsets; each must
   equal the frozen set-based count in ``oracles.py``, on every ordered
   edge the ``prop1`` conclusion visits and on random subsets X.
 - The minimum vertex cover comes from a bitset branch and bound with a
@@ -331,7 +331,10 @@ def _check_color_queries(g: ColoredGraph) -> None:
         classes = ref[v]
         assert color_degree(g, v) == len(classes)
         assert mono_degree(g, v) == max(map(len, classes.values()), default=0)
-        assert {c: sorted(m) for c, m in classes.items()} == g.color_table()[v]
+        # colors keyed in the order of their lowest neighbor, classes as bitsets
+        by_lowest = sorted(classes.items(), key=lambda item: min(item[1]))
+        assert list(g.color_table()[v].items()) == [
+            (c, sum(1 << y for y in m)) for c, m in by_lowest]
         profile = color_profile(g, v)
         assert profile.color_classes == {c: frozenset(m) for c, m in classes.items()}
         # colors keyed by first appearance among the ascending neighbors
@@ -445,7 +448,6 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
     removals = _count_builds(monkeypatch, ecgraph.reduction, "_removals")
     monos = _count_builds(monkeypatch, ecgraph.core, "_max_mono_degree")
-    classes = _count_builds(monkeypatch, ecgraph.bounds, "_color_class_bits")
     g = random_colored(random.Random(83), 9, 0.7, 4)
     assert build_index(g) is build_index(g)
     assert g.color_table() is g.color_table()
@@ -459,7 +461,7 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     for a, xs, b in _ordered_edge_queries(g):
         restriction_count(g, a, xs, b)
     list(edge_restriction_counts(g))
-    assert (tables, indexes, removals, monos, classes) == ([g], [g], [g], [g], [g])
+    assert (tables, indexes, removals, monos) == ([g], [g], [g], [g])
 
 
 def test_derived_graphs_get_their_own_facts():

@@ -8,22 +8,29 @@ Each built-in claim runs at a small budget on two fixed seeds with every
 admitted sample kept, so the digest covers the whole sample stream (every
 admitted graph, the attempt count and each failure witness).  The output of
 ``ecgraph partition --json``, whose minimum vertex cover is part of the
-output contract, is pinned on two fixed instances.
+output contract, is pinned on two fixed instances, and that of
+``ecgraph analyze --json`` on three.  The per-class rainbow-triangle bound
+reports and the balance diagnostics are pinned over a corpus of reduced
+graphs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import json
 import random
 
 import pytest
 
 from oracles import odd_pieces, random_colored
 
+from ecgraph.bounds import mono_balance_diagnostics, triangle_bound_report
 from ecgraph.cli import main
-from ecgraph.core import ColoredGraph, save_ecg
+from ecgraph.core import ColoredGraph, max_mono_degree, mono_degree, save_ecg
+from ecgraph.generators import gen_example1, gen_proper_complete, gen_random_colored
 from ecgraph.harness import CLAIMS, TheoremSpec, emit_report, verify
 from ecgraph.reduction import edge_minimal_reduce
 
@@ -147,14 +154,14 @@ def _partition_instance(name: str) -> ColoredGraph:
     return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)])
 
 
-def partition_digest(name: str, tmp_path) -> str:
+def cli_json_digest(command: str, graph: ColoredGraph, tmp_path) -> str:
     """Digest of the exit code, the standard output and the JSON document
-    of ``ecgraph partition --json`` on one instance."""
-    src, out = tmp_path / f"{name}.ecg", tmp_path / f"{name}.json"
-    src.write_text(save_ecg(_partition_instance(name)), encoding="utf-8")
+    of ``ecgraph <command> --json`` on one graph."""
+    src, out = tmp_path / "graph.ecg", tmp_path / "out.json"
+    src.write_text(save_ecg(graph), encoding="utf-8")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(["partition", str(src), "--json", str(out)])
+        code = main([command, str(src), "--json", str(out)])
     h = hashlib.sha256(f"exit {code}\n{stdout.getvalue()}".encode())
     h.update(b"\0" + out.read_bytes())
     return h.hexdigest()
@@ -162,4 +169,58 @@ def partition_digest(name: str, tmp_path) -> str:
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_PARTITIONS))
 def test_partition_json_matches_golden(name, tmp_path):
-    assert partition_digest(name, tmp_path) == EXPECTED_PARTITIONS[name]
+    digest = cli_json_digest("partition", _partition_instance(name), tmp_path)
+    assert digest == EXPECTED_PARTITIONS[name]
+
+
+EXPECTED_ANALYSES = {
+    "example1": "8bd3cc69f5048f2cb00304aa067dbca221235e0641d27f8df8e31d38234b431d",
+    "random_colored": "fffd159b613388d5e444c7593e9fc2b28789050609926df0316183652f98ee4d",
+    "proper_complete": "f7e62afb440a2a6a5c5865306466f1f11e7bceaa2351e4c680c2dc2fc336cde1",
+}
+
+
+def _analyze_instance(name: str) -> ColoredGraph:
+    if name == "example1":
+        return gen_example1(4)
+    if name == "random_colored":
+        return gen_random_colored(40, 0.5, 64, seed=3)
+    return gen_proper_complete(9, seed=9)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_ANALYSES))
+def test_analyze_json_matches_golden(name, tmp_path):
+    digest = cli_json_digest("analyze", _analyze_instance(name), tmp_path)
+    assert digest == EXPECTED_ANALYSES[name]
+
+
+BOUNDS_CORPUS_SIZE = 200
+EXPECTED_BOUNDS = "f74390f544e94095a22373433245b0d266d9afccc9beeea39a78981a373a1842"
+
+
+def bounds_digest() -> tuple[str, int]:
+    """One digest over every vertex's ``triangle_bound_report`` and, at the
+    vertices of maximum monochromatic degree, every ``mono_balance_diagnostics``
+    field, on a seeded corpus of reduced random colored graphs.  Also returns
+    how many diagnostics met the equality case, where conditions (a)-(c) run."""
+    rng = random.Random(2025)
+    h = hashlib.sha256()
+    equality = 0
+    for _ in range(BOUNDS_CORPUS_SIZE):
+        g = random_colored(rng, rng.randint(1, 12), rng.uniform(0.2, 1.0),
+                           rng.randint(1, 6))
+        reduced = edge_minimal_reduce(g)
+        delta = max_mono_degree(reduced)
+        for v in range(reduced.n):
+            h.update(json.dumps(triangle_bound_report(reduced, v).to_json()).encode())
+            if mono_degree(reduced, v) == delta:
+                diag = mono_balance_diagnostics(reduced, v)
+                h.update(json.dumps(dataclasses.asdict(diag)).encode())
+                equality += diag.equality_applicable
+    return h.hexdigest(), equality
+
+
+def test_bound_reports_match_golden():
+    digest, equality = bounds_digest()
+    assert equality >= 20
+    assert digest == EXPECTED_BOUNDS

@@ -7,7 +7,8 @@ Exit codes: 0 all conclusions held, 1 failures found, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
+import errno
+import os
 import sys
 
 from .core import load_ecg, max_mono_degree, min_color_degree, save_ecg
@@ -20,6 +21,7 @@ from .harness import (
     emit_report,
     search_hly_counterexample,
     verify,
+    write_json,
 )
 from .matching import gallai_partition, max_matching, verify_partition_lemmas
 from .rainbow import build_index, max_book, max_fan
@@ -51,6 +53,17 @@ def _read_graph(path: str):
         return load_ecg(sys.stdin.read())
     with open(path, encoding="utf-8") as fh:
         return load_ecg(fh.read())
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise, before any work, the OSError that opening ``path`` for writing
+    would raise in a missing or unwritable directory; creates no file."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -162,9 +175,7 @@ def _cmd_analyze(args) -> int:
     for key, value in doc.items():
         print(f"{key}: {value}")
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump({"schema": 1, **doc}, fh, indent=2)
-            fh.write("\n")
+        write_json({"schema": 1, **doc}, args.json_path)
     return 0
 
 
@@ -176,8 +187,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_partition(args) -> int:
     g = _read_graph(args.file)
-    matching = max_matching(g.n, g.edges)
-    part = gallai_partition(g.n, g.edges, matching)
+    part = gallai_partition(g.n, g.edges, max_matching(g.n, g.edges))
     diag = verify_partition_lemmas(g.n, g.edges, part)
     doc = {"schema": 1, "partition": part.to_json(),
            "diagnostics": diag.to_json()}
@@ -188,9 +198,7 @@ def _cmd_partition(args) -> int:
     print(f"size_identity_ok: {diag.size_identity_ok}  structure_ok: {diag.structure_ok}  "
           f"chain_ok: {diag.chain_ok}")
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(doc, args.json_path)
     return 0 if diag.size_identity_ok and diag.structure_ok and diag.chain_ok else 1
 
 
@@ -235,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "hly-search": _cmd_hly_search,
     }
     try:
+        _check_writable(getattr(args, "out", None) or getattr(args, "json_path", None))
         return handlers[args.command](args)
     except (ValueError, AdmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ from .core import (ColoredGraph, load_ecg, max_mono_degree, min_color_degree,
                    mono_degree, save_ecg)
 from .generators import gen_example1, gen_proper_complete, sample_random_colored
 from .rainbow import (
-    _node_budget,
     build_index,
     find_book,
     find_disjoint_rainbow_triangles,
@@ -45,7 +44,8 @@ from .bounds import (
     mono_balance_diagnostics,
     triangle_bound_report,
 )
-from .matching import gallai_partition, max_matching, verify_partition_lemmas
+from .matching import (_node_budget, gallai_partition, max_matching,
+                       verify_partition_lemmas)
 
 
 class UnsatisfiableHypothesisError(ValueError):
@@ -153,11 +153,16 @@ def _concl_counting(g: ColoredGraph, k: int) -> tuple[bool, str]:
     return False, f"{count} rainbow triangles < bound {bound}"
 
 
+def _max_matching(g: ColoredGraph) -> list[tuple[int, int]]:
+    """A maximum matching of g, shared through ``g.derived`` by the
+    ``eg_partition`` hypothesis and conclusion."""
+    return max_matching(g.n, g.edges)
+
+
 def _concl_partition(g: ColoredGraph, k: int) -> tuple[bool, str]:
     n, es = g.n, g.edges
-    matching = max_matching(n, es)
     try:
-        part = gallai_partition(n, es, matching)
+        part = gallai_partition(n, es, g.derived(_max_matching))
     except (ValueError, RuntimeError) as exc:
         return False, f"partition construction failed: {exc}"
     diag = verify_partition_lemmas(n, es, part)
@@ -262,7 +267,7 @@ def _register_builtin_claims() -> None:
         id="eg_partition",
         description="matching/cover partition identities hold",
         colored=False,
-        graph_hypothesis=lambda g, k: g.n > 2 * len(max_matching(g.n, g.edges)),
+        graph_hypothesis=lambda g, k: g.n > 2 * len(g.derived(_max_matching)),
         conclusion=_concl_partition,
     ))
     register_claim(Claim(
@@ -377,8 +382,9 @@ class Report:
     def ok(self) -> bool:
         return not self.conclusion_failures
 
-    def to_json(self, include_runtime: bool = False) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        """The canonical document: the volatile runtime is left out."""
+        return {
             "schema": 1,
             "spec": self.spec_echo,
             "samples_attempted": self.samples_attempted,
@@ -386,9 +392,13 @@ class Report:
             "conclusion_failures": [f.to_json() for f in self.conclusion_failures],
             "sample_ecgs": list(self.sample_ecgs),
         }
-        if include_runtime:
-            doc["runtime_seconds"] = self.runtime_seconds
-        return doc
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def emit_report(report: Report, path) -> None:
@@ -397,10 +407,7 @@ def emit_report(report: Report, path) -> None:
     Field order is fixed and the volatile runtime is omitted, so two runs
     with the same spec and seed produce byte-identical files.
     """
-    doc = report.to_json(include_runtime=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_json(), path)
 
 
 def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:

@@ -6,12 +6,25 @@ on 0..n-1.  Everything here is exact and deterministic at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 COVER_SIZE_LIMIT = 64
-# node limit of every exact backtracking search; ``rainbow`` re-exports it
+# node limit of every exact backtracking search, counted by ``_node_budget``
 SEARCH_NODE_LIMIT = 1_000_000
+
+
+def _node_budget(search: str):
+    """Node counter for one backtracking search: each call counts a node,
+    and passing SEARCH_NODE_LIMIT raises a ValueError naming the search."""
+    nodes = itertools.count(1)
+
+    def visit() -> None:
+        if next(nodes) > SEARCH_NODE_LIMIT:
+            raise ValueError(f"{search} exceeded its limit of "
+                             f"{SEARCH_NODE_LIMIT} search nodes")
+    return visit
 
 
 def _normalize_edges(n: int, edges) -> list[tuple[int, int]]:
@@ -106,15 +119,24 @@ def _alternating_forest(adj: list[list[int]], match: list[int],
     return used
 
 
+def _augment(adj: list[list[int]], match: list[int]) -> int:
+    """Grow ``match`` in place to a maximum matching: one alternating-forest
+    search from each exposed vertex in index order.  Returns the number of
+    augmenting paths found.  One pass suffices, because a vertex with no
+    augmenting path keeps none after augmentations elsewhere (Edmonds)."""
+    grown = 0
+    for v in range(len(adj)):
+        if match[v] == -1 and _alternating_forest(adj, match, [v]) is None:
+            grown += 1
+    return grown
+
+
 def max_matching(n: int, edges) -> list[tuple[int, int]]:
     """Maximum matching in a general graph via augmenting paths with
     blossom contraction.  Returns the matched pairs sorted lexicographically.
     """
-    adj = _adjacency(n, _normalize_edges(n, edges))
     match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            _alternating_forest(adj, match, [v])
+    _augment(_adjacency(n, _normalize_edges(n, edges)), match)
     return sorted((v, match[v]) for v in range(n) if v < match[v])
 
 
@@ -132,15 +154,15 @@ def _greedy_matched(edges: list[tuple[int, int]]) -> set[int]:
     return used
 
 
-def min_vertex_cover(n: int, edges, size_limit: int = COVER_SIZE_LIMIT) -> list[int]:
+def min_vertex_cover(n: int, edges) -> list[int]:
     """Exact minimum vertex cover by branch and bound.
 
     Branches on a highest-degree vertex, lowest index first (in cover /
     all its neighbors in cover), pruned by a greedy clique-partition lower
-    bound.  Raises for instances above ``size_limit`` vertices, and with a
-    ValueError past SEARCH_NODE_LIMIT search nodes.
+    bound.  Raises for instances above COVER_SIZE_LIMIT vertices, and with
+    a ValueError past SEARCH_NODE_LIMIT search nodes.
     """
-    return _cover_search(n, edges, size_limit, 0)
+    return _cover_search(n, edges, 0)
 
 
 def _clique_bound(adj: list[int], live: int) -> int:
@@ -161,7 +183,7 @@ def _clique_bound(adj: list[int], live: int) -> int:
     return total
 
 
-def _cover_search(n: int, edges, size_limit: int, lower: int) -> list[int]:
+def _cover_search(n: int, edges, lower: int) -> list[int]:
     """``min_vertex_cover`` that may stop as soon as its cover has ``lower``
     vertices, where ``lower`` is at most the cover number (a matching size).
 
@@ -172,7 +194,7 @@ def _cover_search(n: int, edges, size_limit: int, lower: int) -> list[int]:
     global stop only ends the search once the cover is optimal, so bounds
     change the node count, never the cover.
     """
-    if n > size_limit:
+    if n > COVER_SIZE_LIMIT:
         raise ValueError(f"instance too large for exact cover search (n={n})")
     es = _normalize_edges(n, edges)
 
@@ -184,15 +206,12 @@ def _cover_search(n: int, edges, size_limit: int, lower: int) -> list[int]:
         adj[v] |= 1 << u
     live = sum(1 << v for v in range(n) if adj[v])
     stop = max(lower, _clique_bound(adj, live))
-    nodes = 0
+    visit = _node_budget("min_vertex_cover")
 
     def bnb(live: int, chosen: list[int]) -> bool:
         """Search below one node; True once the cover reaches ``stop``."""
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_LIMIT:
-            raise ValueError(f"min_vertex_cover exceeded its limit of "
-                             f"{SEARCH_NODE_LIMIT} search nodes")
+        nonlocal best
+        visit()
         # the highest live degree, lowest vertex first; isolated vertices
         # leave ``live``
         x, dx, rest = -1, 0, live
@@ -305,50 +324,44 @@ class GallaiPartition:
         }
 
 
-def _gamma_vertices(n: int, es: list[tuple[int, int]],
-                    m: list[tuple[int, int]]) -> frozenset[int]:
-    # V_0 is the outside neighborhood of D, the outer vertices of the
-    # forest grown on the maximum matching ``m`` (see GallaiPartition)
-    match = [-1] * n
-    for u, v in m:
-        match[u], match[v] = v, u
-    outer = _alternating_forest(_adjacency(n, es), match,
-                                [v for v in range(n) if match[v] == -1])
-    return frozenset(w for u, v in es for a, w in ((u, v), (v, u))
-                     if outer[a] and not outer[w])
-
-
 def gallai_partition(n: int, edges, matching) -> GallaiPartition:
     """Build the partition for a maximum matching; raises if the matching is
     not maximum or if n <= 2 * alpha' (the decomposition needs unsaturated
-    vertices).  The maximality check comes first, so the alternating forest
-    that finds ``v0`` never meets an augmenting path.
+    vertices).  Maximality is checked by growing the matching with the
+    augmenting loop of ``max_matching``: any growth means it was not
+    maximum.  So the alternating forest that finds ``v0`` never meets an
+    augmenting path.
     """
     es = _normalize_edges(n, edges)
     eset = set(es)
     m = _normalize_edges(n, matching)
-    seen: set[int] = set()
+    match = [-1] * n
     for u, v in m:
         if (u, v) not in eset:
             raise ValueError(f"matching edge ({u}, {v}) not in graph")
-        if u in seen or v in seen:
+        if match[u] != -1 or match[v] != -1:
             raise ValueError("matching edges are not disjoint")
-        seen.update((u, v))
-    alpha_prime = matching_number(n, es)
-    if len(m) != alpha_prime:
-        raise ValueError(f"matching has size {len(m)}, maximum is {alpha_prime}")
-    if n <= 2 * alpha_prime:
+        match[u], match[v] = v, u
+    adj = _adjacency(n, es)
+    grown = _augment(adj, match)
+    if grown:
+        raise ValueError(f"matching has size {len(m)}, maximum is {len(m) + grown}")
+    if n <= 2 * len(m):
         raise ValueError("partition undefined: n <= 2 * alpha'")
 
-    v0 = _gamma_vertices(n, es, m)
+    # V_0 is the outside neighborhood of D, the outer vertices of the
+    # forest grown from every unsaturated vertex (see GallaiPartition)
+    unsaturated = [v for v in range(n) if match[v] == -1]
+    outer = _alternating_forest(adj, match, unsaturated)
+    v0 = frozenset(w for u, v in es for a, w in ((u, v), (v, u))
+                   if outer[a] and not outer[w])
     rest_edges = [e for e in es if e[0] not in v0 and e[1] not in v0]
     comps = tuple(c for c in connected_components(n, rest_edges)
                   if c[0] not in v0)
 
     x = n
-    unsaturated = [v for v in range(n) if v not in seen]
     alpha = tuple(m) + tuple((v, x) for v in unsaturated)
-    gamma = tuple(e for e in es if e not in set(m))
+    gamma = tuple((u, v) for u, v in es if match[u] != v)
     part = GallaiPartition(
         n=n,
         matching=tuple(m),
@@ -456,7 +469,7 @@ def verify_partition_lemmas(n: int, edges, part: GallaiPartition) -> PartitionDi
     """
     es = _normalize_edges(n, edges)
     eset = set(es)
-    cover = _cover_search(n, es, COVER_SIZE_LIMIT, _matching_size(part.matching, eset))
+    cover = _cover_search(n, es, _matching_size(part.matching, eset))
     beta = len(cover)
     a = part.alpha_prime
     v0 = len(part.v0)

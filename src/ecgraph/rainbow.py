@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import ColoredGraph
-from .matching import SEARCH_NODE_LIMIT, max_matching
+from .matching import _node_budget, max_matching
 
 
 @dataclass(frozen=True)
@@ -253,18 +253,6 @@ def find_fan(graph: ColoredGraph, k: int) -> Certificate | None:
             tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
             return Certificate(kind="fan", base=v, triangles=tris)
     return None
-
-
-def _node_budget(search: str):
-    """Node counter for one backtracking search: each call counts a node,
-    and passing SEARCH_NODE_LIMIT raises a ValueError naming the search."""
-    nodes = itertools.count(1)
-
-    def visit() -> None:
-        if next(nodes) > SEARCH_NODE_LIMIT:
-            raise ValueError(f"{search} exceeded its limit of "
-                             f"{SEARCH_NODE_LIMIT} search nodes")
-    return visit
 
 
 def find_disjoint_rainbow_triangles(graph: ColoredGraph,

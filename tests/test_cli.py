@@ -126,6 +126,13 @@ def test_analyze_missing_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
 
 
+# the first step of each command's work, which must not run before its
+# output path is checked
+FIRST_WORK = {"gen": "generate", "analyze": "_read_graph", "reduce": "_read_graph",
+              "partition": "_read_graph", "verify": "verify",
+              "hly-search": "search_hly_counterexample"}
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--kind", "example1", "--k", "3", "--out"],
     ["analyze", "{src}", "--json"],
@@ -134,15 +141,33 @@ def test_analyze_missing_file_is_usage_error(tmp_path, capsys):
     ["verify", "--theorem", "li_triangle", "--budget", "5", "--seed", "1", "--json"],
     ["hly-search", "--k", "1", "--n", "4:7", "--budget", "5", "--seed", "3", "--json"],
 ], ids=lambda argv: argv[0])
-def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+def test_unwritable_output_is_usage_error(argv, monkeypatch, tmp_path, capsys):
+    import ecgraph.cli
+
+    work = FIRST_WORK[argv[0]]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(ecgraph.cli, work, no_work)
     src = tmp_path / "p5.ecg"
     src.write_text(P5_ECG)
     out = tmp_path / "missing-dir" / "out"
     argv = [arg.format(src=src) for arg in argv] + [str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(out) in err
+    assert err == f"error: cannot open {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+def test_usage_error_creates_and_truncates_no_output(tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    fresh = tmp_path / "fresh.json"
+    for out in (kept, fresh):
+        assert main(["verify", "--theorem", "li_triangle", "--budget", "0",
+                     "--json", str(out)]) == 2
+    assert kept.read_text() == "old\n" and not fresh.exists()
 
 
 def test_verify_admission_too_low_is_usage_error(capsys):
@@ -173,9 +198,9 @@ def test_internal_runtime_error_is_not_a_usage_error(monkeypatch):
      "find_disjoint_rainbow_triangles"),
 ])
 def test_search_node_limit_is_usage_error(monkeypatch, capsys, argv, search):
-    import ecgraph.rainbow
+    import ecgraph.matching
 
-    monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 2)
+    monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 2)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{search} exceeded its limit of 2" in err

@@ -68,9 +68,9 @@ from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_de
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
 from ecgraph.harness import _concl_restriction, _repair_color_degree
-from ecgraph.matching import (COVER_SIZE_LIMIT, _cover_search, _greedy_matched,
-                              _normalize_edges, gallai_partition, max_matching,
-                              min_vertex_cover, verify_partition_lemmas)
+from ecgraph.matching import (_cover_search, _greedy_matched, _normalize_edges,
+                              gallai_partition, max_matching, min_vertex_cover,
+                              verify_partition_lemmas)
 from ecgraph.rainbow import (Certificate, build_index, find_fan, has_rainbow_triangle,
                              max_fan, rainbow_edge_graph)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
@@ -203,7 +203,7 @@ def _check_cover(n: int, edges) -> bool:
     expected = min_vertex_cover_reference(n, edges)
     assert min_vertex_cover(n, edges) == expected
     m = max_matching(n, edges)
-    assert _cover_search(n, edges, COVER_SIZE_LIMIT, len(m)) == expected
+    assert _cover_search(n, edges, len(m)) == expected
     if n > 2 * len(m):
         diag = verify_partition_lemmas(n, edges, gallai_partition(n, edges, m))
         assert diag.cover == tuple(expected) and diag.beta == len(expected)

@@ -236,7 +236,7 @@ def test_low_admission_raises_admission_error():
 
 
 def test_bruteforce_disjoint_check_has_a_subset_limit(monkeypatch):
-    import ecgraph.rainbow
+    import ecgraph.matching
     from ecgraph.generators import gen_proper_complete
     from ecgraph.harness import _disjoint_family_exists_bruteforce
 
@@ -244,9 +244,32 @@ def test_bruteforce_disjoint_check_has_a_subset_limit(monkeypatch):
     # its 10 triangles are disjoint: all C(10, 2) = 45 pairs are tried
     g = gen_proper_complete(5, seed=1)
     assert _disjoint_family_exists_bruteforce(g, 2) is False
-    monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 45)
+    monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 45)
     assert _disjoint_family_exists_bruteforce(g, 2) is False
-    monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 44)
+    monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 44)
     with pytest.raises(ValueError, match="_disjoint_family_exists_bruteforce "
                                          "exceeded its limit of 44"):
         _disjoint_family_exists_bruteforce(g, 2)
+
+
+def test_eg_partition_computes_one_matching_per_sampled_graph(monkeypatch):
+    import ecgraph.harness
+    import ecgraph.matching
+    from ecgraph.matching import max_matching
+
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return max_matching(n, edges)
+
+    def forbidden(n, edges):
+        raise AssertionError("max_matching called from inside ecgraph.matching")
+
+    # the hypothesis and the conclusion share one matching per graph, and
+    # gallai_partition checks maximality without a matching from scratch
+    monkeypatch.setattr(ecgraph.harness, "max_matching", counting)
+    monkeypatch.setattr(ecgraph.matching, "max_matching", forbidden)
+    report = verify(TheoremSpec(id="eg_partition", budget=40, seed=1))
+    assert report.ok and report.samples_admitted == 40
+    assert len(calls) == report.samples_attempted > report.samples_admitted

@@ -136,7 +136,7 @@ class TestMinVertexCover:
             nu = _matching_size(max_matching(n, edges), set(edges))
             assert nu <= brute_min_cover_size(n, edges)
             seen.clear()
-            assert len(_cover_search(n, edges, 64, nu)) == \
+            assert len(_cover_search(n, edges, nu)) == \
                 len(min_vertex_cover(n, edges)) == brute_min_cover_size(n, edges)
             for adj, live, value in seen:
                 sub = [(u, v) for u, v in edges if live >> u & 1 and live >> v & 1]
@@ -235,6 +235,29 @@ class TestGallaiPartition:
     def test_rejects_non_maximum_matching(self):
         with pytest.raises(ValueError):
             gallai_partition(5, P5, [(0, 1)])
+
+    def test_non_maximum_matching_error_names_the_maximum(self):
+        # random matchings, each edge of a shuffled order taken with
+        # probability 0.3 when both ends are free, so that many need more
+        # than one augmentation
+        rng = random.Random(10)
+        deficits = []
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            edges = _random_edges(rng, n, rng.uniform(0.2, 0.9))
+            nu = brute_max_matching(n, edges)
+            m, used = [], set()
+            for u, v in rng.sample(edges, len(edges)):
+                if not {u, v} & used and rng.random() < 0.3:
+                    m.append((u, v))
+                    used.update((u, v))
+            if len(m) == nu:
+                continue
+            deficits.append(nu - len(m))
+            with pytest.raises(ValueError, match=f"^matching has size {len(m)}, "
+                                                 f"maximum is {nu}$"):
+                gallai_partition(n, edges, m)
+        assert len(deficits) >= 250 and sum(d >= 2 for d in deficits) >= 60
 
     def test_rejects_saturating_matching(self):
         with pytest.raises(ValueError):

@@ -176,10 +176,10 @@ class TestSearchNodeLimit:
         ("find_pc_spanning_fan", lambda: find_pc_spanning_fan(gen_proper_complete(7, 1))),
     ])
     def test_exceeding_the_limit_raises(self, monkeypatch, search, call):
-        import ecgraph.rainbow
+        import ecgraph.matching
 
         assert call() is not None
-        monkeypatch.setattr(ecgraph.rainbow, "SEARCH_NODE_LIMIT", 2)
+        monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 2)
         with pytest.raises(ValueError, match=f"{search} exceeded its limit of 2 search nodes"):
             call()
 

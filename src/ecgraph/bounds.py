@@ -7,6 +7,10 @@ Color classes at a vertex are indexed in canonical order: decreasing size,
 ties broken by ascending color id.  The per-class lower bound on rainbow
 triangle counts is guaranteed only on edge-minimal graphs; reports carry an
 ``edge_minimal`` flag so callers know whether the guarantee applies.
+
+Every per-class quantity comes from one integer kernel, ``_vertex_bounds``,
+over the class bitsets and per-graph color-degree and rt rows; only
+:func:`triangle_bound_report` turns its rows into report objects.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ColoredGraph, ColorDegreeProfile, color_degree, color_profile,
-                   max_mono_degree, min_color_degree, mono_degree)
+from .core import (ColoredGraph, _color_degrees, _members, _mono_degrees,
+                   max_mono_degree, min_color_degree)
 from .rainbow import build_index, rainbow_edge_graph
 from .reduction import is_edge_minimal
 
@@ -68,16 +72,6 @@ def edge_restriction_counts(graph: ColoredGraph):
         for a, b in ((u, v), (v, u)):
             x_bits = graph.adjacency_bits(a) & ~table[a][c]
             yield a, b, _sigma(table, a, x_bits, b)
-
-
-def _unique_color_hits(graph: ColoredGraph, profile: ColorDegreeProfile,
-                       target_bits: int) -> int:
-    """Sum over singleton-class neighbors y of the number of edges from y
-    into the bitset ``target_bits`` carrying y's unique color at v."""
-    v = profile.vertex
-    table = graph.color_table()
-    return sum((table[y][graph.color(v, y)] & target_bits).bit_count()
-               for y in profile.unique_nbrs)
 
 
 @dataclass(frozen=True)
@@ -136,15 +130,30 @@ class TriangleBoundReport:
         }
 
 
-def _balance_forms(graph: ColoredGraph, profile: ColorDegreeProfile,
-                   per_class_balance: list[int]) -> tuple[int, int, int]:
-    """The three algebraic forms of the balance term; they must agree."""
-    v = profile.vertex
-    d = profile.degree
-    sizes = profile.sorted_sizes
+def _rt_rows(graph: ColoredGraph) -> list[dict[int, int]]:
+    """Per vertex v, each color c at v mapped to rt(v, N_c(v)), the sum of
+    rt(v, x) over the class of c at v; a per-graph fact read from the
+    rainbow triangle index."""
+    rows: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, w), count in build_index(graph).rt_edge.items():
+        c = graph.color(u, w)
+        row_u, row_w = rows[u], rows[w]
+        row_u[c] = row_u.get(c, 0) + count
+        row_w[c] = row_w.get(c, 0) + count
+    return rows
+
+
+def _balance_forms(rows: list[tuple[int, int, int, int, int]],
+                   hits_all: int) -> tuple[int, int, int]:
+    """The three algebraic forms of the balance term; they must agree.
+
+    ``rows`` are the class rows of :func:`_vertex_bounds`, and ``hits_all``
+    counts the singleton-class hits into all of N(v).
+    """
+    sizes = [row[1] for row in rows]
+    d = sum(sizes)
     excess = sum(s - 1 for s in sizes)
-    hits_all = _unique_color_hits(graph, profile, graph.adjacency_bits(v))
-    form1 = sum(per_class_balance)
+    form1 = sum(row[4] for row in rows)
     form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
     if sizes:
         d1 = sizes[0]
@@ -153,6 +162,46 @@ def _balance_forms(graph: ColoredGraph, profile: ColorDegreeProfile,
     else:
         form3 = 0
     return form1, form2, form3
+
+
+def _vertex_bounds(graph: ColoredGraph, v: int
+                   ) -> tuple[list[tuple[int, int, int, int, int]], int, int, int]:
+    """The bound data of :func:`triangle_bound_report` at v, as plain ints.
+
+    Returns ``(rows, balance_total, rt_vertex, lower_sum)``: one row
+    ``(color, size, rt_observed, lower_bound, balance)`` per class in
+    canonical order, the balance term, rt(v) and the sum of the per-class
+    lower bounds (twice the vertex bound).
+    """
+    graph._check_vertex(v)
+    table = graph.color_table()
+    at_v = table[v]
+    nv = graph.adjacency_bits(v)
+    dc = graph.derived(_color_degrees)
+    rt_row = graph.derived(_rt_rows)[v]
+    # per singleton class {y} of color c at v: y's edges of color c into N(v)
+    hit_sets = [table[bits.bit_length() - 1][c] & nv
+                for c, bits in at_v.items() if not bits & (bits - 1)]
+    excess = nv.bit_count() - len(at_v)
+    shift = len(at_v) - graph.n
+
+    rows = []
+    for c, bits in sorted(at_v.items(), key=lambda item: (-item[1].bit_count(), item[0])):
+        size = bits.bit_count()
+        neighbor_sum = size * shift
+        members = bits
+        while members:
+            low = members & -members
+            neighbor_sum += dc[low.bit_length() - 1]
+            members ^= low
+        hits = sum((t & bits).bit_count() for t in hit_sets)
+        balance = size * excess - size * (size - 1) - hits
+        rows.append((c, size, rt_row.get(c, 0), neighbor_sum + balance, balance))
+
+    forms = _balance_forms(rows, sum(map(int.bit_count, hit_sets)))
+    if len(set(forms)) != 1:
+        raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
+    return rows, forms[0], build_index(graph).rt(v), sum(row[3] for row in rows)
 
 
 def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
@@ -168,40 +217,17 @@ def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
     bound: a singleton-class neighbor y inside N_i makes N_i = {y}, and y
     has no edge into {y}.
     """
-    profile = color_profile(graph, v)
-    classes = graph.color_table()[v]
-    index = build_index(graph)
-    n = graph.n
-    dcv = profile.dc
-    excess = sum(s - 1 for s in profile.sorted_sizes)
-
-    per_class: list[ClassBound] = []
-    for color, members in profile.sorted_classes:
-        di = len(members)
-        neighbor_sum = sum(color_degree(graph, x) + dcv - n for x in members)
-        hits = _unique_color_hits(graph, profile, classes[color])
-        balance = di * excess - di * (di - 1) - hits
-        lower = neighbor_sum + balance
-        per_class.append(ClassBound(
-            color=color,
-            size=di,
-            rt_observed=index.rt_set(v, members),
-            lower_bound=lower,
-            lower_bound_strict=lower,
-            balance=balance,
-        ))
-
-    forms = _balance_forms(graph, profile, [cb.balance for cb in per_class])
-    if len(set(forms)) != 1:
-        raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
-
+    rows, balance_total, rt_vertex, lower_sum = _vertex_bounds(graph, v)
     return TriangleBoundReport(
         vertex=v,
         edge_minimal=is_edge_minimal(graph)[0],
-        per_class=tuple(per_class),
-        balance_total=forms[0],
-        rt_vertex=index.rt(v),
-        vertex_lower=Fraction(sum(cb.lower_bound for cb in per_class), 2),
+        per_class=tuple(ClassBound(color=c, size=size, rt_observed=rt,
+                                   lower_bound=lower, lower_bound_strict=lower,
+                                   balance=balance)
+                        for c, size, rt, lower, balance in rows),
+        balance_total=balance_total,
+        rt_vertex=rt_vertex,
+        vertex_lower=Fraction(lower_sum, 2),
     )
 
 
@@ -243,31 +269,34 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int) -> MonoBalanceDiagnost
 
     Precondition: v attains the maximum monochromatic degree of the graph.
     """
-    profile = color_profile(graph, v)
+    graph._check_vertex(v)
+    monos = graph.derived(_mono_degrees)
     delta_mon = max_mono_degree(graph)
-    if profile.dmon != delta_mon:
+    if monos[v] != delta_mon:
         raise ValueError(
             f"vertex {v} does not attain the maximum monochromatic degree")
 
-    report = triangle_bound_report(graph, v)
-    b_total = report.balance_total
+    rows, b_total, _, _ = _vertex_bounds(graph, v)
     applicable = delta_mon >= 2 and b_total == 0
 
     cond_a = cond_b = cond_c = None
     cond_c_applicable = False
-    minimal = report.edge_minimal
+    minimal = is_edge_minimal(graph)[0]
     if applicable:
-        largest = set(profile.sorted_classes[0][1])
-        cond_a = profile.unique_nbrs == frozenset(graph.neighbors(v)) - largest
-        cond_b = all(
-            mono_degree(graph, u) == delta_mon for u in profile.unique_nbrs)
-        b_first = report.per_class[0].balance
+        at_v = graph.color_table()[v]
+        largest = at_v[rows[0][0]]
+        # singleton classes are disjoint, so their sum is their union
+        unique = sum(bits for bits in at_v.values() if not bits & (bits - 1))
+        cond_a = unique == graph.adjacency_bits(v) & ~largest
+        unique_nbrs = _members(unique)
+        cond_b = all(monos[u] == delta_mon for u in unique_nbrs)
+        b_first = rows[0][4]
         cond_c_applicable = b_first == 0 and minimal
         if cond_c_applicable:
             rt_edges = set(rainbow_edge_graph(graph, v).edges)
             cond_c = all(
                 (min(x, y), max(x, y)) in rt_edges
-                for x in largest for y in profile.unique_nbrs
+                for x in _members(largest) for y in unique_nbrs
                 if graph.has_edge(x, y)
             )
     return MonoBalanceDiagnostics(

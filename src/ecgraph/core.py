@@ -215,10 +215,22 @@ def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
     )
 
 
+def _color_degrees(graph: ColoredGraph) -> list[int]:
+    """The color degree of every vertex; a per-graph fact (see
+    :meth:`ColoredGraph.derived`)."""
+    return list(map(len, graph.color_table()))
+
+
+def _mono_degrees(graph: ColoredGraph) -> list[int]:
+    """The monochromatic degree of every vertex; a per-graph fact."""
+    return [max(map(int.bit_count, at_v.values()), default=0)
+            for at_v in graph.color_table()]
+
+
 def color_degree(graph: ColoredGraph, v: int) -> int:
     """Number of distinct colors on edges incident to v."""
     graph._check_vertex(v)
-    return len(graph.color_table()[v])
+    return graph.derived(_color_degrees)[v]
 
 
 def min_color_degree(graph: ColoredGraph) -> int:
@@ -231,7 +243,7 @@ def min_color_degree(graph: ColoredGraph) -> int:
 def mono_degree(graph: ColoredGraph, v: int) -> int:
     """Largest number of equally colored edges at v."""
     graph._check_vertex(v)
-    return max(map(int.bit_count, graph.color_table()[v].values()), default=0)
+    return graph.derived(_mono_degrees)[v]
 
 
 def max_mono_degree(graph: ColoredGraph) -> int:
@@ -241,7 +253,7 @@ def max_mono_degree(graph: ColoredGraph) -> int:
 
 
 def _max_mono_degree(graph: ColoredGraph) -> int:
-    return max((mono_degree(graph, v) for v in range(graph.n)), default=0)
+    return max(graph.derived(_mono_degrees), default=0)
 
 
 def relabel_colors(graph: ColoredGraph, mapping: dict[int, int]) -> ColoredGraph:

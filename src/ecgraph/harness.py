@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, load_ecg, max_mono_degree, min_color_degree,
-                   mono_degree, save_ecg)
+from .core import (ColoredGraph, _mono_degrees, load_ecg, max_mono_degree,
+                   min_color_degree, save_ecg)
 from .generators import gen_example1, gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
@@ -39,10 +39,10 @@ from .rainbow import (
 )
 from .reduction import edge_minimal_reduce
 from .bounds import (
+    _vertex_bounds,
     counting_lower_bound,
     edge_restriction_counts,
     mono_balance_diagnostics,
-    triangle_bound_report,
 )
 from .matching import (_node_budget, gallai_partition, max_matching,
                        verify_partition_lemmas)
@@ -111,14 +111,15 @@ def _concl_fan(g: ColoredGraph, k: int) -> tuple[bool, str]:
 def _concl_class_bounds(g: ColoredGraph, k: int) -> tuple[bool, str]:
     h = edge_minimal_reduce(g)
     for v in range(h.n):
-        report = triangle_bound_report(h, v)
-        for cb in report.per_class:
-            if cb.rt_observed < cb.lower_bound:
-                return False, (f"class bound fails at v={v}, color={cb.color}: "
-                               f"{cb.rt_observed} < {cb.lower_bound}")
-        if Fraction(report.rt_vertex) < report.vertex_lower:
+        rows, _, rt_vertex, lower_sum = _vertex_bounds(h, v)
+        for color, _, rt, lower, _ in rows:
+            if rt < lower:
+                return False, (f"class bound fails at v={v}, color={color}: "
+                               f"{rt} < {lower}")
+        # the vertex bound is lower_sum / 2
+        if 2 * rt_vertex < lower_sum:
             return False, (f"vertex bound fails at v={v}: "
-                           f"{report.rt_vertex} < {report.vertex_lower}")
+                           f"{rt_vertex} < {Fraction(lower_sum, 2)}")
     return True, ""
 
 
@@ -127,8 +128,8 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
     if h.edge_count == 0:
         return True, ""
     delta = max_mono_degree(h)
-    for v in range(h.n):
-        if mono_degree(h, v) != delta:
+    for v, dmon in enumerate(h.derived(_mono_degrees)):
+        if dmon != delta:
             continue
         diag = mono_balance_diagnostics(h, v)
         if not diag.passed():

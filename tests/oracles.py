@@ -11,7 +11,11 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from ecgraph.core import ColoredGraph
+from ecgraph.bounds import ClassBound, MonoBalanceDiagnostics, TriangleBoundReport
+from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
+                          mono_degree)
+from ecgraph.rainbow import build_index, rainbow_edge_graph
+from ecgraph.reduction import is_edge_minimal
 
 
 def naive_rainbow_triangles(g: ColoredGraph) -> set[tuple[int, int, int]]:
@@ -509,3 +513,116 @@ def min_vertex_cover_reference(n: int, edges, size_limit: int = 64) -> list[int]
 
     bnb(es, [])
     return best
+
+
+def _unique_color_hits_reference(g: ColoredGraph, profile, target_bits: int) -> int:
+    """Sum over singleton-class neighbors y of the number of edges from y
+    into the bitset ``target_bits`` carrying y's unique color at v."""
+    v = profile.vertex
+    table = g.color_table()
+    return sum((table[y][g.color(v, y)] & target_bits).bit_count()
+               for y in profile.unique_nbrs)
+
+
+def balance_forms_reference(g: ColoredGraph, profile,
+                            per_class_balance: list[int]) -> tuple[int, int, int]:
+    """The three algebraic forms of the balance term, frozen as
+    ``bounds._balance_forms`` stood when it read a ``ColorDegreeProfile``."""
+    v = profile.vertex
+    d = profile.degree
+    sizes = profile.sorted_sizes
+    excess = sum(s - 1 for s in sizes)
+    hits_all = _unique_color_hits_reference(g, profile, g.adjacency_bits(v))
+    form1 = sum(per_class_balance)
+    form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
+    if sizes:
+        d1 = sizes[0]
+        form3 = (d - d1) * (d1 - 1) - hits_all \
+            + sum((d - s) * (s - 1) for s in sizes[1:])
+    else:
+        form3 = 0
+    return form1, form2, form3
+
+
+def triangle_bound_report_reference(g: ColoredGraph, v: int):
+    """``bounds.triangle_bound_report`` frozen as it stood when it built a
+    ``ColorDegreeProfile`` per vertex, called ``color_degree`` per class
+    member and summed ``rt_pair`` per member."""
+    profile = color_profile(g, v)
+    classes = g.color_table()[v]
+    index = build_index(g)
+    n = g.n
+    dcv = profile.dc
+    excess = sum(s - 1 for s in profile.sorted_sizes)
+
+    per_class = []
+    for color, members in profile.sorted_classes:
+        di = len(members)
+        neighbor_sum = sum(color_degree(g, x) + dcv - n for x in members)
+        hits = _unique_color_hits_reference(g, profile, classes[color])
+        balance = di * excess - di * (di - 1) - hits
+        lower = neighbor_sum + balance
+        per_class.append(ClassBound(
+            color=color,
+            size=di,
+            rt_observed=index.rt_set(v, members),
+            lower_bound=lower,
+            lower_bound_strict=lower,
+            balance=balance,
+        ))
+
+    forms = balance_forms_reference(g, profile, [cb.balance for cb in per_class])
+    if len(set(forms)) != 1:
+        raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
+
+    return TriangleBoundReport(
+        vertex=v,
+        edge_minimal=is_edge_minimal(g)[0],
+        per_class=tuple(per_class),
+        balance_total=forms[0],
+        rt_vertex=index.rt(v),
+        vertex_lower=Fraction(sum(cb.lower_bound for cb in per_class), 2),
+    )
+
+
+def mono_balance_diagnostics_reference(g: ColoredGraph, v: int):
+    """``bounds.mono_balance_diagnostics`` frozen as it stood when it read
+    a ``ColorDegreeProfile`` and a full bound report."""
+    profile = color_profile(g, v)
+    delta_mon = max_mono_degree(g)
+    if profile.dmon != delta_mon:
+        raise ValueError(
+            f"vertex {v} does not attain the maximum monochromatic degree")
+
+    report = triangle_bound_report_reference(g, v)
+    b_total = report.balance_total
+    applicable = delta_mon >= 2 and b_total == 0
+
+    cond_a = cond_b = cond_c = None
+    cond_c_applicable = False
+    minimal = report.edge_minimal
+    if applicable:
+        largest = set(profile.sorted_classes[0][1])
+        cond_a = profile.unique_nbrs == frozenset(g.neighbors(v)) - largest
+        cond_b = all(
+            mono_degree(g, u) == delta_mon for u in profile.unique_nbrs)
+        b_first = report.per_class[0].balance
+        cond_c_applicable = b_first == 0 and minimal
+        if cond_c_applicable:
+            rt_edges = set(rainbow_edge_graph(g, v).edges)
+            cond_c = all(
+                (min(x, y), max(x, y)) in rt_edges
+                for x in largest for y in profile.unique_nbrs
+                if g.has_edge(x, y)
+            )
+    return MonoBalanceDiagnostics(
+        vertex=v,
+        balance_total=b_total,
+        nonnegative=b_total >= 0,
+        equality_applicable=applicable,
+        cond_a=cond_a,
+        cond_b=cond_b,
+        cond_c_applicable=cond_c_applicable,
+        cond_c=cond_c,
+        edge_minimal=minimal,
+    )

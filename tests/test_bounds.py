@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_rainbow_triangles, random_colored
+from oracles import balance_forms_reference, naive_rainbow_triangles, random_colored
 
 from ecgraph.core import ColoredGraph, color_profile
 from ecgraph.bounds import (
@@ -119,8 +119,6 @@ class TestTriangleBoundReport:
         assert cb.rt_observed == 0 >= cb.lower_bound
 
     def test_balance_forms_agree_fuzz(self):
-        from ecgraph.bounds import _balance_forms
-
         rng = random.Random(12)
         for _ in range(500):
             g = random_colored(rng, rng.randint(1, 9),
@@ -128,7 +126,7 @@ class TestTriangleBoundReport:
             for v in range(g.n):
                 prof = color_profile(g, v)
                 rep = triangle_bound_report(g, v)
-                forms = _balance_forms(
+                forms = balance_forms_reference(
                     g, prof, [cb.balance for cb in rep.per_class])
                 assert forms[0] == forms[1] == forms[2] == rep.balance_total
 
@@ -169,8 +167,15 @@ class TestMonoBalance:
 
     def test_precondition_enforced(self):
         g = ColoredGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 2), (1, 3, 2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertex 2 does not attain the "
+                                             "maximum monochromatic degree$"):
             mono_balance_diagnostics(g, 2)  # vertex 2 has dmon 1 < 2
+
+    @pytest.mark.parametrize("query", [triangle_bound_report, mono_balance_diagnostics])
+    def test_vertex_out_of_range(self, query):
+        for v in (-1, RAINBOW_K3.n):
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range for n=3$"):
+                query(RAINBOW_K3, v)
 
     def test_monochromatic_path_equality_case(self):
         g = ColoredGraph(3, [(0, 1, 1), (1, 2, 1)])

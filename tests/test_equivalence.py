@@ -17,6 +17,11 @@
 - The colored sampler makes the same draws as the test-local
   ``random_colored``; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
+- The class bounds, the balance term and the diagnostics at a vertex come
+  from one integer kernel over the class bitsets and per-graph color-degree
+  and rt rows; every report field and every diagnostics field must equal
+  the frozen profile-based versions in ``oracles.py``, and the ``lemma1``
+  and ``lemma2`` conclusions must build no report object and no profile.
 - One link scan per vertex serves the rainbow triangle index and the
   rainbow edge graph; the latter must equal the frozen double loop in
   ``oracles.py``, edge order included.  Whole-graph facts are built once
@@ -34,8 +39,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 import ecgraph.bounds
@@ -45,10 +52,12 @@ import ecgraph.matching
 import ecgraph.rainbow
 import ecgraph.reduction
 from oracles import (
+    balance_forms_reference,
     blossom_matching_reference,
     color_classes_reference,
     gamma_vertices_deletion_reference,
     min_vertex_cover_reference,
+    mono_balance_diagnostics_reference,
     naive_rainbow_triangles,
     odd_pieces,
     rainbow_edge_graph_reference,
@@ -58,22 +67,29 @@ from oracles import (
     repair_rebuild_reference,
     restriction_count_reference,
     strict_class_bounds_reference,
+    triangle_bound_report_reference,
     vertex_lower_half_sum_reference,
 )
 
-from ecgraph.bounds import (edge_restriction_counts, mono_balance_diagnostics,
-                            restriction_count, triangle_bound_report)
+from ecgraph.bounds import (_vertex_bounds, edge_restriction_counts,
+                            mono_balance_diagnostics, restriction_count,
+                            triangle_bound_report)
 from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
                           min_color_degree, mono_degree)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
-from ecgraph.harness import _concl_restriction, _repair_color_degree
+from ecgraph.harness import (_concl_class_bounds, _concl_mono_balance,
+                             _concl_restriction, _repair_color_degree)
 from ecgraph.matching import (_cover_search, _greedy_matched, _normalize_edges,
                               gallai_partition, max_matching, min_vertex_cover,
                               verify_partition_lemmas)
-from ecgraph.rainbow import (Certificate, build_index, find_fan, has_rainbow_triangle,
-                             max_fan, rainbow_edge_graph)
+from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, build_index, find_fan,
+                             has_rainbow_triangle, max_fan, rainbow_edge_graph)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
+
+
+_PACKAGE_MODULES = (ecgraph.core, ecgraph.rainbow, ecgraph.reduction, ecgraph.bounds,
+                    ecgraph.matching, ecgraph.harness)
 
 
 def _same(a: ColoredGraph, b: ColoredGraph) -> bool:
@@ -418,6 +434,132 @@ def test_class_bounds_match_strict_and_half_sum_references():
     assert singleton_classes >= 1000
 
 
+def _bound_corpus() -> list[ColoredGraph]:
+    graphs = []
+    for _, g in _corpus(seed=113, count=300):
+        graphs += [g, edge_minimal_reduce(g)]
+    graphs += [gen_proper_complete(n, seed=n) for n in range(3, 14)]
+    graphs += [gen_example1(k) for k in range(2, 7)]
+    return graphs
+
+
+def test_bound_kernel_matches_frozen_reference():
+    seen = Counter()
+    for g in _bound_corpus():
+        delta = max_mono_degree(g)
+        for v in range(g.n):
+            expected = triangle_bound_report_reference(g, v)
+            report = triangle_bound_report(g, v)
+            assert report == expected
+            assert report.to_json() == expected.to_json()
+            rows, balance_total, rt_vertex, lower_sum = _vertex_bounds(g, v)
+            assert rows == [(cb.color, cb.size, cb.rt_observed, cb.lower_bound, cb.balance)
+                            for cb in expected.per_class]
+            assert (balance_total, rt_vertex, Fraction(lower_sum, 2)) == (
+                expected.balance_total, expected.rt_vertex, expected.vertex_lower)
+            seen["class"] += len(rows)
+            seen["balance"] += balance_total != 0
+            if mono_degree(g, v) != delta:
+                with pytest.raises(ValueError) as got:
+                    mono_balance_diagnostics(g, v)
+                with pytest.raises(ValueError) as want:
+                    mono_balance_diagnostics_reference(g, v)
+                assert str(got.value) == str(want.value)
+                continue
+            diag = mono_balance_diagnostics(g, v)
+            assert dataclasses.asdict(diag) == dataclasses.asdict(
+                mono_balance_diagnostics_reference(g, v))
+            seen["equality"] += diag.equality_applicable
+            seen["cond_c"] += diag.cond_c is not None
+    assert seen["class"] >= 10000 and seen["balance"] >= 500, seen
+    assert seen["equality"] >= 100 and seen["cond_c"] >= 20, seen
+
+
+def _lowered_index(monkeypatch, scope: str) -> None:
+    """Replace each graph's rainbow triangle index by one whose per-edge
+    (``scope`` "class") or per-vertex ("vertex") counts are 0."""
+    build = ecgraph.rainbow._index
+
+    def lowered(graph):
+        index = build(graph)
+        if scope == "class":
+            return RainbowTriangleIndex(index.triangles, index.rt_vertex, {})
+        return RainbowTriangleIndex(index.triangles, {}, index.rt_edge)
+    monkeypatch.setattr(ecgraph.rainbow, "_index", lowered)
+
+
+def _class_bounds_gap_reference(g: ColoredGraph) -> tuple[bool, str]:
+    """The lemma1 conclusion as it read ``triangle_bound_report``."""
+    h = edge_minimal_reduce(g)
+    for v in range(h.n):
+        report = triangle_bound_report_reference(h, v)
+        for cb in report.per_class:
+            if cb.rt_observed < cb.lower_bound:
+                return False, (f"class bound fails at v={v}, color={cb.color}: "
+                               f"{cb.rt_observed} < {cb.lower_bound}")
+        if Fraction(report.rt_vertex) < report.vertex_lower:
+            return False, (f"vertex bound fails at v={v}: "
+                           f"{report.rt_vertex} < {report.vertex_lower}")
+    return True, ""
+
+
+@pytest.mark.parametrize("scope", ["class", "vertex"])
+def test_class_bound_gaps_match_reference(monkeypatch, scope):
+    _lowered_index(monkeypatch, scope)
+    failures = halves = 0
+    for _, g in _corpus(seed=127, count=200):
+        result = _concl_class_bounds(g, 0)
+        assert result == _class_bounds_gap_reference(g)
+        if not result[0]:
+            failures += 1
+            assert result[1].startswith(f"{scope} bound fails at v=")
+            halves += result[1].endswith("/2")
+    assert failures >= 30
+    if scope == "vertex":
+        assert halves >= 5  # the vertex bound prints as a Fraction
+
+
+def test_bound_conclusions_build_no_report_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the conclusion path")
+    for module in _PACKAGE_MODULES:
+        for name in ("ClassBound", "TriangleBoundReport", "color_profile"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for _, g in _corpus(seed=131, count=150):
+        assert _concl_class_bounds(g, 0) == (True, "")
+        assert _concl_mono_balance(g, 0) == (True, "")
+
+
+def test_every_checked_vertex_compares_the_balance_forms(monkeypatch):
+    forms = ecgraph.bounds._balance_forms
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forms(*args)
+    monkeypatch.setattr(ecgraph.bounds, "_balance_forms", counted)
+    for _, g in _corpus(seed=137, count=100):
+        h = edge_minimal_reduce(g)
+        calls.clear()
+        _concl_class_bounds(g, 0)
+        assert len(calls) == h.n
+        calls.clear()
+        _concl_mono_balance(g, 0)
+        at_max = sum(mono_degree(h, v) == max_mono_degree(h) for v in range(h.n))
+        assert len(calls) == (at_max if h.edge_count else 0)
+
+    def disagree(*args):
+        form1, form2, form3 = forms(*args)
+        return form1, form2, form3 + 1
+    monkeypatch.setattr(ecgraph.bounds, "_balance_forms", disagree)
+    g = gen_proper_complete(5, seed=1)
+    for check in (lambda: _concl_class_bounds(g, 0), lambda: _concl_mono_balance(g, 0),
+                  lambda: triangle_bound_report(g, 0)):
+        with pytest.raises(RuntimeError, match="^balance forms disagree at vertex 0: "):
+            check()
+
+
 def test_rainbow_edge_graph_matches_double_loop_reference():
     graphs = [g for _, g in _corpus(seed=79, count=300)]
     graphs += [gen_proper_complete(n, seed=n) for n in range(3, 14)]
@@ -432,36 +574,47 @@ def test_rainbow_edge_graph_matches_double_loop_reference():
 
 
 def _count_builds(monkeypatch, module, name: str) -> list:
-    """Wrap a build function so that each call is recorded."""
+    """Wrap a build function so that each call is recorded, in every
+    package module that binds it (a second binding left unwrapped would
+    cache the same fact under a second key)."""
     calls = []
     build = getattr(module, name)
 
     def counted(graph):
         calls.append(graph)
         return build(graph)
-    monkeypatch.setattr(module, name, counted)
+    for bound in _PACKAGE_MODULES:
+        if getattr(bound, name, None) is build:
+            monkeypatch.setattr(bound, name, counted)
     return calls
 
 
 def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
-    tables = _count_builds(monkeypatch, ecgraph.core, "_color_table")
-    indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
-    removals = _count_builds(monkeypatch, ecgraph.reduction, "_removals")
-    monos = _count_builds(monkeypatch, ecgraph.core, "_max_mono_degree")
+    facts = [_count_builds(monkeypatch, module, name) for module, name in (
+        (ecgraph.core, "_color_table"), (ecgraph.rainbow, "_index"),
+        (ecgraph.reduction, "_removals"), (ecgraph.core, "_max_mono_degree"),
+        (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"),
+        (ecgraph.bounds, "_rt_rows"))]
     g = random_colored(random.Random(83), 9, 0.7, 4)
     assert build_index(g) is build_index(g)
     assert g.color_table() is g.color_table()
     for v in range(g.n):
         triangle_bound_report(g, v)
         color_profile(g, v)
+        color_degree(g, v)
         if mono_degree(g, v) == max_mono_degree(g):
             mono_balance_diagnostics(g, v)
     assert is_edge_minimal(g) == is_edge_minimal(g)
-    edge_minimal_reduce(g)
+    h = edge_minimal_reduce(g)
     for a, xs, b in _ordered_edge_queries(g):
         restriction_count(g, a, xs, b)
     list(edge_restriction_counts(g))
-    assert (tables, indexes, removals, monos) == ([g], [g], [g], [g])
+    # the conclusions reduce h to itself, so every fact they read is h's
+    assert h is not g and edge_minimal_reduce(h) is h
+    for _ in range(2):
+        assert _concl_class_bounds(h, 0) == (True, "")
+        assert _concl_mono_balance(h, 0) == (True, "")
+    assert facts == [[g, h]] * len(facts)
 
 
 def test_derived_graphs_get_their_own_facts():

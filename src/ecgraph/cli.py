@@ -57,9 +57,12 @@ def _read_graph(path: str):
 
 def _check_writable(path: str | None) -> None:
     """Raise, before any work, the OSError that opening ``path`` for writing
-    would raise in a missing or unwritable directory; creates no file."""
+    would raise when it is a directory or lies in a missing or unwritable
+    one; creates no file."""
     if path is None or path == "-":
         return
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or "."
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT

@@ -28,12 +28,17 @@ def _key(u: int, v: int) -> tuple[int, int]:
 class ColoredGraph:
     """Simple undirected graph with one positive color id per edge.
 
-    Adjacency is exposed both as sorted neighbor tuples and as per-vertex
-    bitsets (``adjacency_bits``); triangle enumeration uses bitset
-    intersection.  Isolated vertices are legal and have color degree 0.
+    The per-vertex bitsets (``adjacency_bits``) are the graph's only
+    adjacency: ``neighbors`` walks the bits of one upward and ``degree``
+    counts them, and triangle enumeration uses bitset intersection.  The
+    per-vertex rows derived from it (``color_table`` and ``_color_rows``)
+    are built in one pass over the sorted edges, which meets every
+    vertex's neighbors in ascending order, so each row is keyed in the
+    order of its lowest neighbor.  Isolated vertices are legal and have
+    color degree 0.
     """
 
-    __slots__ = ("n", "_color", "_adj", "_bits", "_edges", "_derived")
+    __slots__ = ("n", "_color", "_bits", "_edges", "_derived")
 
     def __init__(self, n: int, edges: object = (), validate: bool = True):
         """Build a graph on vertices 0..n-1 from (u, v, color) triples."""
@@ -58,11 +63,6 @@ class ColoredGraph:
         self.n = n
         self._color = color
         self._bits = bits
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in color:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = [tuple(sorted(a)) for a in adj]
         self._edges = sorted(color)
         self._derived: dict = {}
 
@@ -88,10 +88,11 @@ class ColoredGraph:
         return dict(self._color)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        """Neighbors of v in ascending order."""
+        return tuple(_members(self._bits[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._bits[v].bit_count()
 
     def adjacency_bits(self, v: int) -> int:
         """Neighbors of v as a bitset (bit u set iff uv is an edge)."""
@@ -151,8 +152,6 @@ class ColoredGraph:
 
 
 def _color_table(graph: ColoredGraph) -> list[dict[int, int]]:
-    """One pass over the sorted edges, which meets every vertex's neighbors
-    in ascending order."""
     table: list[dict[int, int]] = [{} for _ in range(graph.n)]
     for (u, v), c in zip(graph._edges, map(graph._color.get, graph._edges)):
         at_u, at_v = table[u], table[v]
@@ -161,14 +160,23 @@ def _color_table(graph: ColoredGraph) -> list[dict[int, int]]:
     return table
 
 
-def _members(bits: int) -> frozenset[int]:
-    """The vertices of a bitset, inserted in ascending order."""
+def _color_rows(graph: ColoredGraph) -> list[dict[int, int]]:
+    """Per vertex v, each neighbor x mapped to c(vx), in ascending order of
+    x (see :class:`ColoredGraph`); a per-graph fact."""
+    rows: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, v), c in zip(graph._edges, map(graph._color.get, graph._edges)):
+        rows[u][v] = rows[v][u] = c
+    return rows
+
+
+def _members(bits: int) -> list[int]:
+    """The vertices of a bitset in ascending order."""
     out = []
     while bits:
         low = bits & -bits
         out.append(low.bit_length() - 1)
         bits ^= low
-    return frozenset(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,7 @@ def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
     for equal graphs.
     """
     graph._check_vertex(v)
-    classes = {c: _members(bits) for c, bits in graph.color_table()[v].items()}
+    classes = {c: frozenset(_members(bits)) for c, bits in graph.color_table()[v].items()}
     ordered = sorted(classes.items(), key=lambda item: (-len(item[1]), item[0]))
     return ColorDegreeProfile(
         vertex=v,

@@ -162,7 +162,7 @@ def min_vertex_cover(n: int, edges) -> list[int]:
     bound.  Raises for instances above COVER_SIZE_LIMIT vertices, and with
     a ValueError past SEARCH_NODE_LIMIT search nodes.
     """
-    return _cover_search(n, edges, 0)
+    return _cover_search(n, _normalize_edges(n, edges), 0)
 
 
 def _clique_bound(adj: list[int], live: int) -> int:
@@ -183,9 +183,10 @@ def _clique_bound(adj: list[int], live: int) -> int:
     return total
 
 
-def _cover_search(n: int, edges, lower: int) -> list[int]:
-    """``min_vertex_cover`` that may stop as soon as its cover has ``lower``
-    vertices, where ``lower`` is at most the cover number (a matching size).
+def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
+    """``min_vertex_cover`` of the normalized edge list ``es`` that may stop
+    as soon as its cover has ``lower`` vertices, where ``lower`` is at most
+    the cover number (a matching size).
 
     A node is the bitset ``live`` of undecided vertices; the edges left to
     cover are those of G[live].  The greedy initial cover is kept when it
@@ -196,7 +197,6 @@ def _cover_search(n: int, edges, lower: int) -> list[int]:
     """
     if n > COVER_SIZE_LIMIT:
         raise ValueError(f"instance too large for exact cover search (n={n})")
-    es = _normalize_edges(n, edges)
 
     # both endpoints of a greedy maximal matching form a valid initial cover
     best: list[int] = sorted(_greedy_matched(es))
@@ -252,10 +252,15 @@ def cover_number(n: int, edges) -> int:
 
 def connected_components(n: int, edges) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
-    adj = _adjacency(n, _normalize_edges(n, edges))
-    seen = [False] * n
+    return _components(_adjacency(n, _normalize_edges(n, edges)), ())
+
+
+def _components(adj: list[list[int]], removed) -> list[tuple[int, ...]]:
+    """Components of the graph minus the vertices ``removed``, as sorted
+    vertex tuples ordered by smallest vertex."""
+    seen = [v in removed for v in range(len(adj))]
     comps = []
-    for s in range(n):
+    for s in range(len(adj)):
         if seen[s]:
             continue
         stack = [s]
@@ -355,9 +360,7 @@ def gallai_partition(n: int, edges, matching) -> GallaiPartition:
     outer = _alternating_forest(adj, match, unsaturated)
     v0 = frozenset(w for u, v in es for a, w in ((u, v), (v, u))
                    if outer[a] and not outer[w])
-    rest_edges = [e for e in es if e[0] not in v0 and e[1] not in v0]
-    comps = tuple(c for c in connected_components(n, rest_edges)
-                  if c[0] not in v0)
+    comps = tuple(_components(adj, v0))
 
     x = n
     alpha = tuple(m) + tuple((v, x) for v in unsaturated)
@@ -371,13 +374,13 @@ def gallai_partition(n: int, edges, matching) -> GallaiPartition:
         gamma_edges=gamma,
         virtual_vertex=x,
     )
-    problems = _partition_violations(part, eset)
+    problems = _partition_violations(part)
     if problems:
         raise RuntimeError("partition invariant violated: " + "; ".join(problems))
     return part
 
 
-def _partition_violations(part: GallaiPartition, eset: set) -> list[str]:
+def _partition_violations(part: GallaiPartition) -> list[str]:
     """Internal consistency checks: the size identity, the placement of
     matching edges around v0, and saturation of v0."""
     problems = []
@@ -476,7 +479,7 @@ def verify_partition_lemmas(n: int, edges, part: GallaiPartition) -> PartitionDi
     p = part.p
 
     size_identity = a == v0 + sum(len(c) // 2 for c in part.components)
-    structure = not _partition_violations(part, eset)
+    structure = not _partition_violations(part)
     chain = beta <= n - p <= 2 * a - v0
 
     applicable = n >= 2 * a + 2
@@ -504,7 +507,7 @@ def verify_partition_lemmas(n: int, edges, part: GallaiPartition) -> PartitionDi
         cover=tuple(cover),
         v0_size=v0,
         p=p,
-        connected=is_connected(n, es),
+        connected=len(_components(_adjacency(n, es), ())) <= 1,
         size_identity_ok=size_identity,
         structure_ok=structure,
         chain_ok=chain,

@@ -9,11 +9,10 @@ which keeps outputs deterministic.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import ColoredGraph
+from .core import ColoredGraph, _color_rows
 from .matching import _node_budget, max_matching
 
 
@@ -39,24 +38,17 @@ class RainbowTriangleIndex:
         return sum(self.rt_pair(v, x) for x in others)
 
 
-def _color_rows(graph: ColoredGraph) -> list[dict[int, int]]:
-    """Per vertex v, each neighbor x mapped to c(vx)."""
-    rows: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), c in graph.edge_colors().items():
-        rows[u][v] = rows[v][u] = c
-    return rows
-
-
 def _rainbow_links(graph: ColoredGraph, v: int, lo: int):
     """Pairs (x, y) with lo <= x < y such that v, x, y is a rainbow
-    triangle, in lexicographic order: x walks N(v) upward from lo, and y
-    the bits of N(v) & N(x) above x."""
+    triangle, in lexicographic order: x walks N(v) upward from lo (the row
+    of v past its neighbors below lo), and y the bits of N(v) & N(x) above
+    x."""
     rows = graph.derived(_color_rows)
     row = rows[v]
     nv = graph.adjacency_bits(v)
-    nbrs = graph.neighbors(v)
-    for x in nbrs[bisect_left(nbrs, lo):]:
-        cvx, row_x = row[x], rows[x]
+    below = (nv & ((1 << lo) - 1)).bit_count()
+    for x, cvx in itertools.islice(row.items(), below, None):
+        row_x = rows[x]
         common = (nv & graph.adjacency_bits(x)) >> (x + 1)
         while common:
             low = common & -common

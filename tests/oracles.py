@@ -14,6 +14,7 @@ from fractions import Fraction
 from ecgraph.bounds import ClassBound, MonoBalanceDiagnostics, TriangleBoundReport
 from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
                           mono_degree)
+from ecgraph.matching import GallaiPartition, PartitionDiagnostics
 from ecgraph.rainbow import build_index, rainbow_edge_graph
 from ecgraph.reduction import is_edge_minimal
 
@@ -625,4 +626,138 @@ def mono_balance_diagnostics_reference(g: ColoredGraph, v: int):
         cond_c_applicable=cond_c_applicable,
         cond_c=cond_c,
         edge_minimal=minimal,
+    )
+
+
+def _reference_components(n: int, es: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Components as sorted vertex tuples, ordered by smallest vertex."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in es:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack, comp = [s], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def partition_violations_reference(part: GallaiPartition) -> list[str]:
+    """``matching._partition_violations`` frozen with its messages."""
+    problems = []
+    comp_of = {v: i for i, comp in enumerate(part.components) for v in comp}
+    if (part.v0 | set(comp_of)) != set(range(part.n)) or part.v0 & set(comp_of):
+        problems.append("v0 and components do not partition the vertex set")
+    rhs = len(part.v0) + sum(len(c) // 2 for c in part.components)
+    if part.alpha_prime != rhs:
+        problems.append(f"size identity fails: {part.alpha_prime} != {rhs}")
+    if not part.v0 <= {v for e in part.matching for v in e}:
+        problems.append("v0 contains an unsaturated vertex")
+    odd = {i for i, c in enumerate(part.components) if len(c) % 2 == 1}
+    hits = {i: 0 for i in odd}
+    x = part.virtual_vertex
+    for u, v in part.alpha_edges:
+        if not any(w == x or w in part.v0 for w in (u, v)):
+            continue
+        others = [w for w in (u, v) if w != x and w not in part.v0]
+        if len(others) != 1 or comp_of.get(others[0]) not in odd:
+            problems.append(f"alpha edge ({u}, {v}) not matched to an odd component")
+            continue
+        hits[comp_of[others[0]]] += 1
+    for i in odd:
+        if hits[i] != 1:
+            problems.append(
+                f"odd component {i} meets {hits[i]} alpha edges at gamma vertices")
+    return problems
+
+
+def gallai_partition_reference(n: int, edges, matching) -> GallaiPartition:
+    """``matching.gallai_partition`` frozen as it stood when it took the
+    components of G - V_0 from a second validated edge list, with the
+    frozen blossom matching for the maximality check and V_0 by definition
+    (``gamma_vertices_deletion_reference``) in place of the shared search."""
+    es = _reference_normalize_edges(n, edges)
+    eset = set(es)
+    m = _reference_normalize_edges(n, matching)
+    match = [-1] * n
+    for u, v in m:
+        if (u, v) not in eset:
+            raise ValueError(f"matching edge ({u}, {v}) not in graph")
+        if match[u] != -1 or match[v] != -1:
+            raise ValueError("matching edges are not disjoint")
+        match[u], match[v] = v, u
+    maximum = len(blossom_matching_reference(n, es))
+    if len(m) < maximum:
+        raise ValueError(f"matching has size {len(m)}, maximum is {maximum}")
+    if n <= 2 * len(m):
+        raise ValueError("partition undefined: n <= 2 * alpha'")
+    v0 = gamma_vertices_deletion_reference(n, es)
+    rest_edges = [e for e in es if e[0] not in v0 and e[1] not in v0]
+    comps = tuple(c for c in _reference_components(n, rest_edges) if c[0] not in v0)
+    unsaturated = [v for v in range(n) if match[v] == -1]
+    part = GallaiPartition(
+        n=n,
+        matching=tuple(m),
+        v0=v0,
+        components=comps,
+        alpha_edges=tuple(m) + tuple((v, n) for v in unsaturated),
+        gamma_edges=tuple((u, v) for u, v in es if match[u] != v),
+        virtual_vertex=n,
+    )
+    problems = partition_violations_reference(part)
+    if problems:
+        raise RuntimeError("partition invariant violated: " + "; ".join(problems))
+    return part
+
+
+def verify_partition_lemmas_reference(n: int, edges, part: GallaiPartition
+                                      ) -> PartitionDiagnostics:
+    """``matching.verify_partition_lemmas`` frozen as it stood when it
+    revalidated its edges for the cover and the connectivity test, with the
+    frozen cover search in place of the bitset one."""
+    es = _reference_normalize_edges(n, edges)
+    eset = set(es)
+    cover = min_vertex_cover_reference(n, es)
+    beta = len(cover)
+    a = part.alpha_prime
+    v0 = len(part.v0)
+    p = part.p
+    applicable = n >= 2 * a + 2
+    tight_applicable = applicable and beta == 2 * a - 1
+    tight_comps = tight_cover = None
+    if tight_applicable:
+        tight_comps = all(
+            len(c) % 2 == 1 and all((x, y) in eset for x, y in itertools.combinations(c, 2))
+            for c in part.components)
+        candidate = sorted(part.v0) + [v for c in part.components for v in c[1:]]
+        covers = all(u in candidate or v in candidate for u, v in es)
+        tight_cover = beta == n - p and covers and len(candidate) == beta
+    return PartitionDiagnostics(
+        n=n,
+        alpha_prime=a,
+        beta=beta,
+        cover=tuple(cover),
+        v0_size=v0,
+        p=p,
+        connected=len(_reference_components(n, es)) <= 1,
+        size_identity_ok=a == v0 + sum(len(c) // 2 for c in part.components),
+        structure_ok=not partition_violations_reference(part),
+        chain_ok=beta <= n - p <= 2 * a - v0,
+        strong_applicable=applicable,
+        strong_beta_ok=beta <= 2 * a - 1 if applicable else None,
+        strong_v0_ok=v0 >= 1 if applicable else None,
+        tight_applicable=tight_applicable,
+        tight_comps_ok=tight_comps,
+        tight_cover_ok=tight_cover,
     )

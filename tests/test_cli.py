@@ -152,12 +152,16 @@ def test_unwritable_output_is_usage_error(argv, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(ecgraph.cli, work, no_work)
     src = tmp_path / "p5.ecg"
     src.write_text(P5_ECG)
+    argv = [arg.format(src=src) for arg in argv]
     out = tmp_path / "missing-dir" / "out"
-    argv = [arg.format(src=src) for arg in argv] + [str(out)]
-    assert main(argv) == 2
+    assert main(argv + [str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot open {out}: No such file or directory\n"
     assert not out.parent.exists()
+    # an existing directory is refused the same way, before any work
+    assert main(argv + [str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot open {tmp_path}: Is a directory\n"
 
 
 def test_usage_error_creates_and_truncates_no_output(tmp_path):

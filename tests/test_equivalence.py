@@ -55,6 +55,7 @@ from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
     color_classes_reference,
+    gallai_partition_reference,
     gamma_vertices_deletion_reference,
     min_vertex_cover_reference,
     mono_balance_diagnostics_reference,
@@ -68,6 +69,7 @@ from oracles import (
     restriction_count_reference,
     strict_class_bounds_reference,
     triangle_bound_report_reference,
+    verify_partition_lemmas_reference,
     vertex_lower_half_sum_reference,
 )
 
@@ -80,11 +82,11 @@ from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_co
                                 sample_random_colored)
 from ecgraph.harness import (_concl_class_bounds, _concl_mono_balance,
                              _concl_restriction, _repair_color_degree)
-from ecgraph.matching import (_cover_search, _greedy_matched, _normalize_edges,
-                              gallai_partition, max_matching, min_vertex_cover,
-                              verify_partition_lemmas)
-from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, build_index, find_fan,
-                             has_rainbow_triangle, max_fan, rainbow_edge_graph)
+from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
+                              _normalize_edges, gallai_partition, max_matching,
+                              min_vertex_cover, verify_partition_lemmas)
+from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, _rainbow_links, build_index,
+                             find_fan, has_rainbow_triangle, max_fan, rainbow_edge_graph)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
 
 
@@ -210,6 +212,66 @@ def test_v0_matches_deletion_reference_on_partition_shapes():
         for left, right, p in ((36, 20, 0.15), (30, 18, 0.25), (25, 6, 0.4), (40, 12, 0.08)):
             shapes += _check_v0(*_bipartite(rng, left, right, p), rng) is not None
     assert shapes == 42
+
+
+def _raised(call, *args) -> str | None:
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _check_partition(rng: random.Random, n: int, edges) -> GallaiPartition | None:
+    """Both partition functions against their frozen references, fed the
+    edges and the matching with random orientation and repeats; also a
+    matching one short of maximum, and the diagnostics of the partition
+    against a subgraph and of a partition missing its first component.
+    Returns the partition where it is defined."""
+    def messy(pairs):
+        out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        return out + rng.sample(out, len(out) // 4)
+
+    m = max_matching(n, edges)
+    if m:
+        short = m[:-1]
+        assert _raised(gallai_partition, n, edges, short) == \
+            _raised(gallai_partition_reference, n, edges, short) is not None
+    if n <= 2 * len(m):
+        assert _raised(gallai_partition, n, edges, m) == \
+            _raised(gallai_partition_reference, n, edges, m) is not None
+        return None
+    part = gallai_partition(n, messy(edges), messy(m))
+    expected = gallai_partition_reference(n, edges, m)
+    assert part == expected
+    sub = [e for e in edges if rng.random() < 0.7]
+    broken = dataclasses.replace(part, components=part.components[1:])
+    for es, given in ((edges, part), (sub, part), (edges, broken)):
+        assert verify_partition_lemmas(n, messy(es), given) == \
+            verify_partition_lemmas_reference(n, es, given)
+    return part
+
+
+def test_partition_pipeline_matches_frozen_reference():
+    rng = random.Random(101)
+    seen = {"disconnected": 0, "isolated": 0, "v0": 0, "v0 and disconnected": 0,
+            "tight": 0}
+    for _ in range(600):
+        n = rng.randint(1, 16)
+        p = min(1.0, rng.uniform(0.2, 4.0) / n) if rng.random() < 0.7 else rng.uniform(0.2, 0.9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        part = _check_partition(rng, n, edges)
+        if part is None:
+            continue
+        diag = verify_partition_lemmas(n, edges, part)
+        seen["disconnected"] += not diag.connected
+        seen["isolated"] += any(all(v not in e for e in edges) for v in range(n))
+        seen["v0"] += bool(part.v0)
+        seen["v0 and disconnected"] += bool(part.v0) and not diag.connected
+        seen["tight"] += diag.tight_applicable
+    for sizes in ([7, 5, 5, 3, 3], [5, 3, 3, 3]):
+        assert _check_partition(rng, *odd_pieces(rng, sizes)).v0
+    assert min(seen.values()) >= 30, seen
 
 
 def _check_cover(n: int, edges) -> bool:
@@ -396,6 +458,47 @@ def test_color_queries_match_edge_colors():
         _check_color_queries(edge_minimal_reduce(derived))
         _check_color_queries(g)
     assert isolated >= 40
+
+
+def _check_adjacency(g: ColoredGraph) -> None:
+    """neighbors, degree and the link scan against a count from edge_colors."""
+    ref = [[] for _ in range(g.n)]
+    for u, v in g.edge_colors():
+        ref[u].append(v)
+        ref[v].append(u)
+    for v in range(g.n):
+        assert g.neighbors(v) == tuple(sorted(ref[v]))
+        assert g.degree(v) == len(ref[v])
+        links = list(_rainbow_links(g, v, 0))
+        for lo in range(g.n + 1):
+            assert list(_rainbow_links(g, v, lo)) == [(x, y) for x, y in links if x >= lo]
+
+
+def test_adjacency_queries_match_edge_colors():
+    for g in (ColoredGraph(0), ColoredGraph(1), ColoredGraph(3),
+              ColoredGraph(5, [(3, 1, 2), (1, 0, 2), (0, 3, 7)]),  # 2 and 4 isolated
+              ColoredGraph(4, [(2, 3, 1), (1, 3, 2), (1, 2, 3), (0, 3, 3), (0, 1, 1)])):
+        _check_adjacency(g)
+    links = 0
+    for rng, g in _corpus(seed=97, count=300):
+        # the same graph from its edges in shuffled input order
+        triples = [(u, v, c) for (u, v), c in g.edge_colors().items()]
+        rng.shuffle(triples)
+        shuffled = ColoredGraph(g.n, [(v, u, c) if rng.random() < 0.5 else (u, v, c)
+                                      for u, v, c in triples])
+        for h in (g, shuffled, edge_minimal_reduce(g)):
+            _check_adjacency(h)
+        links += sum(len(list(_rainbow_links(g, v, 0))) for v in range(g.n))
+        if g.n < 2:
+            continue
+        u, v = rng.sample(range(g.n), 2)
+        if g.has_edge(u, v):
+            derived = g.without_edge(u, v)
+        else:
+            derived = g.with_edge(u, v, rng.randint(1, 6))
+        _check_adjacency(derived)
+        _check_adjacency(edge_minimal_reduce(derived))
+    assert links >= 1000
 
 
 def test_rainbow_triangle_scan_matches_naive():

@@ -273,3 +273,21 @@ def test_eg_partition_computes_one_matching_per_sampled_graph(monkeypatch):
     report = verify(TheoremSpec(id="eg_partition", budget=40, seed=1))
     assert report.ok and report.samples_admitted == 40
     assert len(calls) == report.samples_attempted > report.samples_admitted
+
+
+def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
+    import ecgraph.matching
+
+    normalize = ecgraph.matching._normalize_edges
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return normalize(n, edges)
+
+    # one validation per sampled graph (its matching), then the graph and
+    # the matching in gallai_partition and the graph in the diagnostics
+    monkeypatch.setattr(ecgraph.matching, "_normalize_edges", counting)
+    report = verify(TheoremSpec(id="eg_partition", budget=100, seed=1))
+    assert report.ok and report.samples_admitted == 100
+    assert len(calls) <= report.samples_attempted + 3 * report.samples_admitted

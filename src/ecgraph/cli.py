@@ -12,7 +12,7 @@ import os
 import sys
 
 from .core import load_ecg, max_mono_degree, min_color_degree, save_ecg
-from .generators import GeneratorSpec, generate
+from .generators import KINDS, GeneratorSpec, generate
 from .bounds import counting_lower_bound
 from .harness import (
     CLAIMS,
@@ -57,15 +57,19 @@ def _read_graph(path: str):
 
 def _check_writable(path: str | None) -> None:
     """Raise, before any work, the OSError that opening ``path`` for writing
-    would raise when it is a directory or lies in a missing or unwritable
-    one; creates no file."""
+    would raise when it is a directory, or when its parent is missing, is
+    not a directory or is unwritable; creates no file."""
     if path is None or path == "-":
         return
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or "."
+    try:
+        os.stat(parent)  # a missing parent, or a regular file above it
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-        code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+        code = errno.EACCES if os.path.isdir(parent) else errno.ENOTDIR
         raise OSError(code, os.strerror(code), path)
 
 
@@ -84,9 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance in ECG format")
-    g.add_argument("--kind", required=True,
-                   choices=["example1", "random_colored", "proper_complete",
-                            "complete_multipartite"])
+    g.add_argument("--kind", required=True, choices=KINDS)
     g.add_argument("--k", type=int, help="parameter for example1")
     g.add_argument("--n", type=int, help="vertex count")
     g.add_argument("--p", type=float, default=0.5, help="edge probability")

@@ -1,11 +1,17 @@
 """Sampling harness: hypothesis enforcement, conclusion checks, reports.
 
 Every registered claim pairs a hypothesis predicate with a conclusion
-predicate, both total functions of a graph.  The sampler admits a graph
-only when the hypothesis holds; admission combines rejection sampling with
-a repair mode that raises deficient color degrees by adding fresh-colored
-edges, followed by a full re-check (so repair can never smuggle in a
-hypothesis-violating graph).
+predicate, both total functions of a graph.  A :class:`Claim` holds its id
+and description, ``min_k`` (None when it takes no k), the name of its
+sampler, the order condition, the color-degree target, an optional extra
+graph hypothesis and the conclusion.  The certificate conclusions (book,
+fan, disjoint family, spanning fan) come from one factory,
+:func:`_certified`.
+
+The sampler admits a graph only when the hypothesis holds; admission
+combines rejection sampling with a repair mode that raises deficient color
+degrees by adding fresh-colored edges, followed by a full re-check (so
+repair can never smuggle in a hypothesis-violating graph).
 
 The whole sample stream is a deterministic function of (spec, seed).
 Repair is part of it: it always works on the first deficient vertex in
@@ -60,21 +66,46 @@ def _ceil_half(a: int) -> int:
     return (a + 1) // 2
 
 
+def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
+                        validate=False)
+
+
+# sampler name -> (n, p, spec, rng) -> graph; the names are looked up at
+# call time, so a module-level rebinding (for tracing) is seen
+_SAMPLERS = {
+    "random": lambda n, p, spec, rng: sample_random_colored(
+        n, p, rng.randint(*spec.c_range), rng),
+    "injective": lambda n, p, spec, rng: _sample_injective(n, p, rng),
+    "proper_complete": lambda n, p, spec, rng: gen_proper_complete(
+        n, rng.getrandbits(32)),
+}
+
+
 @dataclass(frozen=True)
 class Claim:
-    """Hypothesis/conclusion pair for one verifiable statement."""
+    """Hypothesis/conclusion pair for one verifiable statement.
+
+    ``min_k`` is the least k the claim takes, or None for a claim without
+    k; ``sampler`` names the graphs drawn before repair: "random" (random
+    palette), "injective" (every edge its own color, i.e. uncolored) or
+    "proper_complete".
+    """
 
     id: str
     description: str
-    needs_k: bool = False
-    min_k: int = 2
-    colored: bool = True
-    sampler: str = "random"  # or "proper_complete"
+    min_k: int | None = None
+    sampler: str = "random"
     n_condition: Callable[[int, int], bool] = lambda n, k: n >= 1
     delta_target: Callable[[int, int], int] | None = None
     graph_hypothesis: Callable[[ColoredGraph, int], bool] | None = None
     conclusion: Callable[[ColoredGraph, int], tuple[bool, str]] = \
         lambda g, k: (True, "")
+
+    def __post_init__(self):
+        if self.sampler not in _SAMPLERS:
+            raise ValueError(f"unknown sampler {self.sampler!r} for claim {self.id!r}")
 
     def hypothesis(self, graph: ColoredGraph, k: int) -> bool:
         """Full independent hypothesis check on a concrete graph."""
@@ -94,18 +125,25 @@ def _concl_rainbow_triangle(g: ColoredGraph, k: int) -> tuple[bool, str]:
     return (True, "") if has_rainbow_triangle(g) else (False, "no rainbow triangle")
 
 
-def _concl_book(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    cert = find_book(g, k)
-    if cert is not None and cert.self_check(g):
-        return True, ""
-    return False, f"no {k} rainbow triangles on a common edge (max {max_book(g)})"
+def _certified(search, gap):
+    """Conclusion that holds iff ``search(g, k)`` returns a certificate that
+    passes its own self-check; ``gap(g, k)`` runs only on failure."""
+    def conclusion(g: ColoredGraph, k: int) -> tuple[bool, str]:
+        cert = search(g, k)
+        if cert is not None and cert.self_check(g):
+            return True, ""
+        return False, gap(g, k)
+    return conclusion
 
 
-def _concl_fan(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    cert = find_fan(g, k)
-    if cert is not None and cert.self_check(g):
-        return True, ""
-    return False, f"no {k} rainbow triangles at a common vertex (max {max_fan(g)})"
+_concl_book = _certified(find_book, lambda g, k: (
+    f"no {k} rainbow triangles on a common edge (max {max_book(g)})"))
+_concl_fan = _certified(find_fan, lambda g, k: (
+    f"no {k} rainbow triangles at a common vertex (max {max_fan(g)})"))
+_concl_disjoint = _certified(find_disjoint_rainbow_triangles,
+                             lambda g, k: f"no {k} vertex-disjoint rainbow triangles")
+_concl_spanning_fan = _certified(lambda g, k: find_pc_spanning_fan(g),
+                                 lambda g, k: "no properly colored spanning fan")
 
 
 def _concl_class_bounds(g: ColoredGraph, k: int) -> tuple[bool, str]:
@@ -179,20 +217,6 @@ def _concl_partition(g: ColoredGraph, k: int) -> tuple[bool, str]:
     return True, ""
 
 
-def _concl_disjoint(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    cert = find_disjoint_rainbow_triangles(g, k)
-    if cert is not None and cert.self_check(g):
-        return True, ""
-    return False, f"no {k} vertex-disjoint rainbow triangles"
-
-
-def _concl_spanning_fan(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    cert = find_pc_spanning_fan(g)
-    if cert is not None and cert.self_check(g):
-        return True, ""
-    return False, "no properly colored spanning fan"
-
-
 CLAIMS: dict[str, Claim] = {}
 
 
@@ -211,7 +235,7 @@ def _register_builtin_claims() -> None:
         id="book_bk",
         description="n >= 3k-2 and min color degree >= (n+k-1)/2 force k "
                     "rainbow triangles on one edge",
-        needs_k=True,
+        min_k=2,
         n_condition=lambda n, k: n >= 3 * k - 2,
         delta_target=lambda n, k: _ceil_half(n + k - 1),
         conclusion=_concl_book,
@@ -220,7 +244,7 @@ def _register_builtin_claims() -> None:
         id="fan_fk",
         description="n >= 2k+9 and min color degree >= (n+2k-3)/2 force k "
                     "rainbow triangles at one vertex",
-        needs_k=True,
+        min_k=2,
         n_condition=lambda n, k: n >= 2 * k + 9,
         delta_target=lambda n, k: _ceil_half(n + 2 * k - 3),
         conclusion=_concl_fan,
@@ -267,7 +291,7 @@ def _register_builtin_claims() -> None:
     register_claim(Claim(
         id="eg_partition",
         description="matching/cover partition identities hold",
-        colored=False,
+        sampler="injective",
         graph_hypothesis=lambda g, k: g.n > 2 * len(g.derived(_max_matching)),
         conclusion=_concl_partition,
     ))
@@ -275,8 +299,8 @@ def _register_builtin_claims() -> None:
         id="lemma3_uncolored",
         description="uncolored: n >= 3k-2 and min degree >= (n+k-1)/2 force "
                     "k triangles on one edge",
-        needs_k=True,
-        colored=False,
+        min_k=2,
+        sampler="injective",
         n_condition=lambda n, k: n >= 3 * k - 2,
         delta_target=lambda n, k: _ceil_half(n + k - 1),
         conclusion=_concl_book,
@@ -285,8 +309,8 @@ def _register_builtin_claims() -> None:
         id="prop_fan_uncolored",
         description="uncolored: n >= 3k-1 and min degree >= (n+k-1)/2 force "
                     "k triangles at one vertex",
-        needs_k=True,
-        colored=False,
+        min_k=2,
+        sampler="injective",
         n_condition=lambda n, k: n >= 3 * k - 1,
         delta_target=lambda n, k: _ceil_half(n + k - 1),
         conclusion=_concl_fan,
@@ -295,8 +319,8 @@ def _register_builtin_claims() -> None:
         id="prop_fan_halfdeg",
         description="uncolored: n >= 50k^2 and min degree >= (n+1)/2 force "
                     "k triangles at one vertex",
-        needs_k=True,
-        colored=False,
+        min_k=2,
+        sampler="injective",
         n_condition=lambda n, k: n >= 50 * k * k,
         delta_target=lambda n, k: _ceil_half(n + 1),
         conclusion=_concl_fan,
@@ -305,8 +329,8 @@ def _register_builtin_claims() -> None:
         id="prop_book_halfdeg",
         description="uncolored: n >= 6k and min degree >= (n+1)/2 force "
                     "k triangles on one edge",
-        needs_k=True,
-        colored=False,
+        min_k=2,
+        sampler="injective",
         n_condition=lambda n, k: n >= 6 * k,
         delta_target=lambda n, k: _ceil_half(n + 1),
         conclusion=_concl_book,
@@ -324,7 +348,6 @@ def _register_builtin_claims() -> None:
         id="hly_conjecture",
         description="n >= 3k and min color degree >= (n+k)/2 suggest k "
                     "vertex-disjoint rainbow triangles (open conjecture)",
-        needs_k=True,
         min_k=1,
         n_condition=lambda n, k: n >= 3 * k,
         delta_target=lambda n, k: _ceil_half(n + k),
@@ -411,12 +434,6 @@ def emit_report(report: Report, path) -> None:
     write_json(report.to_json(), path)
 
 
-def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
-                        validate=False)
-
-
 def _repair_color_degree(graph: ColoredGraph, target: int,
                          rng: random.Random) -> ColoredGraph | None:
     """Raise every color degree to ``target`` by adding fresh-colored edges
@@ -461,9 +478,8 @@ def verify(spec: TheoremSpec) -> Report:
         raise ValueError(f"unknown claim id {spec.id!r}")
     claim = CLAIMS[spec.id]
     k = spec.k if spec.k is not None else 0
-    if claim.needs_k:
-        if spec.k is None or spec.k < claim.min_k:
-            raise ValueError(f"claim {spec.id!r} needs k >= {claim.min_k}")
+    if claim.min_k is not None and (spec.k is None or spec.k < claim.min_k):
+        raise ValueError(f"claim {spec.id!r} needs k >= {claim.min_k}")
     lo, hi = spec.n_range
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {spec.n_range}")
@@ -493,13 +509,7 @@ def verify(spec: TheoremSpec) -> Report:
         report.samples_attempted += 1
         n = rng.choice(feasible)
         p = rng.uniform(*spec.p_range)
-        if claim.sampler == "proper_complete":
-            g = gen_proper_complete(n, rng.getrandbits(32))
-        elif claim.colored:
-            c = rng.randint(*spec.c_range)
-            g = sample_random_colored(n, p, c, rng)
-        else:
-            g = _sample_injective(n, p, rng)
+        g = _SAMPLERS[claim.sampler](n, p, spec, rng)
         if claim.delta_target is not None:
             g = _repair_color_degree(g, claim.delta_target(n, k), rng)
         if g is None or not claim.hypothesis(g, k):

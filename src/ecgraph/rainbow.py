@@ -59,6 +59,26 @@ def _rainbow_links(graph: ColoredGraph, v: int, lo: int):
                 yield x, y
 
 
+def _proper_links(graph: ColoredGraph, v: int):
+    """Pairs (x, y) with x < y in N(v) such that v, x, y is a properly
+    colored triangle: c(xy) differs from c(vx) and c(vy), while
+    c(vx) == c(vy) is allowed.  Lexicographic order, walked as in
+    :func:`_rainbow_links`."""
+    rows = graph.derived(_color_rows)
+    row = rows[v]
+    nv = graph.adjacency_bits(v)
+    for x, cvx in row.items():
+        row_x = rows[x]
+        common = (nv & graph.adjacency_bits(x)) >> (x + 1)
+        while common:
+            low = common & -common
+            common ^= low
+            y = x + low.bit_length()
+            cxy = row_x[y]
+            if cxy != cvx and cxy != row[y]:
+                yield x, y
+
+
 def _rainbow_triangles(graph: ColoredGraph):
     """Rainbow triangles (u, v, w) with u < v < w in lexicographic order,
     which is edge uv in lexicographic order and then ascending apex w.
@@ -209,8 +229,7 @@ def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
 
 
 def _fan_matching(graph: ColoredGraph, v: int) -> list[tuple[int, int]]:
-    sub = rainbow_edge_graph(graph, v)
-    return max_matching(graph.n, sub.edges)
+    return max_matching(graph.n, _rainbow_links(graph, v, 0))
 
 
 def max_fan(graph: ColoredGraph) -> int:
@@ -291,40 +310,22 @@ def max_disjoint_rainbow_triangles(graph: ColoredGraph) -> int:
 
 
 def find_pc_spanning_fan(graph: ColoredGraph) -> Certificate | None:
-    """Properly colored fan covering all vertices, for odd n.
+    """Properly colored fan covering all vertices, for odd n >= 3.
 
-    Looks for a center v and a perfect matching M on the remaining
-    vertices such that each triangle v, x, y (xy in M) is properly colored:
-    c(vx) != c(xy) and c(xy) != c(yv), while c(vx) == c(vy) is allowed.
-    Raises ValueError past SEARCH_NODE_LIMIT nodes over all centers.
+    The center v must see every other vertex, and the rims must form a
+    perfect matching of v's proper links (:func:`_proper_links`): each
+    triangle v, x, y has c(vx) != c(xy) and c(xy) != c(yv), while
+    c(vx) == c(vy) is allowed.  So each center of degree n-1 costs one
+    maximum matching, and the first center whose matching is perfect wins.
     """
-    if graph.n % 2 == 0:
-        raise ValueError("spanning fan needs an odd vertex count")
-    visit = _node_budget("find_pc_spanning_fan")
-
-    def matchable(v: int, free: list[int], picked: list[tuple[int, int]]) -> bool:
-        visit()
-        if not free:
-            return True
-        x = free[0]
-        rest = free[1:]
-        for idx, y in enumerate(rest):
-            if not (graph.has_edge(x, y) and graph.has_edge(v, x)
-                    and graph.has_edge(v, y)):
-                continue
-            cxy = graph.color(x, y)
-            if cxy == graph.color(v, x) or cxy == graph.color(v, y):
-                continue
-            picked.append((x, y))
-            if matchable(v, rest[:idx] + rest[idx + 1:], picked):
-                return True
-            picked.pop()
-        return False
-
-    for v in range(graph.n):
-        others = [w for w in range(graph.n) if w != v]
-        picked: list[tuple[int, int]] = []
-        if matchable(v, others, picked):
-            tris = tuple(tuple(sorted((v, x, y))) for x, y in picked)
+    n = graph.n
+    if n < 3 or n % 2 == 0:
+        raise ValueError("spanning fan needs an odd vertex count of at least 3")
+    for v in range(n):
+        if graph.degree(v) < n - 1:
+            continue
+        matched = max_matching(n, _proper_links(graph, v))
+        if 2 * len(matched) == n - 1:
+            tris = tuple(tuple(sorted((v, x, y))) for x, y in matched)
             return Certificate(kind="spanning_fan", base=v, triangles=tris)
     return None

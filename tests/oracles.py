@@ -153,6 +153,50 @@ def brute_spanning_fan_exists(g: ColoredGraph) -> bool:
                for v in range(g.n))
 
 
+def find_pc_spanning_fan_reference(g: ColoredGraph):
+    """Frozen backtracking search for a properly colored spanning fan:
+    (center, rims) for the first center in index order that has one, or
+    None.  Pairs the lowest free vertex first and has no node limit, so it
+    is exponential on no-instances such as :func:`two_odd_cliques`."""
+
+    def matchable(v: int, free: list[int], picked: list[tuple[int, int]]) -> bool:
+        if not free:
+            return True
+        x = free[0]
+        rest = free[1:]
+        for idx, y in enumerate(rest):
+            if not (g.has_edge(x, y) and g.has_edge(v, x) and g.has_edge(v, y)):
+                continue
+            cxy = g.color(x, y)
+            if cxy == g.color(v, x) or cxy == g.color(v, y):
+                continue
+            picked.append((x, y))
+            if matchable(v, rest[:idx] + rest[idx + 1:], picked):
+                return True
+            picked.pop()
+        return False
+
+    for v in range(g.n):
+        picked: list[tuple[int, int]] = []
+        if matchable(v, [w for w in range(g.n) if w != v], picked):
+            return v, picked
+    return None
+
+
+def two_odd_cliques(n: int) -> ColoredGraph:
+    """Odd n: center 0 joined to two disjoint odd cliques, of sizes as
+    equal as possible, that cover the other n-1 vertices; every edge has its
+    own color.  Every link of 0 lies inside one clique, and an odd clique
+    has no perfect matching, so there is no spanning fan at 0; every other
+    vertex misses the far clique."""
+    a = (n - 1) // 2
+    a += 1 - a % 2  # the larger clique first, where the backtracking starts
+    parts = (range(1, a + 1), range(a + 1, n))
+    es = [(0, v) for v in range(1, n)]
+    es += [e for part in parts for e in itertools.combinations(part, 2)]
+    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(es)])
+
+
 def gallai_sets_oracle(n: int, edges) -> tuple[set[int], set[int]]:
     """(D, A): vertices missable by some maximum matching, and their
     outside neighborhood.  Uses only the brute matching counter."""

@@ -185,7 +185,7 @@ def test_criterion_08_partition_identities():
         return True, ""
 
     claim = Claim(
-        id="_suite8", description="criterion 8 corpus", colored=False,
+        id="_suite8", description="criterion 8 corpus", sampler="injective",
         graph_hypothesis=lambda g, k: g.n > 2 * len(max_matching(g.n, g.edges)),
         conclusion=conclusion)
     CLAIMS["_suite8"] = claim

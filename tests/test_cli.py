@@ -162,6 +162,11 @@ def test_unwritable_output_is_usage_error(argv, monkeypatch, tmp_path, capsys):
     assert main(argv + [str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot open {tmp_path}: Is a directory\n"
+    # so is a path below a regular file, with the reason open would give
+    for out in (src / "x", src / "sub" / "x"):
+        assert main(argv + [str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot open {out}: Not a directory\n"
 
 
 def test_usage_error_creates_and_truncates_no_output(tmp_path):
@@ -196,8 +201,6 @@ def test_internal_runtime_error_is_not_a_usage_error(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, search", [
-    (["verify", "--theorem", "fact_spanning_fan", "--n", "7", "--budget", "1"],
-     "find_pc_spanning_fan"),
     (["hly-search", "--k", "2", "--n", "6:8", "--budget", "1"],
      "find_disjoint_rainbow_triangles"),
 ])

@@ -35,6 +35,10 @@
   itself, not only its size, must equal the frozen edge-list search in
   ``oracles.py``, through ``min_vertex_cover`` and through
   ``verify_partition_lemmas``.
+- A properly colored spanning fan is a perfect matching of the center's
+  proper links; the frozen backtracking in ``oracles.py`` must find one at
+  the same first center, or none.  The certificate conclusions come from
+  one factory; each must give the same (ok, gap) as its frozen body.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import ecgraph.reduction
 from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
+    find_pc_spanning_fan_reference,
     color_classes_reference,
     gallai_partition_reference,
     gamma_vertices_deletion_reference,
@@ -69,6 +74,7 @@ from oracles import (
     restriction_count_reference,
     strict_class_bounds_reference,
     triangle_bound_report_reference,
+    two_odd_cliques,
     verify_partition_lemmas_reference,
     vertex_lower_half_sum_reference,
 )
@@ -80,13 +86,16 @@ from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_de
                           min_color_degree, mono_degree)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
-from ecgraph.harness import (_concl_class_bounds, _concl_mono_balance,
-                             _concl_restriction, _repair_color_degree)
+from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
+                             _concl_fan, _concl_mono_balance, _concl_restriction,
+                             _concl_spanning_fan, _repair_color_degree)
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
 from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, _rainbow_links, build_index,
-                             find_fan, has_rainbow_triangle, max_fan, rainbow_edge_graph)
+                             find_book, find_disjoint_rainbow_triangles, find_fan,
+                             find_pc_spanning_fan, has_rainbow_triangle, max_book,
+                             max_fan, rainbow_edge_graph)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
 
 
@@ -401,6 +410,92 @@ def test_fan_pruning_on_random_graphs():
         n = rng.randint(1, 60 if rng.random() < 0.2 else 14)
         found += _check_fans(random_colored(rng, n, rng.uniform(0.05, 0.9), rng.randint(1, 40))) > 0
     assert found >= 60
+
+
+def _check_spanning_fan(g: ColoredGraph) -> bool:
+    found = find_pc_spanning_fan(g)
+    reference = find_pc_spanning_fan_reference(g)
+    assert (found is None) == (reference is None)
+    if found is None:
+        return False
+    assert found.self_check(g) and found.base == reference[0]
+    return True
+
+
+def test_spanning_fan_matches_backtracking_reference_on_random_graphs():
+    rng = random.Random(149)
+    found = 0
+    for _ in range(600):
+        n = rng.choice([3, 5, 7, 9])
+        g = random_colored(rng, n, rng.uniform(0.6, 1.0), rng.randint(1, 8))
+        found += _check_spanning_fan(g)
+    assert 150 <= found <= 450
+
+
+def test_spanning_fan_matches_backtracking_reference_on_structured_graphs():
+    for n in range(3, 16, 2):
+        for seed in range(3):
+            assert _check_spanning_fan(gen_proper_complete(n, seed))
+    for n in range(3, 22, 2):
+        assert not _check_spanning_fan(two_odd_cliques(n))
+
+
+def _concl_book_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
+    cert = find_book(g, k)
+    if cert is not None and cert.self_check(g):
+        return True, ""
+    return False, f"no {k} rainbow triangles on a common edge (max {max_book(g)})"
+
+
+def _concl_fan_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
+    cert = find_fan(g, k)
+    if cert is not None and cert.self_check(g):
+        return True, ""
+    return False, f"no {k} rainbow triangles at a common vertex (max {max_fan(g)})"
+
+
+def _concl_disjoint_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
+    cert = find_disjoint_rainbow_triangles(g, k)
+    if cert is not None and cert.self_check(g):
+        return True, ""
+    return False, f"no {k} vertex-disjoint rainbow triangles"
+
+
+def _concl_spanning_fan_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
+    cert = find_pc_spanning_fan(g)
+    if cert is not None and cert.self_check(g):
+        return True, ""
+    return False, "no properly colored spanning fan"
+
+
+_CERTIFIED_REFERENCES = ((_concl_book, _concl_book_reference),
+                         (_concl_fan, _concl_fan_reference),
+                         (_concl_disjoint, _concl_disjoint_reference),
+                         (_concl_spanning_fan, _concl_spanning_fan_reference))
+
+
+def _check_certified(g: ColoredGraph, k: int) -> int:
+    """Failures among the four conclusions at (g, k); the spanning fan is
+    checked only where it is defined (odd n >= 3)."""
+    failed = 0
+    for conclusion, reference in _CERTIFIED_REFERENCES:
+        if conclusion is _concl_spanning_fan and (g.n < 3 or g.n % 2 == 0):
+            continue
+        result = conclusion(g, k)
+        assert result == reference(g, k)
+        failed += not result[0]
+    return failed
+
+
+def test_certified_conclusions_match_frozen_bodies():
+    for k in range(2, 7):
+        g = gen_example1(k)
+        # no book, fan or disjoint family of k (a spanning fan only at n = 3)
+        assert _check_certified(g, k) == (3 if k == 2 else 3 + g.n % 2)
+    failed = 0
+    for rng, g in _corpus(seed=151, count=300):
+        failed += _check_certified(g, rng.randint(1, 3))
+    assert 300 <= failed <= 900
 
 
 def _check_color_queries(g: ColoredGraph) -> None:

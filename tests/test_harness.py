@@ -62,7 +62,7 @@ def test_admitted_samples_satisfy_hypothesis_independently():
     ("fact_spanning_fan", dict(n_range=(3, 9), budget=30)),
 ])
 def test_claim_suites_report_zero_failures(claim_id, kwargs):
-    spec = TheoremSpec(id=claim_id, k=2 if CLAIMS[claim_id].needs_k else None,
+    spec = TheoremSpec(id=claim_id, k=2 if CLAIMS[claim_id].min_k is not None else None,
                        seed=4, **kwargs)
     report = verify(spec)
     assert report.samples_admitted == kwargs["budget"]
@@ -112,6 +112,11 @@ def test_spec_validation():
         verify(TheoremSpec(id="book_bk", k=1, budget=1))  # below min_k
     with pytest.raises(ValueError):
         verify(TheoremSpec(id="li_triangle", n_range=(9, 3), budget=1))
+
+
+def test_unknown_sampler_is_rejected():
+    with pytest.raises(ValueError, match="unknown sampler 'colored'"):
+        Claim(id="_test_sampler", description="test only", sampler="colored")
 
 
 def test_failure_witnesses_are_reproducible(tmp_path):

@@ -12,6 +12,7 @@ from oracles import (
     brute_spanning_fan_exists,
     naive_rainbow_triangles,
     random_colored,
+    two_odd_cliques,
 )
 
 from ecgraph.core import ColoredGraph
@@ -173,7 +174,6 @@ class TestSearchNodeLimit:
     @pytest.mark.parametrize("search, call", [
         ("find_disjoint_rainbow_triangles",
          lambda: find_disjoint_rainbow_triangles(gen_example1(3), 2)),
-        ("find_pc_spanning_fan", lambda: find_pc_spanning_fan(gen_proper_complete(7, 1))),
     ])
     def test_exceeding_the_limit_raises(self, monkeypatch, search, call):
         import ecgraph.matching
@@ -203,8 +203,20 @@ class TestSpanningFan:
         assert find_pc_spanning_fan(g) is None
 
     def test_even_n_rejected(self):
-        with pytest.raises(ValueError):
-            find_pc_spanning_fan(ColoredGraph(4, [(0, 1, 1)]))
+        # so is n = 1: odd, but without a triangle to fan out
+        for g in (ColoredGraph(4, [(0, 1, 1)]), ColoredGraph(1)):
+            with pytest.raises(ValueError, match="odd vertex count of at least 3"):
+                find_pc_spanning_fan(g)
+
+    def test_spanning_fan_uses_no_search_budget(self, monkeypatch):
+        import ecgraph.matching
+
+        monkeypatch.setattr(ecgraph.matching, "SEARCH_NODE_LIMIT", 2)
+        g = gen_proper_complete(13, 1)
+        cert = find_pc_spanning_fan(g)
+        assert cert is not None and cert.self_check(g)
+        # exponential for backtracking, one matching per center here
+        assert find_pc_spanning_fan(two_odd_cliques(25)) is None
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_independent_oracle(self, seed):

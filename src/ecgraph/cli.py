@@ -28,24 +28,16 @@ from .rainbow import build_index, max_book, max_fan
 from .reduction import edge_minimal_reduce, is_edge_minimal
 
 
-def _int_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        v = int(parts[0])
-        return (v, v)
-    if len(parts) == 2:
-        return (int(parts[0]), int(parts[1]))
-    raise argparse.ArgumentTypeError(f"bad range {text!r}, expected A or A:B")
-
-
-def _float_range(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        v = float(parts[0])
-        return (v, v)
-    if len(parts) == 2:
-        return (float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"bad range {text!r}, expected A or A:B")
+def _range(cast):
+    """An argparse type reading "A" or "A:B" as the pair (A, A) or (A, B)
+    of ``cast`` values."""
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) > 2:
+            raise argparse.ArgumentTypeError(f"bad range {text!r}, expected A or A:B")
+        return (cast(parts[0]), cast(parts[-1]))
+    parse.__name__ = f"_{cast.__name__}_range"  # argparse names it in errors
+    return parse
 
 
 def _read_graph(path: str):
@@ -58,8 +50,9 @@ def _read_graph(path: str):
 def _check_writable(path: str | None) -> None:
     """Raise, before any work, the OSError that opening ``path`` for writing
     would raise when it is a directory, or when its parent is missing, is
-    not a directory or is unwritable; creates no file."""
-    if path is None or path == "-":
+    not a directory or is unwritable; creates no file.  "-" is a file
+    here: only ``--out -`` means stdout, and :func:`main` maps it to None."""
+    if path is None:
         return
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -74,7 +67,7 @@ def _check_writable(path: str | None) -> None:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+    if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
@@ -114,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theorem", required=True, choices=sorted(CLAIMS),
                    help="claim id")
     v.add_argument("--k", type=int, default=None)
-    v.add_argument("--n", type=_int_range, default=(4, 12),
+    v.add_argument("--n", type=_range(int), default=(4, 12),
                    help="vertex range A or A:B")
-    v.add_argument("--colors", type=_int_range, default=(2, 16),
+    v.add_argument("--colors", type=_range(int), default=(2, 16),
                    help="palette range A or A:B")
-    v.add_argument("--p", type=_float_range, default=(0.2, 0.9),
+    v.add_argument("--p", type=_range(float), default=(0.2, 0.9),
                    help="edge probability A or A:B")
     v.add_argument("--budget", type=int, default=1000)
     v.add_argument("--seed", type=int, default=0)
@@ -127,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hly-search",
                        help="search for disjoint-triangle counterexamples")
     h.add_argument("--k", type=int, required=True)
-    h.add_argument("--n", type=_int_range, required=True)
-    h.add_argument("--colors", type=_int_range, default=(2, 16))
-    h.add_argument("--p", type=_float_range, default=(0.2, 0.9))
+    h.add_argument("--n", type=_range(int), required=True)
+    h.add_argument("--colors", type=_range(int), default=(2, 16))
+    h.add_argument("--p", type=_range(float), default=(0.2, 0.9))
     h.add_argument("--budget", type=int, default=1000)
     h.add_argument("--seed", type=int, default=0)
     h.add_argument("--json", dest="json_path", type=str, default=None)
@@ -138,24 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     params: dict = {}
-    if args.kind == "example1":
-        if args.k is None:
-            raise ValueError("gen --kind example1 needs --k")
-        params["k"] = args.k
-    elif args.kind == "random_colored":
-        if args.n is None:
-            raise ValueError("gen --kind random_colored needs --n")
-        params.update(n=args.n, p=args.p, c=args.colors)
-    elif args.kind == "proper_complete":
-        if args.n is None:
-            raise ValueError("gen --kind proper_complete needs --n")
-        params["n"] = args.n
-    else:
-        if not args.parts:
-            raise ValueError("gen --kind complete_multipartite needs --parts")
-        params["parts"] = [int(s) for s in args.parts.split(",")]
-    graph = generate(GeneratorSpec(kind=args.kind, parameters=params,
-                                   seed=args.seed))
+    for name in KINDS[args.kind][1]:
+        flag = "colors" if name == "c" else name
+        value = getattr(args, flag)
+        if value is None or value == "":
+            raise ValueError(f"gen --kind {args.kind} needs --{flag}")
+        params[name] = [int(s) for s in value.split(",")] if name == "parts" else value
+    graph = generate(GeneratorSpec(kind=args.kind, parameters=params, seed=args.seed))
     _write_text(save_ecg(graph), args.out)
     return 0
 
@@ -247,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "hly-search": _cmd_hly_search,
     }
+    if getattr(args, "out", None) == "-":
+        args.out = None  # "-" means stdout, for --out only
     try:
         _check_writable(getattr(args, "out", None) or getattr(args, "json_path", None))
         return handlers[args.command](args)

@@ -255,12 +255,8 @@ def mono_degree(graph: ColoredGraph, v: int) -> int:
 
 
 def max_mono_degree(graph: ColoredGraph) -> int:
-    """Maximum of :func:`mono_degree` over all vertices.  Computed once per
-    graph (see :meth:`ColoredGraph.derived`)."""
-    return graph.derived(_max_mono_degree)
-
-
-def _max_mono_degree(graph: ColoredGraph) -> int:
+    """Maximum of :func:`mono_degree` over all vertices: the largest entry
+    of the per-graph mono-degree list (see :meth:`ColoredGraph.derived`)."""
     return max(graph.derived(_mono_degrees), default=0)
 
 

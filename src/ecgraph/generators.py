@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 
 from .core import ColoredGraph
 
-KINDS = ("example1", "random_colored", "proper_complete", "complete_multipartite")
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Reproducible description of a generated instance."""
@@ -28,15 +25,15 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> ColoredGraph:
-    """Materialize a GeneratorSpec."""
-    p = spec.parameters
-    if spec.kind == "example1":
-        return gen_example1(p["k"])
-    if spec.kind == "random_colored":
-        return gen_random_colored(p["n"], p["p"], p["c"], spec.seed)
-    if spec.kind == "proper_complete":
-        return gen_proper_complete(p["n"], spec.seed)
-    return gen_complete_multipartite(p["parts"])
+    """Materialize a GeneratorSpec: call its kind's builder with the
+    parameters that :data:`KINDS` names, in order.  A missing parameter
+    raises ``ValueError`` naming it."""
+    build, names = KINDS[spec.kind]
+    params = {**spec.parameters, "seed": spec.seed}
+    for name in names:
+        if name not in params:
+            raise ValueError(f"generator {spec.kind!r} needs parameter {name!r}")
+    return build(*(params[name] for name in names))
 
 
 def gen_example1(k: int) -> ColoredGraph:
@@ -150,3 +147,14 @@ def gen_complete_multipartite(parts: list[int]) -> ColoredGraph:
                 triples.append((u, v, color))
                 color += 1
     return ColoredGraph(n, triples, validate=False)
+
+
+# The one table of generator kinds: kind -> (builder, its parameter names
+# in call order), where "seed" stands for the spec's seed.  GeneratorSpec,
+# generate and the CLI's gen command all read it.
+KINDS = {
+    "example1": (gen_example1, ("k",)),
+    "random_colored": (gen_random_colored, ("n", "p", "c", "seed")),
+    "proper_complete": (gen_proper_complete, ("n", "seed")),
+    "complete_multipartite": (gen_complete_multipartite, ("parts",)),
+}

@@ -472,14 +472,19 @@ def verify(spec: TheoremSpec) -> Report:
 
     Conclusion failures never abort the run: the budget completes so the
     report can show a failure density.  Every failure embeds a reloadable
-    ECG witness.
+    ECG witness.  This is the one check of k: it raises ``ValueError``
+    unless k >= ``min_k`` for a claim that takes k, or k is None for a
+    claim that takes none.
     """
     if spec.id not in CLAIMS:
         raise ValueError(f"unknown claim id {spec.id!r}")
     claim = CLAIMS[spec.id]
-    k = spec.k if spec.k is not None else 0
-    if claim.min_k is not None and (spec.k is None or spec.k < claim.min_k):
+    if claim.min_k is None:
+        if spec.k is not None:
+            raise ValueError(f"claim {spec.id!r} takes no k, got k={spec.k}")
+    elif spec.k is None or spec.k < claim.min_k:
         raise ValueError(f"claim {spec.id!r} needs k >= {claim.min_k}")
+    k = spec.k or 0
     lo, hi = spec.n_range
     if lo > hi or lo < 1:
         raise ValueError(f"bad n range {spec.n_range}")
@@ -582,10 +587,8 @@ def search_hly_counterexample(k: int, n_range: tuple[int, int],
 
     Any candidate is re-verified by an independent exhaustive search before
     being reported; for the conjectured regime the interesting outcome is
-    an empty failure list.
+    an empty failure list.  k itself is checked by :func:`verify`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if n_range[0] < 3 * k:
         raise ValueError(f"n range must start at 3k = {3 * k}")
     spec = TheoremSpec(id="hly_conjecture", k=k, n_range=n_range,

@@ -119,6 +119,10 @@ class RainbowEdgeGraph:
 
 
 def rainbow_edge_graph(graph: ColoredGraph, v: int) -> RainbowEdgeGraph:
+    """A public view over the link scan :func:`_rainbow_links` from 0: the
+    pairs x < y closing a rainbow triangle with v, and the vertices they
+    touch.  The package reads the scan directly; this view is for callers
+    outside it."""
     graph._check_vertex(v)
     es = tuple(_rainbow_links(graph, v, 0))
     verts = tuple(sorted({w for e in es for w in e}))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -36,6 +38,47 @@ def test_gen_multipartite(capsys):
 def test_gen_missing_argument_is_usage_error(capsys):
     assert main(["gen", "--kind", "example1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# sha256 of the ECG text on stdout, recorded before the kinds became one table
+GEN_DIGESTS = {
+    "--kind example1 --k 4":
+        "f68f184e6a9b61ea060e57746aea7f08bdb6f9f281b87ea79fa1c2506f35a764",
+    "--kind random_colored --n 12 --p 0.6 --colors 8 --seed 7":
+        "921d96c6f378f3964d278b254a5662a8eeaf5057ad33aaf7c3baa00348c26e8e",
+    "--kind random_colored --n 10 --seed 3":
+        "4c42d6073edb34d32b1281cbeffddeac97ec8ac16ae34fa7fcaf55fe0e5481a9",
+    "--kind proper_complete --n 9 --seed 1":
+        "622ffeb6a5ca65fde1d27dd4d3997191d588e7fa4ba59e2930031b219a130c26",
+    "--kind proper_complete --n 10 --seed 5":
+        "dc45a839c1b0434c7a62e89f0f43327cc70fa745d41c0e3d18b2fda8a387534a",
+    "--kind complete_multipartite --parts 2,3,4":
+        "dfdf838955a3c57f2581fd7fc536bd52043ceceaeeed6c997bd07934717de7bb",
+}
+
+
+@pytest.mark.parametrize("args", GEN_DIGESTS)
+def test_gen_output_is_golden(args, capsys):
+    assert main(["gen", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[args]
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("example1", "--k"), ("random_colored", "--n"), ("proper_complete", "--n"),
+    ("complete_multipartite", "--parts"),
+])
+def test_gen_names_its_missing_flag(kind, flag, capsys):
+    assert main(["gen", "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: gen --kind {kind} needs {flag}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("parts", ["2,x", "2,,3"])
+def test_gen_malformed_parts_is_usage_error(parts, capsys):
+    assert main(["gen", "--kind", "complete_multipartite", "--parts", parts]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid literal for int()")
 
 
 def test_gen_to_file(tmp_path):
@@ -107,6 +150,40 @@ def test_bad_range_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--theorem", "li_triangle", "--n", "1:2:3"])
     assert err.value.code == 2
+
+
+RANGE_COMMANDS = [["verify", "--theorem", "li_triangle"], ["hly-search", "--k", "1"]]
+
+
+@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=lambda argv: argv[0])
+def test_ranges_reach_the_spec_echo(command, tmp_path):
+    out = tmp_path / "report.json"
+    argv = command + ["--n", "5", "--p", "0.3:0.4", "--budget", "2", "--seed", "1"]
+    assert main(argv + ["--json", str(out)]) == 0
+    spec = json.loads(out.read_text())["spec"]
+    assert spec["n_range"] == [5, 5] and spec["p_range"] == [0.3, 0.4]
+
+
+@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("bad", ["1:2:3", "x"])
+def test_malformed_range_exits_2(command, bad, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--n", bad])
+    assert err.value.code == 2
+    assert "argument --n:" in capsys.readouterr().err
+
+
+def test_k_for_a_claim_without_k_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["verify", "--theorem", "li_triangle", "--k", "3", "--budget", "5",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == "error: claim 'li_triangle' takes no k, got k=3\n"
+    assert not out.exists()
+
+
+def test_hly_search_k_below_one_is_usage_error(capsys):
+    assert main(["hly-search", "--k", "0", "--n", "3:5", "--budget", "1"]) == 2
+    assert capsys.readouterr().err == "error: claim 'hly_conjecture' needs k >= 1\n"
 
 
 def test_hly_search(tmp_path, capsys):
@@ -258,3 +335,32 @@ def test_verify_budget_below_one_is_usage_error(budget, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget must be >= 1" in err
+
+
+def test_json_dash_is_a_file_checked_before_work(monkeypatch, tmp_path, capsys):
+    import ecgraph.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("_read_graph ran before the output path was checked")
+
+    src = tmp_path / "p5.ecg"
+    src.write_text(P5_ECG)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ecgraph.cli, "_read_graph", no_work)
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["analyze", str(src), "--json", "-"]) == 2
+    assert capsys.readouterr().err == "error: cannot open -: Permission denied\n"
+    assert not (tmp_path / "-").exists()
+
+
+def test_dash_is_stdout_for_out_only(monkeypatch, tmp_path, capsys):
+    src = tmp_path / "p5.ecg"
+    src.write_text(P5_ECG)
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", str(src), "--json", "-"]) == 0
+    assert json.loads((tmp_path / "-").read_text())["m"] == 4
+    (tmp_path / "-").unlink()
+    capsys.readouterr()
+    assert main(["reduce", str(src), "--out", "-"]) == 0
+    assert capsys.readouterr().out == P5_ECG
+    assert not (tmp_path / "-").exists()

@@ -790,7 +790,7 @@ def _count_builds(monkeypatch, module, name: str) -> list:
 def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     facts = [_count_builds(monkeypatch, module, name) for module, name in (
         (ecgraph.core, "_color_table"), (ecgraph.rainbow, "_index"),
-        (ecgraph.reduction, "_removals"), (ecgraph.core, "_max_mono_degree"),
+        (ecgraph.reduction, "_removals"),
         (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"),
         (ecgraph.bounds, "_rt_rows"))]
     g = random_colored(random.Random(83), 9, 0.7, 4)

@@ -4,6 +4,7 @@ import pytest
 
 from ecgraph.core import color_profile, min_color_degree, save_ecg
 from ecgraph.generators import (
+    KINDS,
     GeneratorSpec,
     gen_complete_multipartite,
     gen_example1,
@@ -162,3 +163,26 @@ class TestGeneratorSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSpec(kind="mystery")
+
+
+# every (kind, parameter) pair a spec must supply; "seed" is the spec's own
+FULL_PARAMETERS = {
+    "example1": {"k": 3},
+    "random_colored": {"n": 5, "p": 0.5, "c": 3},
+    "proper_complete": {"n": 5},
+    "complete_multipartite": {"parts": [2, 2]},
+}
+MISSING = [(kind, name) for kind, params in FULL_PARAMETERS.items() for name in params]
+
+
+def test_kinds_table_names_every_parameter():
+    assert list(KINDS) == list(FULL_PARAMETERS)
+    for kind, (_, names) in KINDS.items():
+        assert [name for name in names if name != "seed"] == list(FULL_PARAMETERS[kind])
+
+
+@pytest.mark.parametrize("kind, name", MISSING)
+def test_missing_parameter_is_named(kind, name):
+    params = {key: value for key, value in FULL_PARAMETERS[kind].items() if key != name}
+    with pytest.raises(ValueError, match=f"{kind!r} needs parameter {name!r}"):
+        generate(GeneratorSpec(kind, params, seed=1))

@@ -296,3 +296,10 @@ def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
     report = verify(TheoremSpec(id="eg_partition", budget=100, seed=1))
     assert report.ok and report.samples_admitted == 100
     assert len(calls) <= report.samples_attempted + 3 * report.samples_admitted
+
+
+@pytest.mark.parametrize("claim_id", sorted(cid for cid, claim in CLAIMS.items()
+                                            if claim.min_k is None))
+def test_k_for_a_claim_without_k_is_rejected(claim_id):
+    with pytest.raises(ValueError, match=f"claim {claim_id!r} takes no k"):
+        verify(TheoremSpec(id=claim_id, k=3, budget=1))

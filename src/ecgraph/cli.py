@@ -129,6 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parts(value: str) -> list[int]:
+    try:
+        return [int(s) for s in value.split(",")]
+    except ValueError:
+        raise ValueError(f"gen --parts needs comma-separated integers, "
+                         f"got {value!r}") from None
+
+
 def _cmd_gen(args) -> int:
     params: dict = {}
     for name in KINDS[args.kind][1]:
@@ -136,7 +144,7 @@ def _cmd_gen(args) -> int:
         value = getattr(args, flag)
         if value is None or value == "":
             raise ValueError(f"gen --kind {args.kind} needs --{flag}")
-        params[name] = [int(s) for s in value.split(",")] if name == "parts" else value
+        params[name] = _parts(value) if name == "parts" else value
     graph = generate(GeneratorSpec(kind=args.kind, parameters=params, seed=args.seed))
     _write_text(save_ecg(graph), args.out)
     return 0

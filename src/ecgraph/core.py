@@ -215,8 +215,8 @@ def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
     return ColorDegreeProfile(
         vertex=v,
         color_classes=classes,
-        dc=len(classes),
-        dmon=max(map(len, classes.values()), default=0),
+        dc=graph.derived(_color_degrees)[v],
+        dmon=graph.derived(_mono_degrees)[v],
         sorted_sizes=tuple(len(m) for _, m in ordered),
         sorted_classes=tuple(ordered),
         unique_nbrs=frozenset(y for m in classes.values() if len(m) == 1 for y in m),
@@ -245,7 +245,7 @@ def min_color_degree(graph: ColoredGraph) -> int:
     """Minimum color degree over all vertices (isolated vertices give 0)."""
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
-    return min(map(len, graph.color_table()))
+    return min(graph.derived(_color_degrees))
 
 
 def mono_degree(graph: ColoredGraph, v: int) -> int:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, _mono_degrees, load_ecg, max_mono_degree,
-                   min_color_degree, save_ecg)
+from .core import (ColoredGraph, _color_degrees, _mono_degrees, load_ecg,
+                   max_mono_degree, min_color_degree, save_ecg)
 from .generators import gen_example1, gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
@@ -136,9 +136,11 @@ def _certified(search, gap):
     return conclusion
 
 
-_concl_book = _certified(find_book, lambda g, k: (
+# the searches are looked up by name at call time, as in _SAMPLERS, so a
+# module-level rebinding (for tracing) is seen
+_concl_book = _certified(lambda g, k: find_book(g, k), lambda g, k: (
     f"no {k} rainbow triangles on a common edge (max {max_book(g)})"))
-_concl_fan = _certified(find_fan, lambda g, k: (
+_concl_fan = _certified(lambda g, k: find_fan(g, k), lambda g, k: (
     f"no {k} rainbow triangles at a common vertex (max {max_fan(g)})"))
 _concl_disjoint = _certified(find_disjoint_rainbow_triangles,
                              lambda g, k: f"no {k} vertex-disjoint rainbow triangles")
@@ -448,7 +450,7 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
     """
     n = graph.n
     seen = [graph.adjacency_bits(v) | 1 << v for v in range(n)]
-    dc = [len(classes) for classes in graph.color_table()]
+    dc = list(graph.derived(_color_degrees))
     fresh = max(graph.colors(), default=0) + 1
     added: list[tuple[int, int, int]] = []
     for v in range(n):

@@ -129,10 +129,15 @@ def rainbow_edge_graph(graph: ColoredGraph, v: int) -> RainbowEdgeGraph:
     return RainbowEdgeGraph(center=v, vertices=verts, edges=es)
 
 
+# kind -> how many base vertices every triangle of the certificate contains
+_BASE_SIZE = {"book": 2, "fan": 1, "spanning_fan": 1, "disjoint_family": 0}
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Witness for a successful search; ``self_check`` revalidates it.
 
+    Every kind is triangles that share a base and are disjoint elsewhere.
     kind: one of book, fan, disjoint_family, spanning_fan.
     base: the shared edge for a book, the center vertex for fans, None for
     a disjoint family.  ``triangles`` always lists the full triples.
@@ -142,12 +147,20 @@ class Certificate:
     base: tuple[int, int] | int | None
     triangles: tuple[tuple[int, int, int], ...]
 
+    def _base_vertices(self) -> tuple[int, ...]:
+        base = self.base
+        return () if base is None else (base,) if isinstance(base, int) else tuple(base)
+
+    def _rims(self) -> list[list[int]]:
+        """Each triangle's vertices outside the base, ascending."""
+        base = set(self._base_vertices())
+        return [sorted(set(t) - base) for t in self.triangles]
+
     @property
     def apexes(self) -> tuple[int, ...]:
         if self.kind != "book":
             raise ValueError("apexes are defined for book certificates")
-        u, v = self.base
-        return tuple(sorted(set(t) - {u, v})[0] for t in self.triangles)
+        return tuple(rim[0] for rim in self._rims())
 
     def cited_edges(self) -> list[tuple[int, int]]:
         es = set()
@@ -157,46 +170,35 @@ class Certificate:
         return sorted(es)
 
     def self_check(self, graph: ColoredGraph) -> bool:
-        """True iff the certificate is valid for the given graph."""
-        tris = [tuple(sorted(t)) for t in self.triangles]
-        if not tris or len(set(tris)) != len(tris):
+        """True iff the certificate is valid for the given graph.
+
+        One rule for every kind: there is at least one triangle; each is a
+        triangle of the graph, rainbow (for a spanning fan, properly
+        colored: the rim edge's color differs from both spokes) and
+        contains the base, as many distinct vertices as the kind fixes
+        (``_BASE_SIZE``); the rims are pairwise disjoint, and a spanning
+        fan's rims cover the other n-1 vertices.
+        """
+        base = self._base_vertices()
+        shared = set(base)
+        if (not self.triangles or len(base) != _BASE_SIZE.get(self.kind)
+                or len(shared) != len(base)):
             return False
-        for a, b, c in tris:
+        for t in self.triangles:
+            a, b, c = t
             if not (graph.has_edge(a, b) and graph.has_edge(a, c)
-                    and graph.has_edge(b, c)):
+                    and graph.has_edge(b, c) and shared <= set(t)):
                 return False
-        if self.kind != "spanning_fan":
-            for a, b, c in tris:
-                cs = {graph.color(a, b), graph.color(a, c), graph.color(b, c)}
-                if len(cs) != 3:
+            # colors[i] is the color of the edge opposite t[i]
+            colors = [graph.color(b, c), graph.color(a, c), graph.color(a, b)]
+            if self.kind == "spanning_fan":
+                if colors.count(colors[t.index(base[0])]) != 1:
                     return False
-        if self.kind == "book":
-            u, v = self.base
-            return all(u in t and v in t for t in tris)
-        if self.kind == "fan":
-            v = self.base
-            if any(v not in t for t in tris):
+            elif len(set(colors)) != 3:
                 return False
-            rims = [tuple(sorted(set(t) - {v})) for t in tris]
-            hit = [w for rim in rims for w in rim]
-            return len(set(hit)) == len(hit)
-        if self.kind == "disjoint_family":
-            hit = [w for t in tris for w in t]
-            return len(set(hit)) == len(hit)
-        if self.kind == "spanning_fan":
-            v = self.base
-            if any(v not in t for t in tris):
-                return False
-            rims = [tuple(sorted(set(t) - {v})) for t in tris]
-            hit = [w for rim in rims for w in rim]
-            if sorted(hit) != sorted(set(range(graph.n)) - {v}):
-                return False
-            for x, y in rims:
-                cxy = graph.color(x, y)
-                if cxy == graph.color(v, x) or cxy == graph.color(v, y):
-                    return False
-            return True
-        return False
+        hit = [w for rim in self._rims() for w in rim]
+        return len(set(hit)) == len(hit) and (
+            self.kind != "spanning_fan" or len(hit) == graph.n - 1)
 
     def to_json(self, graph: ColoredGraph) -> dict:
         """JSON document citing the colors of every referenced edge."""
@@ -232,10 +234,6 @@ def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
     return None
 
 
-def _fan_matching(graph: ColoredGraph, v: int) -> list[tuple[int, int]]:
-    return max_matching(graph.n, _rainbow_links(graph, v, 0))
-
-
 def max_fan(graph: ColoredGraph) -> int:
     """Largest k such that k rainbow triangles share only one vertex.
 
@@ -246,28 +244,33 @@ def max_fan(graph: ColoredGraph) -> int:
     for v in sorted(range(graph.n), key=graph.degree, reverse=True):
         if graph.degree(v) // 2 <= best:
             break
-        best = max(best, len(_fan_matching(graph, v)))
+        best = max(best, len(max_matching(graph.n, _rainbow_links(graph, v, 0))))
     return best
 
 
-def find_fan(graph: ColoredGraph, k: int) -> Certificate | None:
-    """Fan of k rainbow triangles at the first center that admits one.
+def _first_fan(graph: ColoredGraph, kind: str, k: int, links) -> Certificate | None:
+    """Fan of k triangles v, x, y at the first center v that admits one,
+    with rims (x, y) from ``links(graph, v)``.
 
-    A fan at v exists iff the rainbow-triangle edges of v contain a
-    matching of size k, so the search reduces to maximum matching.  Its k
-    rims are disjoint pairs of neighbors of v, so centers of degree below
-    2k are skipped without one.
+    The k rims are a matching of size k among those pairs, so each center
+    costs one maximum matching, and centers of degree below 2k, which
+    cannot hold k disjoint pairs of neighbors, are skipped without one.
     """
+    for v in range(graph.n):
+        if graph.degree(v) >= 2 * k:
+            matched = max_matching(graph.n, links(graph, v))
+            if len(matched) >= k:
+                tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
+                return Certificate(kind=kind, base=v, triangles=tris)
+    return None
+
+
+def find_fan(graph: ColoredGraph, k: int) -> Certificate | None:
+    """Fan of k rainbow triangles at the first center that admits one: a
+    matching of size k among the center's rainbow links."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for v in range(graph.n):
-        if graph.degree(v) < 2 * k:
-            continue
-        matched = _fan_matching(graph, v)
-        if len(matched) >= k:
-            tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
-            return Certificate(kind="fan", base=v, triangles=tris)
-    return None
+    return _first_fan(graph, "fan", k, lambda g, v: _rainbow_links(g, v, 0))
 
 
 def find_disjoint_rainbow_triangles(graph: ColoredGraph,
@@ -319,17 +322,9 @@ def find_pc_spanning_fan(graph: ColoredGraph) -> Certificate | None:
     The center v must see every other vertex, and the rims must form a
     perfect matching of v's proper links (:func:`_proper_links`): each
     triangle v, x, y has c(vx) != c(xy) and c(xy) != c(yv), while
-    c(vx) == c(vy) is allowed.  So each center of degree n-1 costs one
-    maximum matching, and the first center whose matching is perfect wins.
+    c(vx) == c(vy) is allowed.  So it is the fan search with k = (n-1)/2.
     """
     n = graph.n
     if n < 3 or n % 2 == 0:
         raise ValueError("spanning fan needs an odd vertex count of at least 3")
-    for v in range(n):
-        if graph.degree(v) < n - 1:
-            continue
-        matched = max_matching(n, _proper_links(graph, v))
-        if 2 * len(matched) == n - 1:
-            tris = tuple(tuple(sorted((v, x, y))) for x, y in matched)
-            return Certificate(kind="spanning_fan", base=v, triangles=tris)
-    return None
+    return _first_fan(graph, "spanning_fan", (n - 1) // 2, _proper_links)

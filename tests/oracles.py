@@ -14,8 +14,9 @@ from fractions import Fraction
 from ecgraph.bounds import ClassBound, MonoBalanceDiagnostics, TriangleBoundReport
 from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
                           mono_degree)
-from ecgraph.matching import GallaiPartition, PartitionDiagnostics
-from ecgraph.rainbow import build_index, rainbow_edge_graph
+from ecgraph.matching import GallaiPartition, PartitionDiagnostics, max_matching
+from ecgraph.rainbow import (Certificate, _proper_links, _rainbow_links, build_index,
+                             rainbow_edge_graph)
 from ecgraph.reduction import is_edge_minimal
 
 
@@ -180,6 +181,78 @@ def find_pc_spanning_fan_reference(g: ColoredGraph):
         picked: list[tuple[int, int]] = []
         if matchable(v, [w for w in range(g.n) if w != v], picked):
             return v, picked
+    return None
+
+
+def self_check_reference(cert: Certificate, graph: ColoredGraph) -> bool:
+    """Frozen per-kind certificate check, one branch per kind.  It ignores
+    a disjoint family's base and raises TypeError on a book whose base is
+    not a pair."""
+    tris = [tuple(sorted(t)) for t in cert.triangles]
+    if not tris or len(set(tris)) != len(tris):
+        return False
+    for a, b, c in tris:
+        if not (graph.has_edge(a, b) and graph.has_edge(a, c)
+                and graph.has_edge(b, c)):
+            return False
+    if cert.kind != "spanning_fan":
+        for a, b, c in tris:
+            cs = {graph.color(a, b), graph.color(a, c), graph.color(b, c)}
+            if len(cs) != 3:
+                return False
+    if cert.kind == "book":
+        u, v = cert.base
+        return all(u in t and v in t for t in tris)
+    if cert.kind == "fan":
+        v = cert.base
+        if any(v not in t for t in tris):
+            return False
+        rims = [tuple(sorted(set(t) - {v})) for t in tris]
+        hit = [w for rim in rims for w in rim]
+        return len(set(hit)) == len(hit)
+    if cert.kind == "disjoint_family":
+        hit = [w for t in tris for w in t]
+        return len(set(hit)) == len(hit)
+    if cert.kind == "spanning_fan":
+        v = cert.base
+        if any(v not in t for t in tris):
+            return False
+        rims = [tuple(sorted(set(t) - {v})) for t in tris]
+        hit = [w for rim in rims for w in rim]
+        if sorted(hit) != sorted(set(range(graph.n)) - {v}):
+            return False
+        for x, y in rims:
+            cxy = graph.color(x, y)
+            if cxy == graph.color(v, x) or cxy == graph.color(v, y):
+                return False
+        return True
+    return False
+
+
+def find_fan_reference(g: ColoredGraph, k: int) -> Certificate | None:
+    """Frozen fan search: the first center of degree >= 2k whose rainbow
+    links hold a matching of size k."""
+    for v in range(g.n):
+        if g.degree(v) < 2 * k:
+            continue
+        matched = max_matching(g.n, _rainbow_links(g, v, 0))
+        if len(matched) >= k:
+            tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
+            return Certificate(kind="fan", base=v, triangles=tris)
+    return None
+
+
+def pc_spanning_fan_matching_reference(g: ColoredGraph) -> Certificate | None:
+    """Frozen spanning-fan search: the first center of degree n-1 whose
+    proper links hold a perfect matching of the other n-1 vertices."""
+    n = g.n
+    for v in range(n):
+        if g.degree(v) < n - 1:
+            continue
+        matched = max_matching(n, _proper_links(g, v))
+        if 2 * len(matched) == n - 1:
+            tris = tuple(tuple(sorted((v, x, y))) for x, y in matched)
+            return Certificate(kind="spanning_fan", base=v, triangles=tris)
     return None
 
 

@@ -39,6 +39,11 @@
   proper links; the frozen backtracking in ``oracles.py`` must find one at
   the same first center, or none.  The certificate conclusions come from
   one factory; each must give the same (ok, gap) as its frozen body.
+- ``Certificate.self_check`` is one rule for every kind (triangles sharing
+  a base, disjoint elsewhere); on valid and forged certificates it must
+  give the frozen per-kind checker's answer, apart from three bases that
+  checker mishandles.  Both fan searches are one first-center search, and
+  each must return the frozen copy's certificate.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import ecgraph.reduction
 from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
+    find_fan_reference,
     find_pc_spanning_fan_reference,
     color_classes_reference,
     gallai_partition_reference,
@@ -66,12 +72,14 @@ from oracles import (
     mono_balance_diagnostics_reference,
     naive_rainbow_triangles,
     odd_pieces,
+    pc_spanning_fan_matching_reference,
     rainbow_edge_graph_reference,
     random_colored,
     reduce_rescan_reference,
     removable_edges_reference,
     repair_rebuild_reference,
     restriction_count_reference,
+    self_check_reference,
     strict_class_bounds_reference,
     triangle_bound_report_reference,
     two_odd_cliques,
@@ -438,6 +446,110 @@ def test_spanning_fan_matches_backtracking_reference_on_structured_graphs():
             assert _check_spanning_fan(gen_proper_complete(n, seed))
     for n in range(3, 22, 2):
         assert not _check_spanning_fan(two_odd_cliques(n))
+
+
+_KINDS = ("book", "fan", "disjoint_family", "spanning_fan")
+
+
+def _forgeries(rng: random.Random, cert: Certificate, n: int):
+    """One vertex replaced (possibly by the out-of-range n), a triangle
+    repeated or dropped, no triangles, and every kind with a None, vertex,
+    pair and repeated-vertex base taken from one triangle."""
+    tris = list(cert.triangles)
+    i = rng.randrange(len(tris))
+    t = list(tris[i])
+    t[rng.randrange(3)] = rng.randrange(n + 1)
+    yield dataclasses.replace(cert, triangles=(*tris[:i], tuple(t), *tris[i + 1:]))
+    yield dataclasses.replace(cert, triangles=(*tris, tris[i]))
+    yield dataclasses.replace(cert, triangles=(*tris[:i], *tris[i + 1:]))
+    yield dataclasses.replace(cert, triangles=())
+    x, y = sorted(rng.sample(tris[i], 2))
+    for kind in _KINDS:
+        for base in (None, x, (x, y), (x, x)):
+            yield Certificate(kind=kind, base=base, triangles=cert.triangles)
+
+
+def _compare_self_check(cert: Certificate, g: ColoredGraph) -> str:
+    """Assert that the self-check gives the frozen checker's answer and
+    name the case.  Three bases differ, and each is now rejected: a book
+    base that is not a pair (the frozen checker raises TypeError), a book
+    base pair that repeats a vertex, and any disjoint family base (the
+    frozen checker ignores it)."""
+    new = cert.self_check(g)
+    try:
+        old = self_check_reference(cert, g)
+    except TypeError:
+        assert cert.kind == "book" and not isinstance(cert.base, tuple)
+        assert new is False
+        return "raised"
+    if cert.kind == "disjoint_family" and cert.base is not None or (
+            cert.kind == "book" and cert.base in ((x, x) for x in range(g.n))):
+        assert new is False
+        return f"base accepted before: {old}"
+    assert new is old
+    return f"agree: {new}"
+
+
+def _certificate_corpus(seed: int, count: int):
+    """(graph, certificate) for every search's certificate on seeded random
+    graphs (n 3-9) and proper complete graphs, then its forgeries."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, 9)
+        if i % 8 == 0:
+            g = gen_proper_complete(n | 1, seed=i)
+        else:
+            g = random_colored(rng, n, rng.uniform(0.4, 1.0), rng.randint(1, 6))
+        certs = [find_book(g, rng.randint(1, 3)), find_fan(g, rng.randint(1, 3)),
+                 find_disjoint_rainbow_triangles(g, rng.randint(1, 2))]
+        if g.n % 2:
+            certs.append(find_pc_spanning_fan(g))
+        for cert in filter(None, certs):
+            yield g, cert
+            for forged in _forgeries(rng, cert, g.n):
+                yield g, forged
+
+
+def test_self_check_matches_frozen_per_kind_checker():
+    cases = Counter(_compare_self_check(cert, g)
+                    for g, cert in _certificate_corpus(seed=157, count=3600))
+    assert sum(cases.values()) >= 100_000
+    assert min(cases["agree: True"], cases["agree: False"]) >= 10_000
+    assert cases["raised"] >= 1000
+    assert cases["base accepted before: True"] >= 1000
+
+
+def test_self_check_rejects_each_mishandled_base():
+    g = gen_proper_complete(5, seed=1)
+    family = find_disjoint_rainbow_triangles(g, 1)
+    book = find_book(g, 2)
+    (u, v), tris = book.base, book.triangles
+    assert family.self_check(g) and book.self_check(g)
+    assert self_check_reference(dataclasses.replace(family, base=u), g)
+    assert not dataclasses.replace(family, base=u).self_check(g)
+    assert self_check_reference(Certificate("book", (u, u), tris), g)
+    assert not Certificate("book", (u, u), tris).self_check(g)
+    for base in (None, u):
+        with pytest.raises(TypeError):
+            self_check_reference(Certificate("book", base, tris), g)
+        assert Certificate("book", base, tris).self_check(g) is False
+
+
+def test_fan_searches_match_frozen_copies():
+    rng = random.Random(163)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_colored(rng, n, rng.uniform(0.3, 1.0), rng.randint(1, 8))
+        for k in range(1, 5):
+            assert find_fan(g, k) == find_fan_reference(g, k)
+        if n >= 3 and n % 2:
+            assert find_pc_spanning_fan(g) == pc_spanning_fan_matching_reference(g)
+    for n in range(3, 26, 2):
+        for g in (gen_proper_complete(n, seed=n), two_odd_cliques(n)):
+            assert find_pc_spanning_fan(g) == pc_spanning_fan_matching_reference(g)
+            for k in range(1, n // 2 + 2):
+                assert find_fan(g, k) == find_fan_reference(g, k)
+        assert find_pc_spanning_fan(two_odd_cliques(n)) is None
 
 
 def _concl_book_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:

@@ -298,6 +298,27 @@ def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
     assert len(calls) <= report.samples_attempted + 3 * report.samples_admitted
 
 
+@pytest.mark.parametrize("claim_id, search", [
+    ("book_bk", "find_book"), ("original_i", "find_book"),
+    ("fan_fk", "find_fan"), ("original_ii", "find_fan"),
+])
+def test_certified_conclusions_look_up_their_search_at_call_time(
+        monkeypatch, claim_id, search):
+    import ecgraph.harness
+
+    calls = []
+    for name in ("find_book", "find_fan"):
+        def counting(g, k, name=name, found=getattr(ecgraph.harness, name)):
+            calls.append(name)
+            return found(g, k)
+
+        # a module-level rebinding, as a tracer makes, must be seen
+        monkeypatch.setattr(ecgraph.harness, name, counting)
+    report = verify(TheoremSpec(id=claim_id, k=CLAIMS[claim_id].min_k,
+                                n_range=(13, 15), budget=5, seed=1))
+    assert report.ok and calls == [search] * 5
+
+
 @pytest.mark.parametrize("claim_id", sorted(cid for cid, claim in CLAIMS.items()
                                             if claim.min_k is None))
 def test_k_for_a_claim_without_k_is_rejected(claim_id):

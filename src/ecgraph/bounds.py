@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .core import (ColoredGraph, _color_degrees, _members, _mono_degrees,
                    max_mono_degree, min_color_degree)
-from .rainbow import _rainbow_links, build_index
+from .rainbow import _links, build_index
 from .reduction import is_edge_minimal
 
 
@@ -293,7 +293,7 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int) -> MonoBalanceDiagnost
         b_first = rows[0][4]
         cond_c_applicable = b_first == 0 and minimal
         if cond_c_applicable:
-            rt_edges = set(_rainbow_links(graph, v, 0))
+            rt_edges = set(_links(graph, v))
             cond_c = all(
                 (min(x, y), max(x, y)) in rt_edges
                 for x in _members(largest) for y in unique_nbrs

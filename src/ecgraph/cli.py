@@ -49,11 +49,14 @@ def _read_graph(path: str):
 
 def _check_writable(path: str | None) -> None:
     """Raise, before any work, the OSError that opening ``path`` for writing
-    would raise when it is a directory, or when its parent is missing, is
-    not a directory or is unwritable; creates no file.  "-" is a file
-    here: only ``--out -`` means stdout, and :func:`main` maps it to None."""
+    would raise when it is empty or a directory, or when its parent is
+    missing, is not a directory or is unwritable; creates no file.  "-" is
+    a file here: only ``--out -`` means stdout, and :func:`main` maps it to
+    None."""
     if path is None:
         return
+    if not path:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or "."
@@ -169,7 +172,7 @@ def _cmd_analyze(args) -> int:
     }
     for key, value in doc.items():
         print(f"{key}: {value}")
-    if args.json_path:
+    if args.json_path is not None:
         write_json({"schema": 1, **doc}, args.json_path)
     return 0
 
@@ -192,7 +195,7 @@ def _cmd_partition(args) -> int:
     print(f"components: {[list(c) for c in part.components]}")
     print(f"size_identity_ok: {diag.size_identity_ok}  structure_ok: {diag.structure_ok}  "
           f"chain_ok: {diag.chain_ok}")
-    if args.json_path:
+    if args.json_path is not None:
         write_json(doc, args.json_path)
     return 0 if diag.size_identity_ok and diag.structure_ok and diag.chain_ok else 1
 
@@ -207,7 +210,7 @@ def _cmd_verify(args) -> int:
     print(f"admitted: {report.samples_admitted}")
     print(f"failures: {len(report.conclusion_failures)}")
     print(f"runtime_seconds: {report.runtime_seconds:.3f}")
-    if args.json_path:
+    if args.json_path is not None:
         emit_report(report, args.json_path)
     return 0 if report.ok else 1
 
@@ -221,7 +224,7 @@ def _cmd_hly_search(args) -> int:
     print(f"counterexamples: {len(report.conclusion_failures)}")
     for failure in report.conclusion_failures:
         print(f"counterexample at sample {failure.index}: {failure.gap}")
-    if args.json_path:
+    if args.json_path is not None:
         emit_report(report, args.json_path)
     return 0 if report.ok else 1
 
@@ -240,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "out", None) == "-":
         args.out = None  # "-" means stdout, for --out only
     try:
-        _check_writable(getattr(args, "out", None) or getattr(args, "json_path", None))
+        _check_writable(getattr(args, "out", getattr(args, "json_path", None)))
         return handlers[args.command](args)
     except (ValueError, AdmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -295,6 +295,9 @@ def load_ecg(text: str) -> ColoredGraph:
     if len(header) != 3 or header[0] != "ecg":
         raise EcgError("header must be 'ecg <n> <m>'", 1)
     try:
+        # int() also reads "1_0" and the digits of other scripts
+        if "_" in lines[0] or not lines[0].isascii():
+            raise ValueError
         n, m = int(header[1]), int(header[2])
     except ValueError:
         raise EcgError("header must be 'ecg <n> <m>'", 1) from None
@@ -311,6 +314,8 @@ def load_ecg(text: str) -> ColoredGraph:
         if len(parts) != 3:
             raise EcgError("edge line must be '<u> <v> <color>'", idx)
         try:
+            if "_" in line or not line.isascii():
+                raise ValueError
             u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise EcgError("edge line must contain integers", idx) from None

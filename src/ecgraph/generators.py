@@ -129,23 +129,11 @@ def gen_complete_multipartite(parts: list[int]) -> ColoredGraph:
     """
     if not parts or any(s < 1 for s in parts):
         raise ValueError("parts must be a nonempty list of positive sizes")
-    bounds = []
-    start = 0
-    for s in parts:
-        bounds.append((start, start + s))
-        start += s
-    n = start
-    part_of = [0] * n
-    for idx, (lo, hi) in enumerate(bounds):
-        for v in range(lo, hi):
-            part_of[v] = idx
-    triples = []
-    color = 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v]:
-                triples.append((u, v, color))
-                color += 1
+    part_of = [idx for idx, s in enumerate(parts) for _ in range(s)]
+    n = len(part_of)
+    cross = ((u, v) for u in range(n) for v in range(u + 1, n)
+             if part_of[u] != part_of[v])
+    triples = [(u, v, color) for color, (u, v) in enumerate(cross, start=1)]
     return ColoredGraph(n, triples, validate=False)
 
 

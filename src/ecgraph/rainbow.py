@@ -38,11 +38,12 @@ class RainbowTriangleIndex:
         return sum(self.rt_pair(v, x) for x in others)
 
 
-def _rainbow_links(graph: ColoredGraph, v: int, lo: int):
+def _links(graph: ColoredGraph, v: int, lo: int = 0, proper: bool = False):
     """Pairs (x, y) with lo <= x < y such that v, x, y is a rainbow
-    triangle, in lexicographic order: x walks N(v) upward from lo (the row
-    of v past its neighbors below lo), and y the bits of N(v) & N(x) above
-    x."""
+    triangle, or with ``proper`` a properly colored one (c(xy) differs from
+    c(vx) and c(vy), while c(vx) == c(vy) is allowed), in lexicographic
+    order: x walks N(v) upward from lo (the row of v past its neighbors
+    below lo), and y the bits of N(v) & N(x) above x."""
     rows = graph.derived(_color_rows)
     row = rows[v]
     nv = graph.adjacency_bits(v)
@@ -55,27 +56,7 @@ def _rainbow_links(graph: ColoredGraph, v: int, lo: int):
             common ^= low
             y = x + low.bit_length()
             cvy, cxy = row[y], row_x[y]
-            if cvx != cvy and cvx != cxy and cvy != cxy:
-                yield x, y
-
-
-def _proper_links(graph: ColoredGraph, v: int):
-    """Pairs (x, y) with x < y in N(v) such that v, x, y is a properly
-    colored triangle: c(xy) differs from c(vx) and c(vy), while
-    c(vx) == c(vy) is allowed.  Lexicographic order, walked as in
-    :func:`_rainbow_links`."""
-    rows = graph.derived(_color_rows)
-    row = rows[v]
-    nv = graph.adjacency_bits(v)
-    for x, cvx in row.items():
-        row_x = rows[x]
-        common = (nv & graph.adjacency_bits(x)) >> (x + 1)
-        while common:
-            low = common & -common
-            common ^= low
-            y = x + low.bit_length()
-            cxy = row_x[y]
-            if cxy != cvx and cxy != row[y]:
+            if (proper or cvx != cvy) and cxy != cvx and cxy != cvy:
                 yield x, y
 
 
@@ -86,7 +67,7 @@ def _rainbow_triangles(graph: ColoredGraph):
     for u in range(graph.n):
         above = graph.adjacency_bits(u) >> (u + 1)
         if above & (above - 1):
-            for v, w in _rainbow_links(graph, u, u + 1):
+            for v, w in _links(graph, u, u + 1):
                 yield u, v, w
 
 
@@ -119,12 +100,12 @@ class RainbowEdgeGraph:
 
 
 def rainbow_edge_graph(graph: ColoredGraph, v: int) -> RainbowEdgeGraph:
-    """A public view over the link scan :func:`_rainbow_links` from 0: the
+    """A public view over the rainbow link scan :func:`_links` from 0: the
     pairs x < y closing a rainbow triangle with v, and the vertices they
     touch.  The package reads the scan directly; this view is for callers
     outside it."""
     graph._check_vertex(v)
-    es = tuple(_rainbow_links(graph, v, 0))
+    es = tuple(_links(graph, v))
     verts = tuple(sorted({w for e in es for w in e}))
     return RainbowEdgeGraph(center=v, vertices=verts, edges=es)
 
@@ -244,21 +225,23 @@ def max_fan(graph: ColoredGraph) -> int:
     for v in sorted(range(graph.n), key=graph.degree, reverse=True):
         if graph.degree(v) // 2 <= best:
             break
-        best = max(best, len(max_matching(graph.n, _rainbow_links(graph, v, 0))))
+        best = max(best, len(max_matching(graph.n, _links(graph, v))))
     return best
 
 
-def _first_fan(graph: ColoredGraph, kind: str, k: int, links) -> Certificate | None:
+def _first_fan(graph: ColoredGraph, kind: str, k: int) -> Certificate | None:
     """Fan of k triangles v, x, y at the first center v that admits one,
-    with rims (x, y) from ``links(graph, v)``.
+    with rims (x, y) among v's links: proper ones for a spanning fan (the
+    rule ``Certificate.self_check`` applies), rainbow ones otherwise.
 
     The k rims are a matching of size k among those pairs, so each center
     costs one maximum matching, and centers of degree below 2k, which
     cannot hold k disjoint pairs of neighbors, are skipped without one.
     """
+    proper = kind == "spanning_fan"
     for v in range(graph.n):
         if graph.degree(v) >= 2 * k:
-            matched = max_matching(graph.n, links(graph, v))
+            matched = max_matching(graph.n, _links(graph, v, proper=proper))
             if len(matched) >= k:
                 tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
                 return Certificate(kind=kind, base=v, triangles=tris)
@@ -270,7 +253,7 @@ def find_fan(graph: ColoredGraph, k: int) -> Certificate | None:
     matching of size k among the center's rainbow links."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _first_fan(graph, "fan", k, lambda g, v: _rainbow_links(g, v, 0))
+    return _first_fan(graph, "fan", k)
 
 
 def find_disjoint_rainbow_triangles(graph: ColoredGraph,
@@ -320,11 +303,11 @@ def find_pc_spanning_fan(graph: ColoredGraph) -> Certificate | None:
     """Properly colored fan covering all vertices, for odd n >= 3.
 
     The center v must see every other vertex, and the rims must form a
-    perfect matching of v's proper links (:func:`_proper_links`): each
+    perfect matching of v's proper links (:func:`_links`): each
     triangle v, x, y has c(vx) != c(xy) and c(xy) != c(yv), while
     c(vx) == c(vy) is allowed.  So it is the fan search with k = (n-1)/2.
     """
     n = graph.n
     if n < 3 or n % 2 == 0:
         raise ValueError("spanning fan needs an odd vertex count of at least 3")
-    return _first_fan(graph, "spanning_fan", (n - 1) // 2, _proper_links)
+    return _first_fan(graph, "spanning_fan", (n - 1) // 2)

@@ -15,8 +15,7 @@ from ecgraph.bounds import ClassBound, MonoBalanceDiagnostics, TriangleBoundRepo
 from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
                           mono_degree)
 from ecgraph.matching import GallaiPartition, PartitionDiagnostics, max_matching
-from ecgraph.rainbow import (Certificate, _proper_links, _rainbow_links, build_index,
-                             rainbow_edge_graph)
+from ecgraph.rainbow import Certificate, build_index
 from ecgraph.reduction import is_edge_minimal
 
 
@@ -29,6 +28,21 @@ def naive_rainbow_triangles(g: ColoredGraph) -> set[tuple[int, int, int]]:
         colors = {g.color(a, b), g.color(a, c), g.color(b, c)}
         if len(colors) == 3:
             out.add((a, b, c))
+    return out
+
+
+def naive_links(g: ColoredGraph, v: int, proper: bool = False) -> list[tuple[int, int]]:
+    """Pairs x < y of N(v), in lexicographic order, such that v, x, y is a
+    rainbow triangle, or with ``proper`` a properly colored one (c(xy)
+    differs from c(vx) and c(vy); c(vx) == c(vy) is allowed).  Every color
+    is read through ``color``."""
+    out = []
+    for x, y in itertools.combinations(g.neighbors(v), 2):
+        if not g.has_edge(x, y):
+            continue
+        cvx, cvy, cxy = g.color(v, x), g.color(v, y), g.color(x, y)
+        if (proper or cvx != cvy) and cxy not in (cvx, cvy):
+            out.append((x, y))
     return out
 
 
@@ -235,7 +249,7 @@ def find_fan_reference(g: ColoredGraph, k: int) -> Certificate | None:
     for v in range(g.n):
         if g.degree(v) < 2 * k:
             continue
-        matched = max_matching(g.n, _rainbow_links(g, v, 0))
+        matched = max_matching(g.n, naive_links(g, v))
         if len(matched) >= k:
             tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
             return Certificate(kind="fan", base=v, triangles=tris)
@@ -249,7 +263,7 @@ def pc_spanning_fan_matching_reference(g: ColoredGraph) -> Certificate | None:
     for v in range(n):
         if g.degree(v) < n - 1:
             continue
-        matched = max_matching(n, _proper_links(g, v))
+        matched = max_matching(n, naive_links(g, v, proper=True))
         if 2 * len(matched) == n - 1:
             tris = tuple(tuple(sorted((v, x, y))) for x, y in matched)
             return Certificate(kind="spanning_fan", base=v, triangles=tris)
@@ -549,22 +563,10 @@ def vertex_lower_half_sum_reference(g: ColoredGraph, v: int) -> Fraction:
 
 def rainbow_edge_graph_reference(g: ColoredGraph, v: int
                                  ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """(vertices, edges) of the rainbow edge graph at v, frozen as
-    ``rainbow.rainbow_edge_graph`` stood before it shared the rainbow
-    triangle scan: a double loop over pairs x < y of N(v) in lexicographic
-    order, reading every color through ``has_edge`` and ``color``."""
-    es = []
-    nbrs = g.neighbors(v)
-    for i, x in enumerate(nbrs):
-        cvx = g.color(v, x)
-        for y in nbrs[i + 1:]:
-            if not g.has_edge(x, y):
-                continue
-            cvy = g.color(v, y)
-            cxy = g.color(x, y)
-            if cvx != cvy and cvx != cxy and cvy != cxy:
-                es.append((x, y))
-    return tuple(sorted({w for e in es for w in e})), tuple(es)
+    """(vertices, edges) of the rainbow edge graph at v: the naive rainbow
+    links of v and the vertices they touch."""
+    es = tuple(naive_links(g, v))
+    return tuple(sorted({w for e in es for w in e})), es
 
 
 def restriction_count_reference(g: ColoredGraph, v: int, x_set, y: int) -> int:
@@ -727,7 +729,7 @@ def mono_balance_diagnostics_reference(g: ColoredGraph, v: int):
         b_first = report.per_class[0].balance
         cond_c_applicable = b_first == 0 and minimal
         if cond_c_applicable:
-            rt_edges = set(rainbow_edge_graph(g, v).edges)
+            rt_edges = set(naive_links(g, v))
             cond_c = all(
                 (min(x, y), max(x, y)) in rt_edges
                 for x in largest for y in profile.unique_nbrs

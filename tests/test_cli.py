@@ -247,6 +247,10 @@ def test_unwritable_output_is_usage_error(argv, monkeypatch, tmp_path, capsys):
         assert main(argv + [str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot open {out}: Not a directory\n"
+    # an empty path is refused too, as open("") would refuse it
+    assert main(argv + [""]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot open : No such file or directory\n"
 
 
 def test_usage_error_creates_and_truncates_no_output(tmp_path):

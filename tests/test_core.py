@@ -52,6 +52,12 @@ def test_load_duplicate_edge_reports_line_3():
     ("ecg 3 1\n0 1 0\n", 2, "color"),
     ("ecg 3 1\n0 1\n", 2, "edge line"),
     ("ecg 3 2\n0 1 1\n", 2, "expected 2 edges"),
+    # int() reads these, but ECG numbers are ASCII digits only
+    ("ecg 1_0 1\n", 1, "header"),
+    ("ecg ٣ 1\n0 1 1\n", 1, "header"),  # Arabic-Indic 3
+    ("ecg 3 1\n0 1 1_0\n", 2, "must contain integers"),
+    ("ecg 3 1\n0 ١ 2\n", 2, "must contain integers"),  # Arabic-Indic 1
+    ("ecg 3 1\n0 1 ２\n", 2, "must contain integers"),  # fullwidth 2
 ])
 def test_load_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(EcgError) as err:
@@ -62,6 +68,9 @@ def test_load_errors_carry_line_numbers(text, line, fragment):
 
 def test_load_allows_comments_and_blank_lines():
     g = load_ecg("ecg 3 1\n# a comment\n\n0 2 4\n")
+    assert g.edges == [(0, 2)] and g.color(0, 2) == 4
+    # a comment is free text, "_" and non-ASCII included
+    g = load_ecg("ecg 3 1\n# n_max été ١\n0 2 4\n")
     assert g.edges == [(0, 2)] and g.color(0, 2) == 4
 
 

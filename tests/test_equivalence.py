@@ -70,6 +70,7 @@ from oracles import (
     gamma_vertices_deletion_reference,
     min_vertex_cover_reference,
     mono_balance_diagnostics_reference,
+    naive_links,
     naive_rainbow_triangles,
     odd_pieces,
     pc_spanning_fan_matching_reference,
@@ -100,7 +101,7 @@ from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
-from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, _rainbow_links, build_index,
+from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, _links, build_index,
                              find_book, find_disjoint_rainbow_triangles, find_fan,
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
                              max_fan, rainbow_edge_graph)
@@ -380,13 +381,13 @@ def test_cover_matches_reference_on_structured_graphs():
 
 
 def _max_fan_unpruned(g: ColoredGraph) -> int:
-    return max((len(max_matching(g.n, rainbow_edge_graph(g, v).edges))
+    return max((len(max_matching(g.n, naive_links(g, v)))
                 for v in range(g.n)), default=0)
 
 
 def _find_fan_unpruned(g: ColoredGraph, k: int) -> Certificate | None:
     for v in range(g.n):
-        matched = max_matching(g.n, rainbow_edge_graph(g, v).edges)
+        matched = max_matching(g.n, naive_links(g, v))
         if len(matched) >= k:
             return Certificate(kind="fan", base=v,
                                triangles=tuple(tuple(sorted((v, x, y))) for x, y in matched[:k]))
@@ -676,9 +677,9 @@ def _check_adjacency(g: ColoredGraph) -> None:
     for v in range(g.n):
         assert g.neighbors(v) == tuple(sorted(ref[v]))
         assert g.degree(v) == len(ref[v])
-        links = list(_rainbow_links(g, v, 0))
+        links = list(_links(g, v))
         for lo in range(g.n + 1):
-            assert list(_rainbow_links(g, v, lo)) == [(x, y) for x, y in links if x >= lo]
+            assert list(_links(g, v, lo)) == [(x, y) for x, y in links if x >= lo]
 
 
 def test_adjacency_queries_match_edge_colors():
@@ -695,7 +696,7 @@ def test_adjacency_queries_match_edge_colors():
                                       for u, v, c in triples])
         for h in (g, shuffled, edge_minimal_reduce(g)):
             _check_adjacency(h)
-        links += sum(len(list(_rainbow_links(g, v, 0))) for v in range(g.n))
+        links += sum(len(list(_links(g, v))) for v in range(g.n))
         if g.n < 2:
             continue
         u, v = rng.sample(range(g.n), 2)

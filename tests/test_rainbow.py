@@ -197,6 +197,14 @@ class TestSpanningFan:
         assert cert is not None and cert.self_check(g)
         assert len(cert.triangles) == 2
 
+    def test_proper_link_allows_equal_spokes(self):
+        # c(01) = c(02) = 1, c(12) = 2: properly colored at 0, not rainbow
+        g = ColoredGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
+        cert = find_pc_spanning_fan(g)
+        assert cert is not None and cert.self_check(g)
+        assert (cert.base, cert.triangles) == (0, ((0, 1, 2),))
+        assert find_fan(g, 1) is None
+
     def test_monochromatic_k5_has_none(self):
         g = ColoredGraph(5, [(u, v, 1) for u in range(5)
                              for v in range(u + 1, 5)])

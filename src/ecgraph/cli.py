@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -49,16 +50,18 @@ def _read_graph(path: str):
 
 def _check_writable(path: str | None) -> None:
     """Raise, before any work, the OSError that opening ``path`` for writing
-    would raise when it is empty or a directory, or when its parent is
-    missing, is not a directory or is unwritable; creates no file.  "-" is
-    a file here: only ``--out -`` means stdout, and :func:`main` maps it to
-    None."""
+    would raise when it is empty, a directory or an unwritable file, or
+    when its parent is missing, is not a directory or is unwritable;
+    creates no file.  "-" is a file here: only ``--out -`` means stdout,
+    and :func:`main` maps it to None."""
     if path is None:
         return
     if not path:
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
     parent = os.path.dirname(path) or "."
     try:
         os.stat(parent)  # a missing parent, or a regular file above it
@@ -77,7 +80,10 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _build_parser(claim_ids: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser, with ``claim_ids`` as the ``--theorem`` choices; built
+    once per set of registered claims."""
     parser = argparse.ArgumentParser(
         prog="ecgraph",
         description="Edge-colored graph toolkit and verification harness")
@@ -107,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--json", dest="json_path", type=str, default=None)
 
     v = sub.add_parser("verify", help="sample-and-check one claim")
-    v.add_argument("--theorem", required=True, choices=sorted(CLAIMS),
+    v.add_argument("--theorem", required=True, choices=claim_ids,
                    help="claim id")
     v.add_argument("--k", type=int, default=None)
     v.add_argument("--n", type=_range(int), default=(4, 12),
@@ -230,8 +236,7 @@ def _cmd_hly_search(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser(tuple(sorted(CLAIMS))).parse_args(argv)
     handlers = {
         "gen": _cmd_gen,
         "analyze": _cmd_analyze,

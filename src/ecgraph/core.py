@@ -288,7 +288,11 @@ def normalize_colors(graph: ColoredGraph) -> ColoredGraph:
 
 def load_ecg(text: str) -> ColoredGraph:
     """Parse an ECG document.  Errors carry the offending line number."""
-    lines = text.splitlines()
+    # lines end at "\n" only (a CR before it is stripped with the line);
+    # the empty piece after a final newline is not a line
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise EcgError("empty document", 1)
     header = lines[0].split()
@@ -336,7 +340,6 @@ def load_ecg(text: str) -> ColoredGraph:
 
 def save_ecg(graph: ColoredGraph) -> str:
     """Serialize to ECG text; load(save(G)) == G as a labeled colored graph."""
-    out = [f"ecg {graph.n} {graph.edge_count}"]
-    for u, v in graph.edges:
-        out.append(f"{u} {v} {graph.color(u, v)}")
-    return "\n".join(out) + "\n"
+    color = graph._color
+    return f"ecg {graph.n} {graph.edge_count}\n" + "".join(
+        [f"{u} {v} {color[u, v]}\n" for u, v in graph._edges])

@@ -423,8 +423,7 @@ class Report:
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` to ``path`` as indented JSON with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def emit_report(report: Report, path) -> None:

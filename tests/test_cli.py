@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -251,6 +252,16 @@ def test_unwritable_output_is_usage_error(argv, monkeypatch, tmp_path, capsys):
     assert main(argv + [""]) == 2
     err = capsys.readouterr().err
     assert err == "error: cannot open : No such file or directory\n"
+    # and an existing file that may not be written is kept as it was
+    out = tmp_path / "ro.out"
+    out.write_text("old\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs:
+                        path != str(out) and access(path, mode, **kwargs))
+    assert main(argv + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot open {out}: Permission denied\n"
+    assert out.read_text() == "old\n"
 
 
 def test_usage_error_creates_and_truncates_no_output(tmp_path):
@@ -371,3 +382,76 @@ def test_dash_is_stdout_for_out_only(monkeypatch, tmp_path, capsys):
     assert main(["reduce", str(src), "--out", "-"]) == 0
     assert capsys.readouterr().out == P5_ECG
     assert not (tmp_path / "-").exists()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    import argparse
+
+    path = tmp_path / "p5.ecg"
+    path.write_text(P5_ECG)
+    src = str(path)
+    assert main(["analyze", src]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["analyze", src], ["reduce", src], ["partition", src],
+                 ["gen", "--kind", "example1", "--k", "3"]):
+        assert main(argv) == 0
+    assert built == []
+
+
+def test_claim_registered_after_first_call_is_a_theorem(capsys):
+    from ecgraph.harness import CLAIMS, Claim, register_claim
+
+    assert main(["verify", "--theorem", "li_triangle", "--n", "4:6",
+                 "--budget", "2"]) == 0
+    register_claim(Claim(id="_test_late", description="test only"))
+    try:
+        assert main(["verify", "--theorem", "_test_late", "--n", "4:6",
+                     "--budget", "3"]) == 0
+        assert "claim: _test_late\n" in capsys.readouterr().out
+    finally:
+        del CLAIMS["_test_late"]
+    # and once removed, it is no longer a choice
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--theorem", "_test_late"])
+    assert err.value.code == 2
+    assert "invalid choice: '_test_late'" in capsys.readouterr().err
+
+
+# sha256 of what the parser printed before it was cached, at COLUMNS=80;
+# argparse lays help out differently across Python versions, and these
+# were recorded with CPython 3.11
+HELP_DIGESTS = {
+    (): "84a7b72989064f40dc2f41bead6db8ab223d1c1f5121607efe30ee29a475912b",
+    ("gen",): "dd88d4482f6fdb46e4931f547a8255bfdf429999e08cba45d5dde752ba415161",
+    ("analyze",): "e6ea51c7ca1e4a5ab6b46d9cbbea840a65906233c72d1a35d5bac760c538cea6",
+    ("reduce",): "479413c16b019aa94de2744d45e6395fa0a36c8eb4c0143fe63668d3a589054e",
+    ("partition",): "b677ce9359c043a2eadb9854a6ab2620b2469086ba1d15f47ec90db783ab9980",
+    ("verify",): "87add83ee21b8f73c617071f10f3ed15acbb4db8542c566b5ed8786b61308114",
+    ("hly-search",): "85ac96b1c7b9570921172f9b6c8cd89ed45c6ae51880c0caf35c9f952d9c5e4b",
+}
+UNKNOWN_THEOREM_DIGEST = "305068243c090960e55419fc3b8ed438843067bc54b73cfbe6f4f7834e41f8ab"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests recorded with CPython 3.11's argparse")
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second round reuses the parser the first one read
+        for command, digest in HELP_DIGESTS.items():
+            with pytest.raises(SystemExit) as err:
+                main([*command, "--help"])
+            assert err.value.code == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--theorem", "nope"])
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert hashlib.sha256(err.encode()).hexdigest() == UNKNOWN_THEOREM_DIGEST

@@ -58,6 +58,13 @@ def test_load_duplicate_edge_reports_line_3():
     ("ecg 3 1\n0 1 1_0\n", 2, "must contain integers"),
     ("ecg 3 1\n0 ١ 2\n", 2, "must contain integers"),  # Arabic-Indic 1
     ("ecg 3 1\n0 1 ２\n", 2, "must contain integers"),  # fullwidth 2
+    # lines end at LF only: str.splitlines() would also break these lines
+    ("ecg 3 2\n0 1 1\x0c0 2 1\n", 2, "edge line must be"),  # form feed
+    ("ecg 3 2\n0 1 1\x1c0 2\n", 2, "edge line must be"),  # file separator
+    ("ecg 3 2\n0 1\x852\n0 2 1\n", 2, "must contain integers"),  # NEL
+    ("ecg 3 2\n0 1\u20282\n0 2 1\n", 2, "must contain integers"),  # LS
+    ("ecg 3 1\r0 1 1\r", 1, "header"),  # a lone CR is not a line break
+    ("ecg 3 2\n0 1 1\n\n", 3, "expected 2 edges"),  # the last line
 ])
 def test_load_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(EcgError) as err:
@@ -72,6 +79,9 @@ def test_load_allows_comments_and_blank_lines():
     # a comment is free text, "_" and non-ASCII included
     g = load_ecg("ecg 3 1\n# n_max été ١\n0 2 4\n")
     assert g.edges == [(0, 2)] and g.color(0, 2) == 4
+    # a CR before the LF is stripped with the rest of the line
+    g = load_ecg("ecg 3 2\r\n# a comment\r\n\r\n0 2 4\r\n0 1 1\r\n")
+    assert g.edges == [(0, 1), (0, 2)] and g.color(0, 2) == 4
 
 
 def test_save_is_lexicographic_and_bit_exact():

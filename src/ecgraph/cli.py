@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import os
 import sys
 
@@ -44,24 +43,27 @@ def _range(cast):
 def _read_graph(path: str):
     if path == "-":
         return load_ecg(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
+    # newline="": a file reaches load_ecg with the line ends stdin gives it
+    with open(path, encoding="utf-8", newline="") as fh:
         return load_ecg(fh.read())
 
 
 def _check_writable(path: str | None) -> None:
     """Raise, before any work, the OSError that opening ``path`` for writing
-    would raise when it is empty, a directory or an unwritable file, or
-    when its parent is missing, is not a directory or is unwritable;
-    creates no file.  "-" is a file here: only ``--out -`` means stdout,
-    and :func:`main` maps it to None."""
+    would raise when it is empty, a directory or an unwritable file, or,
+    when it does not exist, when its parent is missing, is not a directory
+    or is unwritable; creates no file.  "-" is a file here: only
+    ``--out -`` means stdout, and :func:`main` maps it to None."""
     if path is None:
         return
     if not path:
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if os.path.exists(path) and not os.access(path, os.W_OK):
-        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+    if os.path.exists(path):  # opened in place: its directory does not matter
+        if not os.access(path, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return
     parent = os.path.dirname(path) or "."
     try:
         os.stat(parent)  # a missing parent, or a regular file above it
@@ -80,61 +82,67 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser(claim_ids: tuple[str, ...]) -> argparse.ArgumentParser:
-    """The parser, with ``claim_ids`` as the ``--theorem`` choices; built
-    once per set of registered claims."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; given ``command``, it holds that subcommand alone.
+    argparse hands everything after a subcommand's name to its subparser,
+    and adding the other five would cost more than the parse itself.  They
+    would show only in the usage line of an unrecognized-arguments error,
+    for which :func:`main` builds the whole parser."""
     parser = argparse.ArgumentParser(
         prog="ecgraph",
         description="Edge-colored graph toolkit and verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate an instance in ECG format")
-    g.add_argument("--kind", required=True, choices=KINDS)
-    g.add_argument("--k", type=int, help="parameter for example1")
-    g.add_argument("--n", type=int, help="vertex count")
-    g.add_argument("--p", type=float, default=0.5, help="edge probability")
-    g.add_argument("--colors", type=int, default=3, help="palette size")
-    g.add_argument("--parts", type=str, help="comma-separated part sizes")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", type=str, default=None)
+    def add(name: str, text: str) -> argparse.ArgumentParser | None:
+        """The subparser ``name``, or None when ``command`` is another."""
+        if command in (None, name):
+            return sub.add_parser(name, help=text)
+        return None
 
-    a = sub.add_parser("analyze", help="summarize an ECG file")
-    a.add_argument("file", help="ECG path or - for stdin")
-    a.add_argument("--json", dest="json_path", type=str, default=None)
+    if g := add("gen", "generate an instance in ECG format"):
+        g.add_argument("--kind", required=True, choices=KINDS)
+        g.add_argument("--k", type=int, help="parameter for example1")
+        g.add_argument("--n", type=int, help="vertex count")
+        g.add_argument("--p", type=float, default=0.5, help="edge probability")
+        g.add_argument("--colors", type=int, default=3, help="palette size")
+        g.add_argument("--parts", type=str, help="comma-separated part sizes")
+        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--out", type=str, default=None)
 
-    r = sub.add_parser("reduce", help="edge-minimal reduction of an ECG file")
-    r.add_argument("file", help="ECG path or - for stdin")
-    r.add_argument("--out", type=str, default=None)
+    if a := add("analyze", "summarize an ECG file"):
+        a.add_argument("file", help="ECG path or - for stdin")
+        a.add_argument("--json", dest="json_path", type=str, default=None)
 
-    pt = sub.add_parser("partition",
-                        help="matching/cover partition of an ECG file")
-    pt.add_argument("file", help="ECG path or - for stdin")
-    pt.add_argument("--json", dest="json_path", type=str, default=None)
+    if r := add("reduce", "edge-minimal reduction of an ECG file"):
+        r.add_argument("file", help="ECG path or - for stdin")
+        r.add_argument("--out", type=str, default=None)
 
-    v = sub.add_parser("verify", help="sample-and-check one claim")
-    v.add_argument("--theorem", required=True, choices=claim_ids,
-                   help="claim id")
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--n", type=_range(int), default=(4, 12),
-                   help="vertex range A or A:B")
-    v.add_argument("--colors", type=_range(int), default=(2, 16),
-                   help="palette range A or A:B")
-    v.add_argument("--p", type=_range(float), default=(0.2, 0.9),
-                   help="edge probability A or A:B")
-    v.add_argument("--budget", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--json", dest="json_path", type=str, default=None)
+    if pt := add("partition", "matching/cover partition of an ECG file"):
+        pt.add_argument("file", help="ECG path or - for stdin")
+        pt.add_argument("--json", dest="json_path", type=str, default=None)
 
-    h = sub.add_parser("hly-search",
-                       help="search for disjoint-triangle counterexamples")
-    h.add_argument("--k", type=int, required=True)
-    h.add_argument("--n", type=_range(int), required=True)
-    h.add_argument("--colors", type=_range(int), default=(2, 16))
-    h.add_argument("--p", type=_range(float), default=(0.2, 0.9))
-    h.add_argument("--budget", type=int, default=1000)
-    h.add_argument("--seed", type=int, default=0)
-    h.add_argument("--json", dest="json_path", type=str, default=None)
+    if v := add("verify", "sample-and-check one claim"):
+        v.add_argument("--theorem", required=True, choices=sorted(CLAIMS),
+                       help="claim id")
+        v.add_argument("--k", type=int, default=None)
+        v.add_argument("--n", type=_range(int), default=(4, 12),
+                       help="vertex range A or A:B")
+        v.add_argument("--colors", type=_range(int), default=(2, 16),
+                       help="palette range A or A:B")
+        v.add_argument("--p", type=_range(float), default=(0.2, 0.9),
+                       help="edge probability A or A:B")
+        v.add_argument("--budget", type=int, default=1000)
+        v.add_argument("--seed", type=int, default=0)
+        v.add_argument("--json", dest="json_path", type=str, default=None)
+
+    if h := add("hly-search", "search for disjoint-triangle counterexamples"):
+        h.add_argument("--k", type=int, required=True)
+        h.add_argument("--n", type=_range(int), required=True)
+        h.add_argument("--colors", type=_range(int), default=(2, 16))
+        h.add_argument("--p", type=_range(float), default=(0.2, 0.9))
+        h.add_argument("--budget", type=int, default=1000)
+        h.add_argument("--seed", type=int, default=0)
+        h.add_argument("--json", dest="json_path", type=str, default=None)
     return parser
 
 
@@ -236,7 +244,7 @@ def _cmd_hly_search(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser(tuple(sorted(CLAIMS))).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     handlers = {
         "gen": _cmd_gen,
         "analyze": _cmd_analyze,
@@ -245,6 +253,11 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "hly-search": _cmd_hly_search,
     }
+    # argv that starts with a subcommand is parsed by that subparser alone
+    command = argv[0] if argv and argv[0] in handlers else None
+    args, extra = _build_parser(command).parse_known_args(argv)
+    if extra:  # the usage line of this error names every subcommand
+        _build_parser().parse_args(argv)
     if getattr(args, "out", None) == "-":
         args.out = None  # "-" means stdout, for --out only
     try:

@@ -54,7 +54,7 @@ class ColoredGraph:
                     raise ValueError(f"self-loop at vertex {u}")
                 if c < 1:
                     raise ValueError(f"color must be >= 1, got {c}")
-            k = _key(u, v)
+            k = (u, v) if u < v else (v, u)
             if validate and k in color:
                 raise ValueError(f"duplicate edge {k}")
             color[k] = c

@@ -72,12 +72,14 @@ def sample_random_colored(n: int, p: float, c: int,
                           rng: random.Random) -> ColoredGraph:
     """G(n, p) with uniform colors from 1..c, drawn from ``rng``: one
     ``rng.random()`` per pair u < v in lexicographic order and one
-    ``rng.randint(1, c)`` per edge kept."""
+    ``1 + rng.randrange(c)`` per edge kept (the draw ``rng.randint(1, c)``
+    makes)."""
+    draw, draw_color = rng.random, rng.randrange
     triples = []
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
-                triples.append((u, v, rng.randint(1, c)))
+            if draw() < p:
+                triples.append((u, v, 1 + draw_color(c)))
     return ColoredGraph(n, triples, validate=False)
 
 

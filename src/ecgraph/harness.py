@@ -15,9 +15,10 @@ repair can never smuggle in a hypothesis-violating graph).
 
 The whole sample stream is a deterministic function of (spec, seed).
 Repair is part of it: it always works on the first deficient vertex in
-index order, draws its partner with one ``rng.choice`` per added edge over
-the non-neighbors in increasing order, and numbers fresh colors from the
-largest color + 1 upward.
+index order, joins it to the rank-``rng.randrange(count)`` vertex among
+its ``count`` non-neighbors in increasing order (the draw ``rng.choice``
+makes over that list), one draw per added edge, and numbers fresh colors
+from the largest color + 1 upward.
 """
 
 from __future__ import annotations
@@ -441,25 +442,32 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
     at deficient vertices; None when some deficient vertex is already full.
 
     Determinism contract: each step takes the first deficient vertex in
-    index order and joins it, by one ``rng.choice`` over its non-neighbors
-    in increasing order, with the next fresh color from max(colors) + 1 up.
+    index order and joins it to the rank-``rng.randrange(count)`` vertex
+    among its ``count`` non-neighbors in increasing order (the draw
+    ``rng.choice`` makes over that list), read off a bitset of
+    non-neighbors, with the next fresh color from max(colors) + 1 up.
     A fresh color adds one to both ends' color degrees and degrees never
     fall, so the scan only moves forward.  The graph is built once, from
     the original edges in insertion order followed by the added ones.
     """
     n = graph.n
-    seen = [graph.adjacency_bits(v) | 1 << v for v in range(n)]
+    full = (1 << n) - 1
+    free = [full & ~(graph.adjacency_bits(v) | 1 << v) for v in range(n)]
     dc = list(graph.derived(_color_degrees))
     fresh = max(graph.colors(), default=0) + 1
     added: list[tuple[int, int, int]] = []
     for v in range(n):
         while dc[v] < target:
-            candidates = [u for u in range(n) if not seen[v] >> u & 1]
-            if not candidates:
+            count = free[v].bit_count()
+            if not count:
                 return None
-            u = rng.choice(candidates)
-            seen[v] |= 1 << u
-            seen[u] |= 1 << v
+            # the rank-i non-neighbor: clear the i lowest bits, take the next
+            bits = free[v]
+            for _ in range(rng.randrange(count)):
+                bits &= bits - 1
+            u = (bits & -bits).bit_length() - 1
+            free[v] ^= 1 << u
+            free[u] ^= 1 << v
             dc[v] += 1
             dc[u] += 1
             added.append((min(u, v), max(u, v), fresh + len(added)))

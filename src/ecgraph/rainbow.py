@@ -200,18 +200,33 @@ def max_book(graph: ColoredGraph) -> int:
 
 
 def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
-    """First edge (lexicographically) carrying k rainbow triangles."""
+    """First edge (lexicographically) carrying k rainbow triangles, with
+    its k smallest apexes.
+
+    An early-exit scan that builds no index: an edge uv with fewer than k
+    common neighbors is skipped by a popcount, and otherwise its common
+    neighbors w are walked upward, keeping those where c(uv), c(uw) and
+    c(vw) are pairwise distinct, until k are found."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    index = build_index(graph)
+    rows = graph.derived(_color_rows)
     for u, v in graph.edges:
-        if index.rt_pair(u, v) >= k:
-            apexes = sorted(
-                (set(t) - {u, v}).pop()
-                for t in index.triangles if u in t and v in t
-            )[:k]
-            tris = tuple(tuple(sorted((u, v, a))) for a in apexes)
-            return Certificate(kind="book", base=(u, v), triangles=tris)
+        common = graph.adjacency_bits(u) & graph.adjacency_bits(v)
+        if common.bit_count() < k:
+            continue
+        row_u, row_v = rows[u], rows[v]
+        cuv = row_u[v]
+        apexes = []
+        while common:
+            low = common & -common
+            common ^= low
+            w = low.bit_length() - 1
+            cuw, cvw = row_u[w], row_v[w]
+            if cuw != cuv and cvw != cuv and cuw != cvw:
+                apexes.append(w)
+                if len(apexes) == k:
+                    tris = tuple(tuple(sorted((u, v, a))) for a in apexes)
+                    return Certificate(kind="book", base=(u, v), triangles=tris)
     return None
 
 

@@ -243,6 +243,19 @@ def self_check_reference(cert: Certificate, graph: ColoredGraph) -> bool:
     return False
 
 
+def find_book_reference(g: ColoredGraph, k: int) -> Certificate | None:
+    """Frozen book search over the whole triangle set: the first edge, in
+    lexicographic order, that lies in at least k rainbow triangles, with
+    its k smallest apexes."""
+    tris = naive_rainbow_triangles(g)
+    for u, v in g.edges:
+        apexes = sorted((set(t) - {u, v}).pop() for t in tris if u in t and v in t)
+        if len(apexes) >= k:
+            return Certificate(kind="book", base=(u, v), triangles=tuple(
+                tuple(sorted((u, v, a))) for a in apexes[:k]))
+    return None
+
+
 def find_fan_reference(g: ColoredGraph, k: int) -> Certificate | None:
     """Frozen fan search: the first center of degree >= 2k whose rainbow
     links hold a matching of size k."""

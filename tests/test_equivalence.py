@@ -44,6 +44,11 @@
   give the frozen per-kind checker's answer, apart from three bases that
   checker mishandles.  Both fan searches are one first-center search, and
   each must return the frozen copy's certificate.
+- ``find_book`` scans the edges and stops at the first book; it must
+  return the certificate (or None) of the frozen search over the whole
+  triangle set in ``oracles.py``, also past edges with k common neighbors
+  but fewer than k rainbow apexes, and a book conclusion that holds must
+  build no triangle index.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ import ecgraph.reduction
 from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
+    find_book_reference,
     find_fan_reference,
     find_pc_spanning_fan_reference,
     color_classes_reference,
@@ -91,13 +97,13 @@ from oracles import (
 from ecgraph.bounds import (_vertex_bounds, edge_restriction_counts,
                             mono_balance_diagnostics, restriction_count,
                             triangle_bound_report)
-from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
-                          min_color_degree, mono_degree)
+from ecgraph.core import (ColoredGraph, color_degree, color_profile, load_ecg,
+                          max_mono_degree, min_color_degree, mono_degree)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
 from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
                              _concl_fan, _concl_mono_balance, _concl_restriction,
-                             _concl_spanning_fan, _repair_color_degree)
+                             _concl_spanning_fan, _repair_color_degree, TheoremSpec)
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
@@ -553,6 +559,46 @@ def test_fan_searches_match_frozen_copies():
         assert find_pc_spanning_fan(two_odd_cliques(n)) is None
 
 
+def _passed_book_edges(g: ColoredGraph, k: int, cert: Certificate | None) -> int:
+    """Edges the book scan walks and passes before ``cert``'s base (every
+    edge when there is none): at least k common neighbors, but fewer than k
+    rainbow apexes."""
+    tris = naive_rainbow_triangles(g)
+    passed = 0
+    for u, v in g.edges:
+        if cert is not None and (u, v) == cert.base:
+            break
+        common = set(g.neighbors(u)) & set(g.neighbors(v))
+        passed += len(common) >= k > sum(u in t and v in t for t in tris)
+    return passed
+
+
+def _book_graphs():
+    for _, g in _corpus(seed=167, count=300):
+        yield g
+        yield ColoredGraph(g.n, [(u, v, i + 1) for i, (u, v) in enumerate(g.edges)])
+    for n in range(3, 14):
+        yield gen_proper_complete(n, seed=n)
+
+
+def test_book_search_matches_frozen_reference():
+    found = missing = passing = 0
+    for g in _book_graphs():
+        for k in range(1, 5):
+            cert = find_book(g, k)
+            assert cert == find_book_reference(g, k)
+            found += cert is not None
+            missing += cert is None
+            passing += _passed_book_edges(g, k, cert) > 0
+    # Example 1 at k has books of k-1 and none of k, found by a full scan
+    for k in range(2, 7):
+        g = gen_example1(k)
+        cert = find_book(g, k - 1)
+        assert cert is not None and cert == find_book_reference(g, k - 1)
+        assert find_book(g, k) is None and find_book_reference(g, k) is None
+    assert found >= 700 and missing >= 1500 and passing >= 200, (found, missing, passing)
+
+
 def _concl_book_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
     cert = find_book(g, k)
     if cert is not None and cert.self_check(g):
@@ -926,6 +972,22 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
         assert _concl_class_bounds(h, 0) == (True, "")
         assert _concl_mono_balance(h, 0) == (True, "")
     assert facts == [[g, h]] * len(facts)
+
+
+def test_book_conclusion_holds_without_the_index(monkeypatch):
+    spec = TheoremSpec(id="lemma3_uncolored", k=3, n_range=(7, 10), budget=1,
+                       seed=1, keep_samples=1)
+    sample = load_ecg(ecgraph.harness.verify(spec).sample_ecgs[0])
+    assert ecgraph.harness.CLAIMS["lemma3_uncolored"].hypothesis(sample, 3)
+    builds = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
+    assert _concl_book(gen_proper_complete(9, seed=9), 2) == (True, "")
+    assert _concl_book(sample, 3) == (True, "")
+    assert builds == []
+    # only a failing conclusion builds the index, for its gap's max_book
+    g = gen_example1(4)
+    assert _concl_book(g, 4) == (
+        False, "no 4 rainbow triangles on a common edge (max 3)")
+    assert builds == [g]
 
 
 def test_derived_graphs_get_their_own_facts():

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ColoredGraph, _color_degrees, _members, _mono_degrees,
+from .core import (ColoredGraph, _color_degrees, _jsonable, _members, _mono_degrees,
                    max_mono_degree, min_color_degree)
 from .rainbow import _links, build_index
 from .reduction import is_edge_minimal
@@ -90,15 +90,7 @@ class ClassBound:
         return self.rt_observed - self.lower_bound
 
     def to_json(self) -> dict:
-        return {
-            "color": self.color,
-            "size": self.size,
-            "rt_observed": self.rt_observed,
-            "lower_bound": self.lower_bound,
-            "lower_bound_strict": self.lower_bound_strict,
-            "balance": self.balance,
-            "slack": self.slack,
-        }
+        return {**_jsonable(self), "slack": self.slack}
 
 
 @dataclass(frozen=True)
@@ -119,15 +111,7 @@ class TriangleBoundReport:
     vertex_lower: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "edge_minimal": self.edge_minimal,
-            "per_class": [cb.to_json() for cb in self.per_class],
-            "balance_total": self.balance_total,
-            "rt_vertex": self.rt_vertex,
-            "vertex_lower": [self.vertex_lower.numerator,
-                             self.vertex_lower.denominator],
-        }
+        return {**_jsonable(self), "per_class": [cb.to_json() for cb in self.per_class]}
 
 
 def _rt_rows(graph: ColoredGraph) -> list[dict[int, int]]:

@@ -10,19 +10,13 @@ import argparse
 import errno
 import os
 import sys
+from contextlib import suppress
 
-from .core import load_ecg, max_mono_degree, min_color_degree, save_ecg
+from .core import _jsonable, load_ecg, max_mono_degree, min_color_degree, save_ecg
 from .generators import KINDS, GeneratorSpec, generate
 from .bounds import counting_lower_bound
-from .harness import (
-    CLAIMS,
-    AdmissionError,
-    TheoremSpec,
-    emit_report,
-    search_hly_counterexample,
-    verify,
-    write_json,
-)
+from .harness import (CLAIMS, AdmissionError, TheoremSpec, WriteError, emit_report,
+                      search_hly_counterexample, verify, write_json, write_text)
 from .matching import gallai_partition, max_matching, verify_partition_lemmas
 from .rainbow import build_index, max_book, max_fan
 from .reduction import edge_minimal_reduce, is_edge_minimal
@@ -42,7 +36,10 @@ def _range(cast):
 
 def _read_graph(path: str):
     if path == "-":
-        return load_ecg(sys.stdin.read())
+        try:
+            return load_ecg(sys.stdin.read())
+        except OSError as exc:  # named: main reads an unnamed one as stdout's
+            raise OSError(exc.errno, exc.strerror, "stdin") from None
     # newline="": a file reaches load_ecg with the line ends stdin gives it
     with open(path, encoding="utf-8", newline="") as fh:
         return load_ecg(fh.read())
@@ -78,8 +75,7 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(text, out)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -170,7 +166,6 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     g = _read_graph(args.file)
     minimal, witness = is_edge_minimal(g)
-    bound = counting_lower_bound(g)
     doc = {
         "n": g.n,
         "m": g.edge_count,
@@ -178,11 +173,11 @@ def _cmd_analyze(args) -> int:
         "min_color_degree": min_color_degree(g),
         "max_mono_degree": max_mono_degree(g),
         "edge_minimal": minimal,
-        "removable_edge": list(witness) if witness else None,
+        "removable_edge": _jsonable(witness),
         "rainbow_triangles": build_index(g).count(),
         "max_book": max_book(g),
         "max_fan": max_fan(g),
-        "counting_lower_bound": [bound.numerator, bound.denominator],
+        "counting_lower_bound": _jsonable(counting_lower_bound(g)),
     }
     for key, value in doc.items():
         print(f"{key}: {value}")
@@ -205,8 +200,8 @@ def _cmd_partition(args) -> int:
            "diagnostics": diag.to_json()}
     print(f"alpha_prime: {diag.alpha_prime}")
     print(f"beta: {diag.beta}")
-    print(f"v0: {sorted(part.v0)}")
-    print(f"components: {[list(c) for c in part.components]}")
+    print(f"v0: {doc['partition']['v0']}")
+    print(f"components: {doc['partition']['components']}")
     print(f"size_identity_ok: {diag.size_identity_ok}  structure_ok: {diag.structure_ok}  "
           f"chain_ok: {diag.chain_ok}")
     if args.json_path is not None:
@@ -262,13 +257,20 @@ def main(argv: list[str] | None = None) -> int:
         args.out = None  # "-" means stdout, for --out only
     try:
         _check_writable(getattr(args, "out", getattr(args, "json_path", None)))
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a buffered write to stdout fails here, not at exit
+        return code
     except (ValueError, AdmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # a file that cannot be read or written is an input error, not a failure
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        if exc.filename is None:  # only a failed write to stdout names no file
+            with suppress(OSError):  # closed, exit does not retry what is left buffered
+                sys.stdout.close()
+            exc = WriteError(exc.errno, exc.strerror, "stdout")
+        verb = "write" if isinstance(exc, WriteError) else "open"
+        print(f"error: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

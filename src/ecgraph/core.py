@@ -8,7 +8,8 @@ share between threads and to use as the input of pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
 
 
 class EcgError(ValueError):
@@ -19,6 +20,23 @@ class EcgError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _jsonable(value):
+    """``value`` as JSON data, the one encoding of every result: a dataclass
+    becomes a dict of its fields in declaration order, a tuple or list a
+    list, a set a sorted list and a Fraction [numerator, denominator]; any
+    other value is returned as is."""
+    if isinstance(value, (tuple, list)):
+        # ints, the common item, skip the call
+        return [x if type(x) is int else _jsonable(x) for x in value]
+    if isinstance(value, (set, frozenset)):
+        return _jsonable(sorted(value))
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def _key(u: int, v: int) -> tuple[int, int]:

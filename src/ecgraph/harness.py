@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, _color_degrees, _mono_degrees, load_ecg,
+from .core import (ColoredGraph, _color_degrees, _jsonable, _mono_degrees, load_ecg,
                    max_mono_degree, min_color_degree, save_ecg)
 from .generators import gen_example1, gen_proper_complete, sample_random_colored
 from .rainbow import (
@@ -375,15 +375,9 @@ class TheoremSpec:
     keep_samples: int = 0
 
     def echo(self) -> dict:
-        return {
-            "id": self.id,
-            "k": self.k,
-            "n_range": list(self.n_range),
-            "c_range": list(self.c_range),
-            "p_range": list(self.p_range),
-            "budget": self.budget,
-            "seed": self.seed,
-        }
+        doc = _jsonable(self)
+        del doc["keep_samples"]
+        return doc
 
 
 @dataclass(frozen=True)
@@ -393,7 +387,7 @@ class Failure:
     ecg: str
 
     def to_json(self) -> dict:
-        return {"index": self.index, "gap": self.gap, "ecg": self.ecg}
+        return _jsonable(self)
 
 
 @dataclass
@@ -416,15 +410,30 @@ class Report:
             "spec": self.spec_echo,
             "samples_attempted": self.samples_attempted,
             "samples_admitted": self.samples_admitted,
-            "conclusion_failures": [f.to_json() for f in self.conclusion_failures],
+            "conclusion_failures": _jsonable(self.conclusion_failures),
             "sample_ecgs": list(self.sample_ecgs),
         }
 
 
+class WriteError(OSError):
+    """A file that was opened but could not be written."""
+
+
+def write_text(text: str, path) -> None:
+    """Write ``text`` to ``path``.  A failed write, which names no file (a
+    failed open names its own), raises :class:`WriteError` naming ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise WriteError(exc.errno, exc.strerror, path) from None
+
+
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` to ``path`` as indented JSON with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    write_text(json.dumps(doc, indent=2) + "\n", path)
 
 
 def emit_report(report: Report, path) -> None:
@@ -473,7 +482,8 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
             added.append((min(u, v), max(u, v), fresh + len(added)))
     if not added:
         return graph
-    return ColoredGraph(n, [(*e, c) for e, c in graph.edge_colors().items()] + added)
+    return ColoredGraph(n, [(*e, c) for e, c in graph.edge_colors().items()] + added,
+                        validate=False)
 
 
 def verify(spec: TheoremSpec) -> Report:

@@ -10,6 +10,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
+from .core import _jsonable
+
 COVER_SIZE_LIMIT = 64
 # node limit of every exact backtracking search, counted by ``_node_budget``
 SEARCH_NODE_LIMIT = 1_000_000
@@ -318,15 +320,7 @@ class GallaiPartition:
         return len(self.components)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "matching": [list(e) for e in self.matching],
-            "v0": sorted(self.v0),
-            "components": [list(c) for c in self.components],
-            "alpha_edges": [list(e) for e in self.alpha_edges],
-            "gamma_edges": [list(e) for e in self.gamma_edges],
-            "virtual_vertex": self.virtual_vertex,
-        }
+        return _jsonable(self)
 
 
 def gallai_partition(n: int, edges, matching) -> GallaiPartition:
@@ -450,8 +444,7 @@ class PartitionDiagnostics:
     tight_cover_ok: bool | None
 
     def to_json(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in self.__dict__.items()}
+        return _jsonable(self)
 
 
 def _matching_size(matching, eset: set) -> int:

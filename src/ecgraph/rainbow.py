@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import ColoredGraph, _color_rows
+from .core import ColoredGraph, _color_rows, _jsonable
 from .matching import _node_budget, max_matching
 
 
@@ -183,15 +183,8 @@ class Certificate:
 
     def to_json(self, graph: ColoredGraph) -> dict:
         """JSON document citing the colors of every referenced edge."""
-        base = list(self.base) if isinstance(self.base, tuple) else self.base
-        return {
-            "kind": self.kind,
-            "base": base,
-            "triangles": [list(t) for t in self.triangles],
-            "edge_colors": [
-                [u, v, graph.color(u, v)] for u, v in self.cited_edges()
-            ],
-        }
+        return {**_jsonable(self), "edge_colors": [
+            [u, v, graph.color(u, v)] for u, v in self.cited_edges()]}
 
 
 def max_book(graph: ColoredGraph) -> int:

@@ -893,3 +893,79 @@ def verify_partition_lemmas_reference(n: int, edges, part: GallaiPartition
         tight_comps_ok=tight_comps,
         tight_cover_ok=tight_cover,
     )
+
+
+# -- frozen JSON encoders ----------------------------------------------------
+#
+# Each result's hand-written encoder as it stood before the shared one in
+# ``ecgraph.core``: each restates its field list and applies the tuple, set
+# and Fraction rules itself.
+
+
+def class_bound_json_reference(cb: ClassBound) -> dict:
+    return {
+        "color": cb.color,
+        "size": cb.size,
+        "rt_observed": cb.rt_observed,
+        "lower_bound": cb.lower_bound,
+        "lower_bound_strict": cb.lower_bound_strict,
+        "balance": cb.balance,
+        "slack": cb.slack,
+    }
+
+
+def triangle_bound_report_json_reference(report: TriangleBoundReport) -> dict:
+    return {
+        "vertex": report.vertex,
+        "edge_minimal": report.edge_minimal,
+        "per_class": [class_bound_json_reference(cb) for cb in report.per_class],
+        "balance_total": report.balance_total,
+        "rt_vertex": report.rt_vertex,
+        "vertex_lower": [report.vertex_lower.numerator,
+                         report.vertex_lower.denominator],
+    }
+
+
+def gallai_partition_json_reference(part: GallaiPartition) -> dict:
+    return {
+        "n": part.n,
+        "matching": [list(e) for e in part.matching],
+        "v0": sorted(part.v0),
+        "components": [list(c) for c in part.components],
+        "alpha_edges": [list(e) for e in part.alpha_edges],
+        "gamma_edges": [list(e) for e in part.gamma_edges],
+        "virtual_vertex": part.virtual_vertex,
+    }
+
+
+def partition_diagnostics_json_reference(diag: PartitionDiagnostics) -> dict:
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in diag.__dict__.items()}
+
+
+def failure_json_reference(failure) -> dict:
+    return {"index": failure.index, "gap": failure.gap, "ecg": failure.ecg}
+
+
+def certificate_json_reference(cert: Certificate, graph: ColoredGraph) -> dict:
+    base = list(cert.base) if isinstance(cert.base, tuple) else cert.base
+    return {
+        "kind": cert.kind,
+        "base": base,
+        "triangles": [list(t) for t in cert.triangles],
+        "edge_colors": [
+            [u, v, graph.color(u, v)] for u, v in cert.cited_edges()
+        ],
+    }
+
+
+def theorem_spec_echo_reference(spec) -> dict:
+    return {
+        "id": spec.id,
+        "k": spec.k,
+        "n_range": list(spec.n_range),
+        "c_range": list(spec.c_range),
+        "p_range": list(spec.p_range),
+        "budget": spec.budget,
+        "seed": spec.seed,
+    }

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
 import os
 import sys
@@ -214,14 +216,18 @@ FIRST_WORK = {"gen": "generate", "analyze": "_read_graph", "reduce": "_read_grap
               "hly-search": "search_hly_counterexample"}
 
 
-@pytest.mark.parametrize("argv", [
+# each command, ending in its output flag
+OUTPUT_ARGV = [
     ["gen", "--kind", "example1", "--k", "3", "--out"],
     ["analyze", "{src}", "--json"],
     ["reduce", "{src}", "--out"],
     ["partition", "{src}", "--json"],
     ["verify", "--theorem", "li_triangle", "--budget", "5", "--seed", "1", "--json"],
     ["hly-search", "--k", "1", "--n", "4:7", "--budget", "5", "--seed", "3", "--json"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV, ids=lambda argv: argv[0])
 def test_unwritable_output_is_usage_error(argv, monkeypatch, tmp_path, capsys):
     import ecgraph.cli
 
@@ -408,8 +414,6 @@ def test_claim_registered_after_import_is_a_theorem(capsys):
 ], ids=["crlf", "lone-cr"])
 def test_file_and_stdin_read_the_same_line_ends(data, line, monkeypatch,
                                                 tmp_path, capsys):
-    import io
-
     path = tmp_path / "g.ecg"
     path.write_bytes(data)
     results = [main(["analyze", str(path)])]
@@ -467,3 +471,65 @@ def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys):
         assert err.value.code == 2
         err = capsys.readouterr().err
         assert hashlib.sha256(err.encode()).hexdigest() == digest, argv
+
+
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", OUTPUT_ARGV, ids=lambda argv: argv[0])
+def test_failed_write_names_the_output(argv, monkeypatch, tmp_path, capsys):
+    src = tmp_path / "p5.ecg"
+    src.write_text(P5_ECG)
+    argv = [arg.format(src=src) for arg in argv]
+    assert main(argv + ["/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write /dev/full: {NO_SPACE}\n"
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(argv[:-1]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write stdout: {NO_SPACE}\n"
+
+
+class _FullStream(io.TextIOBase):
+    """A stdout whose every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, NO_SPACE)
+
+
+def test_write_error_of_an_in_process_stdout(monkeypatch, tmp_path, capsys):
+    src = tmp_path / "p5.ecg"
+    src.write_text(P5_ECG)
+    for argv in (["reduce", str(src)], ["analyze", str(src)]):
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write stdout: {NO_SPACE}\n"
+
+
+def test_failed_read_of_stdin_names_stdin(monkeypatch, capsys):
+    class Unreadable:
+        def read(self):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    monkeypatch.setattr(sys, "stdin", Unreadable())
+    assert main(["analyze", "-"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot open stdin: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_buffered_stdout_failure_exits_2_without_an_exit_flush_error():
+    import subprocess
+
+    import ecgraph
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(ecgraph.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ecgraph", "gen", "--kind",
+                               "example1", "--k", "3"], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {NO_SPACE}\n")

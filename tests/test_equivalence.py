@@ -49,11 +49,16 @@
   triangle set in ``oracles.py``, also past edges with k common neighbors
   but fewer than k rainbow apexes, and a book conclusion that holds must
   build no triangle index.
+- Every result's JSON comes from one encoder in ``ecgraph.core``; each
+  ``to_json()`` and ``TheoremSpec.echo()`` must equal the frozen
+  hand-written encoder in ``oracles.py``, list for list (a tuple is not
+  equal to a list) and in the same key order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -68,6 +73,13 @@ import ecgraph.reduction
 from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
+    certificate_json_reference,
+    class_bound_json_reference,
+    failure_json_reference,
+    gallai_partition_json_reference,
+    partition_diagnostics_json_reference,
+    theorem_spec_echo_reference,
+    triangle_bound_report_json_reference,
     find_book_reference,
     find_fan_reference,
     find_pc_spanning_fan_reference,
@@ -98,12 +110,13 @@ from ecgraph.bounds import (_vertex_bounds, edge_restriction_counts,
                             mono_balance_diagnostics, restriction_count,
                             triangle_bound_report)
 from ecgraph.core import (ColoredGraph, color_degree, color_profile, load_ecg,
-                          max_mono_degree, min_color_degree, mono_degree)
+                          max_mono_degree, min_color_degree, mono_degree, save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
 from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
                              _concl_fan, _concl_mono_balance, _concl_restriction,
-                             _concl_spanning_fan, _repair_color_degree, TheoremSpec)
+                             _concl_spanning_fan, _repair_color_degree, Failure,
+                             Report, TheoremSpec)
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
@@ -238,6 +251,13 @@ def test_v0_matches_deletion_reference_on_partition_shapes():
     assert shapes == 42
 
 
+def _same_json(got, want) -> None:
+    """``==`` tells lists from tuples but not key order; the text tells
+    key order."""
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
 def _raised(call, *args) -> str | None:
     try:
         call(*args)
@@ -270,9 +290,12 @@ def _check_partition(rng: random.Random, n: int, edges) -> GallaiPartition | Non
     assert part == expected
     sub = [e for e in edges if rng.random() < 0.7]
     broken = dataclasses.replace(part, components=part.components[1:])
+    _same_json(part.to_json(), gallai_partition_json_reference(part))
+    _same_json(broken.to_json(), gallai_partition_json_reference(broken))
     for es, given in ((edges, part), (sub, part), (edges, broken)):
-        assert verify_partition_lemmas(n, messy(es), given) == \
-            verify_partition_lemmas_reference(n, es, given)
+        diag = verify_partition_lemmas(n, messy(es), given)
+        assert diag == verify_partition_lemmas_reference(n, es, given)
+        _same_json(diag.to_json(), partition_diagnostics_json_reference(diag))
     return part
 
 
@@ -1104,3 +1127,35 @@ def test_prop1_conclusion_builds_the_index_only_for_positive_counts(monkeypatch)
         if any(sigma for _, _, sigma in _reference_edge_counts(g)):
             built.append(g)
     assert indexes == built and 0 < len(built) < 200
+
+
+def test_json_encodings_match_frozen_encoders():
+    kinds = Counter()
+    for g, cert in _certificate_corpus(seed=163, count=300):
+        if cert.self_check(g):
+            _same_json(cert.to_json(g), certificate_json_reference(cert, g))
+            kinds[type(cert.base).__name__, cert.kind] += 1
+    assert set(kinds) >= {("tuple", "book"), ("int", "fan"), ("int", "spanning_fan"),
+                          ("NoneType", "disjoint_family")}, kinds
+    assert min(kinds.values()) >= 20, kinds
+
+    seen = Counter()
+    for g in _bound_corpus()[::3]:
+        seen["not minimal"] += not is_edge_minimal(g)[0]
+        for v in range(g.n):
+            report = triangle_bound_report(g, v)
+            _same_json(report.to_json(), triangle_bound_report_json_reference(report))
+            for cb in report.per_class:
+                _same_json(cb.to_json(), class_bound_json_reference(cb))
+            seen["isolated"] += not g.degree(v)
+            seen["half"] += report.vertex_lower.denominator == 2
+    assert min(seen.values()) >= 20, seen
+
+    for spec in (TheoremSpec(id="li_triangle", p_range=(0.25, 0.5)),
+                 TheoremSpec(id="book_bk", k=2, n_range=(5, 9), c_range=(3, 3),
+                             p_range=(0.1, 1.0), budget=7, seed=11, keep_samples=2)):
+        _same_json(spec.echo(), theorem_spec_echo_reference(spec))
+    failure = Failure(index=4, gap="rt(v) = 0 < 1", ecg=save_ecg(gen_example1(2)))
+    _same_json(failure.to_json(), failure_json_reference(failure))
+    report = Report(spec_echo={}, conclusion_failures=[failure, failure])
+    _same_json(report.to_json()["conclusion_failures"], [failure_json_reference(failure)] * 2)

@@ -5,12 +5,10 @@ from .core import (
     ColorDegreeProfile,
     ColoredGraph,
     EcgError,
-    color_degree,
     color_profile,
     load_ecg,
     max_mono_degree,
     min_color_degree,
-    mono_degree,
     normalize_colors,
     relabel_colors,
     save_ecg,
@@ -25,7 +23,6 @@ from .generators import (
 )
 from .rainbow import (
     Certificate,
-    RainbowEdgeGraph,
     RainbowTriangleIndex,
     build_index,
     find_book,
@@ -34,9 +31,7 @@ from .rainbow import (
     find_pc_spanning_fan,
     has_rainbow_triangle,
     max_book,
-    max_disjoint_rainbow_triangles,
     max_fan,
-    rainbow_edge_graph,
 )
 from .reduction import edge_minimal_reduce, is_edge_minimal
 from .bounds import (
@@ -51,11 +46,7 @@ from .bounds import (
 from .matching import (
     GallaiPartition,
     PartitionDiagnostics,
-    connected_components,
-    cover_number,
     gallai_partition,
-    is_connected,
-    matching_number,
     max_matching,
     min_vertex_cover,
     verify_partition_lemmas,
@@ -68,7 +59,6 @@ from .harness import (
     Report,
     TheoremSpec,
     UnsatisfiableHypothesisError,
-    check_example1_sharpness,
     emit_report,
     register_claim,
     search_hly_counterexample,

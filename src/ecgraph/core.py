@@ -39,10 +39,6 @@ def _jsonable(value):
     return value
 
 
-def _key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 class ColoredGraph:
     """Simple undirected graph with one positive color id per edge.
 
@@ -96,7 +92,7 @@ class ColoredGraph:
         return len(self._color)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _key(u, v) in self._color
+        return ((u, v) if u < v else (v, u)) in self._color
 
     def color(self, u: int, v: int) -> int:
         # the key is built inline: this is the graph's most frequent query
@@ -142,20 +138,6 @@ class ColoredGraph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-
-    # -- functional updates ----------------------------------------------
-
-    def without_edge(self, u: int, v: int) -> "ColoredGraph":
-        k = _key(u, v)
-        triples = [(a, b, c) for (a, b), c in self._color.items() if (a, b) != k]
-        return ColoredGraph(self.n, triples, validate=False)
-
-    def with_edge(self, u: int, v: int, c: int) -> "ColoredGraph":
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        triples = [(a, b, col) for (a, b), col in self._color.items()]
-        triples.append((*_key(u, v), c))
-        return ColoredGraph(self.n, triples, validate=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColoredGraph):
@@ -253,12 +235,6 @@ def _mono_degrees(graph: ColoredGraph) -> list[int]:
             for at_v in graph.color_table()]
 
 
-def color_degree(graph: ColoredGraph, v: int) -> int:
-    """Number of distinct colors on edges incident to v."""
-    graph._check_vertex(v)
-    return graph.derived(_color_degrees)[v]
-
-
 def min_color_degree(graph: ColoredGraph) -> int:
     """Minimum color degree over all vertices (isolated vertices give 0)."""
     if graph.n < 1:
@@ -266,15 +242,9 @@ def min_color_degree(graph: ColoredGraph) -> int:
     return min(graph.derived(_color_degrees))
 
 
-def mono_degree(graph: ColoredGraph, v: int) -> int:
-    """Largest number of equally colored edges at v."""
-    graph._check_vertex(v)
-    return graph.derived(_mono_degrees)[v]
-
-
 def max_mono_degree(graph: ColoredGraph) -> int:
-    """Maximum of :func:`mono_degree` over all vertices: the largest entry
-    of the per-graph mono-degree list (see :meth:`ColoredGraph.derived`)."""
+    """Largest number of equally colored edges at one vertex: the largest
+    entry of the per-graph mono-degree list (see :meth:`ColoredGraph.derived`)."""
     return max(graph.derived(_mono_degrees), default=0)
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 from .core import (ColoredGraph, _color_degrees, _jsonable, _mono_degrees, load_ecg,
                    max_mono_degree, min_color_degree, save_ecg)
-from .generators import gen_example1, gen_proper_complete, sample_random_colored
+from .generators import gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
     find_book,
@@ -546,40 +546,6 @@ def verify(spec: TheoremSpec) -> Report:
         if not ok:
             report.conclusion_failures.append(
                 Failure(index=index, gap=gap, ecg=save_ecg(g)))
-    report.runtime_seconds = time.perf_counter() - start
-    return report
-
-
-def check_example1_sharpness(k_range) -> Report:
-    """Check the extremal 3-partite construction for each k.
-
-    Asserts the exact values: min color degree 2k-2 = (n+k-1)/2 with
-    n = 3k-3, largest rainbow book k-1, largest rainbow fan k-1.
-    """
-    ks = sorted(k_range)
-    if any(k < 2 for k in ks):
-        raise ValueError("k must be >= 2")
-    report = Report(spec_echo={"id": "example1_sharpness", "k_range": ks})
-    start = time.perf_counter()
-    for k in ks:
-        g = gen_example1(k)
-        report.samples_attempted += 1
-        report.samples_admitted += 1
-        problems = []
-        dc = min_color_degree(g)
-        if g.n != 3 * k - 3:
-            problems.append(f"n = {g.n} != 3k-3")
-        if dc != 2 * k - 2 or 2 * dc != g.n + k - 1:
-            problems.append(f"min color degree {dc} != 2k-2 = (n+k-1)/2")
-        mb = max_book(g)
-        if mb != k - 1:
-            problems.append(f"max book {mb} != k-1")
-        mf = max_fan(g)
-        if mf != k - 1:
-            problems.append(f"max fan {mf} != k-1")
-        if problems:
-            report.conclusion_failures.append(Failure(
-                index=k, gap="; ".join(problems), ecg=save_ecg(g)))
     report.runtime_seconds = time.perf_counter() - start
     return report
 

@@ -142,10 +142,6 @@ def max_matching(n: int, edges) -> list[tuple[int, int]]:
     return sorted((v, match[v]) for v in range(n) if v < match[v])
 
 
-def matching_number(n: int, edges) -> int:
-    return len(max_matching(n, edges))
-
-
 def _greedy_matched(edges: list[tuple[int, int]]) -> set[int]:
     """Vertices covered by the greedy maximal matching of ``edges`` in order."""
     used: set[int] = set()
@@ -248,15 +244,6 @@ def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
     return best
 
 
-def cover_number(n: int, edges) -> int:
-    return len(min_vertex_cover(n, edges))
-
-
-def connected_components(n: int, edges) -> list[tuple[int, ...]]:
-    """Components as sorted vertex tuples, ordered by smallest vertex."""
-    return _components(_adjacency(n, _normalize_edges(n, edges)), ())
-
-
 def _components(adj: list[list[int]], removed) -> list[tuple[int, ...]]:
     """Components of the graph minus the vertices ``removed``, as sorted
     vertex tuples ordered by smallest vertex."""
@@ -277,10 +264,6 @@ def _components(adj: list[list[int]], removed) -> list[tuple[int, ...]]:
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def is_connected(n: int, edges) -> bool:
-    return len(connected_components(n, edges)) <= 1
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class RainbowTriangleIndex:
     def rt_pair(self, u: int, v: int) -> int:
         return self.rt_edge.get((u, v) if u < v else (v, u), 0)
 
-    def rt_set(self, v: int, others) -> int:
-        """Sum of rt(v, x) over x in ``others``."""
-        return sum(self.rt_pair(v, x) for x in others)
-
 
 def _links(graph: ColoredGraph, v: int, lo: int = 0, proper: bool = False):
     """Pairs (x, y) with lo <= x < y such that v, x, y is a rainbow
@@ -90,26 +86,6 @@ def has_rainbow_triangle(graph: ColoredGraph) -> bool:
     return any(_rainbow_triangles(graph))
 
 
-@dataclass(frozen=True)
-class RainbowEdgeGraph:
-    """Edges xy such that v, x, y is a rainbow triangle, for a fixed v."""
-
-    center: int
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def rainbow_edge_graph(graph: ColoredGraph, v: int) -> RainbowEdgeGraph:
-    """A public view over the rainbow link scan :func:`_links` from 0: the
-    pairs x < y closing a rainbow triangle with v, and the vertices they
-    touch.  The package reads the scan directly; this view is for callers
-    outside it."""
-    graph._check_vertex(v)
-    es = tuple(_links(graph, v))
-    verts = tuple(sorted({w for e in es for w in e}))
-    return RainbowEdgeGraph(center=v, vertices=verts, edges=es)
-
-
 # kind -> how many base vertices every triangle of the certificate contains
 _BASE_SIZE = {"book": 2, "fan": 1, "spanning_fan": 1, "disjoint_family": 0}
 
@@ -128,21 +104,6 @@ class Certificate:
     base: tuple[int, int] | int | None
     triangles: tuple[tuple[int, int, int], ...]
 
-    def _base_vertices(self) -> tuple[int, ...]:
-        base = self.base
-        return () if base is None else (base,) if isinstance(base, int) else tuple(base)
-
-    def _rims(self) -> list[list[int]]:
-        """Each triangle's vertices outside the base, ascending."""
-        base = set(self._base_vertices())
-        return [sorted(set(t) - base) for t in self.triangles]
-
-    @property
-    def apexes(self) -> tuple[int, ...]:
-        if self.kind != "book":
-            raise ValueError("apexes are defined for book certificates")
-        return tuple(rim[0] for rim in self._rims())
-
     def cited_edges(self) -> list[tuple[int, int]]:
         es = set()
         for t in self.triangles:
@@ -160,7 +121,8 @@ class Certificate:
         (``_BASE_SIZE``); the rims are pairwise disjoint, and a spanning
         fan's rims cover the other n-1 vertices.
         """
-        base = self._base_vertices()
+        base = self.base
+        base = () if base is None else (base,) if isinstance(base, int) else tuple(base)
         shared = set(base)
         if (not self.triangles or len(base) != _BASE_SIZE.get(self.kind)
                 or len(shared) != len(base)):
@@ -177,7 +139,8 @@ class Certificate:
                     return False
             elif len(set(colors)) != 3:
                 return False
-        hit = [w for rim in self._rims() for w in rim]
+        # the rims: each triangle's vertices outside the base
+        hit = [w for t in self.triangles for w in t if w not in shared]
         return len(set(hit)) == len(hit) and (
             self.kind != "spanning_fan" or len(hit) == graph.n - 1)
 
@@ -297,14 +260,6 @@ def find_disjoint_rainbow_triangles(graph: ColoredGraph,
         return Certificate(kind="disjoint_family", base=None,
                            triangles=tuple(chosen))
     return None
-
-
-def max_disjoint_rainbow_triangles(graph: ColoredGraph) -> int:
-    """Largest k for which a disjoint family exists (exact, small n)."""
-    k = 0
-    while find_disjoint_rainbow_triangles(graph, k + 1) is not None:
-        k += 1
-    return k
 
 
 def find_pc_spanning_fan(graph: ColoredGraph) -> Certificate | None:

@@ -10,10 +10,10 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 from ecgraph.bounds import ClassBound, MonoBalanceDiagnostics, TriangleBoundReport
-from ecgraph.core import (ColoredGraph, color_degree, color_profile, max_mono_degree,
-                          mono_degree)
+from ecgraph.core import ColoredGraph
 from ecgraph.matching import GallaiPartition, PartitionDiagnostics, max_matching
 from ecgraph.rainbow import Certificate, build_index
 from ecgraph.reduction import is_edge_minimal
@@ -384,8 +384,22 @@ def repair_rebuild_reference(graph: ColoredGraph, target: int,
                       if u != deficient and not g.has_edge(deficient, u)]
         if not candidates:
             return None
-        g = g.with_edge(deficient, rng.choice(candidates), next_color)
+        g = with_edge_reference(g, deficient, rng.choice(candidates), next_color)
         next_color += 1
+
+
+def with_edge_reference(g: ColoredGraph, u: int, v: int, c: int) -> ColoredGraph:
+    """``g`` plus the edge uv of color c, rebuilt from its triples (a
+    present edge is a duplicate, which the build rejects)."""
+    triples = [(a, b, col) for (a, b), col in g.edge_colors().items()]
+    return ColoredGraph(g.n, triples + [(u, v, c)])
+
+
+def without_edge_reference(g: ColoredGraph, u: int, v: int) -> ColoredGraph:
+    """``g`` minus the edge uv, rebuilt from its other triples."""
+    drop = {(u, v), (v, u)}
+    return ColoredGraph(g.n, [(a, b, c) for (a, b), c in g.edge_colors().items()
+                              if (a, b) not in drop])
 
 
 def reduce_rescan_reference(graph: ColoredGraph) -> ColoredGraph:
@@ -403,7 +417,7 @@ def reduce_rescan_reference(graph: ColoredGraph) -> ColoredGraph:
                           and counts[v][g.color(u, v)] >= 2), None)
         if removable is None:
             return g
-        g = g.without_edge(*removable)
+        g = without_edge_reference(g, *removable)
 
 
 def _reference_normalize_edges(n: int, edges) -> list[tuple[int, int]]:
@@ -527,6 +541,38 @@ def color_classes_reference(g: ColoredGraph) -> list[dict[int, set[int]]]:
     return classes
 
 
+def mono_degrees_reference(g: ColoredGraph) -> list[int]:
+    """The largest class size at each vertex (0 when isolated)."""
+    return [max(map(len, at_v.values()), default=0)
+            for at_v in color_classes_reference(g)]
+
+
+class ProfileReference(NamedTuple):
+    """The color statistics of one vertex, as ``core.ColorDegreeProfile``
+    defines them."""
+
+    vertex: int
+    dc: int
+    dmon: int
+    sorted_sizes: tuple[int, ...]
+    sorted_classes: tuple[tuple[int, frozenset[int]], ...]
+    unique_nbrs: frozenset[int]
+    degree: int
+
+
+def color_profile_reference(g: ColoredGraph, v: int) -> ProfileReference:
+    """The profile of v from its classes in ``color_classes_reference``:
+    classes ordered by decreasing size, then color."""
+    classes = {c: frozenset(m) for c, m in color_classes_reference(g)[v].items()}
+    ordered = tuple(sorted(classes.items(), key=lambda item: (-len(item[1]), item[0])))
+    sizes = tuple(len(m) for _, m in ordered)
+    return ProfileReference(
+        vertex=v, dc=len(classes), dmon=max(sizes, default=0),
+        sorted_sizes=sizes, sorted_classes=ordered,
+        unique_nbrs=frozenset(y for m in classes.values() if len(m) == 1 for y in m),
+        degree=sum(sizes))
+
+
 def removable_edges_reference(g: ColoredGraph) -> list[tuple[int, int]]:
     """Edges whose color appears at least twice at both ends, sorted."""
     classes = color_classes_reference(g)
@@ -574,12 +620,10 @@ def vertex_lower_half_sum_reference(g: ColoredGraph, v: int) -> Fraction:
                     - sum(s * (s - 1) for s in sizes) - hits(unique, nbrs), 2)
 
 
-def rainbow_edge_graph_reference(g: ColoredGraph, v: int
-                                 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """(vertices, edges) of the rainbow edge graph at v: the naive rainbow
-    links of v and the vertices they touch."""
-    es = tuple(naive_links(g, v))
-    return tuple(sorted({w for e in es for w in e})), es
+def rainbow_edge_graph_reference(g: ColoredGraph, v: int) -> tuple[tuple[int, int], ...]:
+    """The edges xy of the rainbow edge graph at v (v, x, y a rainbow
+    triangle, x < y): the naive rainbow links of v, in lexicographic order."""
+    return tuple(naive_links(g, v))
 
 
 def restriction_count_reference(g: ColoredGraph, v: int, x_set, y: int) -> int:
@@ -648,13 +692,12 @@ def min_vertex_cover_reference(n: int, edges, size_limit: int = 64) -> list[int]
     return best
 
 
-def _unique_color_hits_reference(g: ColoredGraph, profile, target_bits: int) -> int:
+def _unique_color_hits_reference(g: ColoredGraph, classes, profile, targets) -> int:
     """Sum over singleton-class neighbors y of the number of edges from y
-    into the bitset ``target_bits`` carrying y's unique color at v."""
+    into the vertex set ``targets`` carrying y's unique color at v, with
+    ``classes`` from ``color_classes_reference(g)``."""
     v = profile.vertex
-    table = g.color_table()
-    return sum((table[y][g.color(v, y)] & target_bits).bit_count()
-               for y in profile.unique_nbrs)
+    return sum(len(classes[y][g.color(v, y)] & targets) for y in profile.unique_nbrs)
 
 
 def balance_forms_reference(g: ColoredGraph, profile,
@@ -665,7 +708,8 @@ def balance_forms_reference(g: ColoredGraph, profile,
     d = profile.degree
     sizes = profile.sorted_sizes
     excess = sum(s - 1 for s in sizes)
-    hits_all = _unique_color_hits_reference(g, profile, g.adjacency_bits(v))
+    hits_all = _unique_color_hits_reference(g, color_classes_reference(g), profile,
+                                            set(g.neighbors(v)))
     form1 = sum(per_class_balance)
     form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
     if sizes:
@@ -679,10 +723,10 @@ def balance_forms_reference(g: ColoredGraph, profile,
 
 def triangle_bound_report_reference(g: ColoredGraph, v: int):
     """``bounds.triangle_bound_report`` frozen as it stood when it built a
-    ``ColorDegreeProfile`` per vertex, called ``color_degree`` per class
+    ``ColorDegreeProfile`` per vertex, read the color degree of each class
     member and summed ``rt_pair`` per member."""
-    profile = color_profile(g, v)
-    classes = g.color_table()[v]
+    profile = color_profile_reference(g, v)
+    classes = color_classes_reference(g)
     index = build_index(g)
     n = g.n
     dcv = profile.dc
@@ -691,14 +735,14 @@ def triangle_bound_report_reference(g: ColoredGraph, v: int):
     per_class = []
     for color, members in profile.sorted_classes:
         di = len(members)
-        neighbor_sum = sum(color_degree(g, x) + dcv - n for x in members)
-        hits = _unique_color_hits_reference(g, profile, classes[color])
+        neighbor_sum = sum(len(classes[x]) + dcv - n for x in members)
+        hits = _unique_color_hits_reference(g, classes, profile, members)
         balance = di * excess - di * (di - 1) - hits
         lower = neighbor_sum + balance
         per_class.append(ClassBound(
             color=color,
             size=di,
-            rt_observed=index.rt_set(v, members),
+            rt_observed=sum(index.rt_pair(v, x) for x in members),
             lower_bound=lower,
             lower_bound_strict=lower,
             balance=balance,
@@ -721,8 +765,9 @@ def triangle_bound_report_reference(g: ColoredGraph, v: int):
 def mono_balance_diagnostics_reference(g: ColoredGraph, v: int):
     """``bounds.mono_balance_diagnostics`` frozen as it stood when it read
     a ``ColorDegreeProfile`` and a full bound report."""
-    profile = color_profile(g, v)
-    delta_mon = max_mono_degree(g)
+    profile = color_profile_reference(g, v)
+    mono = mono_degrees_reference(g)
+    delta_mon = max(mono, default=0)
     if profile.dmon != delta_mon:
         raise ValueError(
             f"vertex {v} does not attain the maximum monochromatic degree")
@@ -738,7 +783,7 @@ def mono_balance_diagnostics_reference(g: ColoredGraph, v: int):
         largest = set(profile.sorted_classes[0][1])
         cond_a = profile.unique_nbrs == frozenset(g.neighbors(v)) - largest
         cond_b = all(
-            mono_degree(g, u) == delta_mon for u in profile.unique_nbrs)
+            mono[u] == delta_mon for u in profile.unique_nbrs)
         b_first = report.per_class[0].balance
         cond_c_applicable = b_first == 0 and minimal
         if cond_c_applicable:

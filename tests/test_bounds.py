@@ -81,7 +81,7 @@ class TestRestrictionCount:
                 for _, members in prof.sorted_classes:
                     ys = [w for w in g.neighbors(v) if w not in members]
                     total = sum(restriction_count(g, v, ys, x) for x in members)
-                    assert idx.rt_set(v, members) >= total
+                    assert sum(idx.rt_pair(v, x) for x in members) >= total
 
 
 class TestTriangleBoundReport:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from ecgraph.cli import main
-from ecgraph.core import load_ecg, min_color_degree, color_degree
+from ecgraph.core import _color_degrees, load_ecg, min_color_degree
 
 P5_ECG = "ecg 5 4\n0 1 1\n1 2 2\n2 3 3\n3 4 4\n"
 MONO_K3_ECG = "ecg 3 3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -113,8 +113,7 @@ def test_reduce(tmp_path, capsys):
     reduced = load_ecg(capsys.readouterr().out)
     assert reduced.edge_count == 2
     original = load_ecg(MONO_K3_ECG)
-    for v in range(3):
-        assert color_degree(reduced, v) == color_degree(original, v)
+    assert reduced.derived(_color_degrees) == original.derived(_color_degrees)
 
 
 def test_partition(tmp_path, capsys):

@@ -184,16 +184,6 @@ def test_constructor_rejects_bad_edges():
         ColoredGraph(2, [(0, 5, 1)])
 
 
-def test_functional_updates():
-    g = load_ecg(RAINBOW_K3)
-    h = g.without_edge(0, 1)
-    assert h.edge_count == 2 and g.edge_count == 3
-    back = h.with_edge(0, 1, 7)
-    assert back.color(0, 1) == 7
-    with pytest.raises(ValueError):
-        g.with_edge(0, 1, 2)
-
-
 def test_adjacency_bitsets_match_neighbor_lists():
     rng = random.Random(5)
     for _ in range(50):

@@ -12,8 +12,8 @@
   same certificate.
 - Every color-degree query reads the graph's cached color table; each
   must equal the same quantity counted straight from ``edge_colors()``,
-  also on graphs derived with ``with_edge``/``without_edge`` after the
-  parent's table was built.
+  also on graphs derived by adding or deleting one edge after the parent's
+  table was built.
 - The colored sampler makes the same draws as the test-local
   ``random_colored``; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
@@ -22,9 +22,9 @@
   and rt rows; every report field and every diagnostics field must equal
   the frozen profile-based versions in ``oracles.py``, and the ``lemma1``
   and ``lemma2`` conclusions must build no report object and no profile.
-- One link scan per vertex serves the rainbow triangle index and the
-  rainbow edge graph; the latter must equal the frozen double loop in
-  ``oracles.py``, edge order included.  Whole-graph facts are built once
+- One link scan per vertex serves the rainbow triangle index and the fan
+  searches; the scan from 0 must equal the frozen double loop in
+  ``oracles.py``, pair order included.  Whole-graph facts are built once
   per graph, and graphs derived after the parent's facts were cached get
   their own.
 - Restriction counts come from the color table's class bitsets; each must
@@ -103,14 +103,16 @@ from oracles import (
     triangle_bound_report_reference,
     two_odd_cliques,
     verify_partition_lemmas_reference,
+    with_edge_reference,
+    without_edge_reference,
     vertex_lower_half_sum_reference,
 )
 
 from ecgraph.bounds import (_vertex_bounds, edge_restriction_counts,
                             mono_balance_diagnostics, restriction_count,
                             triangle_bound_report)
-from ecgraph.core import (ColoredGraph, color_degree, color_profile, load_ecg,
-                          max_mono_degree, min_color_degree, mono_degree, save_ecg)
+from ecgraph.core import (ColoredGraph, _color_degrees, _mono_degrees, color_profile,
+                          load_ecg, max_mono_degree, min_color_degree, save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
 from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
@@ -123,7 +125,7 @@ from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
 from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, _links, build_index,
                              find_book, find_disjoint_rainbow_triangles, find_fan,
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
-                             max_fan, rainbow_edge_graph)
+                             max_fan)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
 
 
@@ -680,12 +682,23 @@ def test_certified_conclusions_match_frozen_bodies():
     assert 300 <= failed <= 900
 
 
+def _toggled(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
+    """``g`` with a random pair uv toggled: its edge deleted, or added in a
+    random color, rebuilt from the triples."""
+    u, v = rng.sample(range(g.n), 2)
+    if g.has_edge(u, v):
+        return without_edge_reference(g, u, v)
+    return with_edge_reference(g, u, v, rng.randint(1, 6))
+
+
 def _check_color_queries(g: ColoredGraph) -> None:
     ref = color_classes_reference(g)
+    dc, dmon = g.derived(_color_degrees), g.derived(_mono_degrees)
+    assert len(dc) == len(dmon) == g.n
     for v in range(g.n):
         classes = ref[v]
-        assert color_degree(g, v) == len(classes)
-        assert mono_degree(g, v) == max(map(len, classes.values()), default=0)
+        assert dc[v] == len(classes)
+        assert dmon[v] == max(map(len, classes.values()), default=0)
         # colors keyed in the order of their lowest neighbor, classes as bitsets
         by_lowest = sorted(classes.items(), key=lambda item: min(item[1]))
         assert list(g.color_table()[v].items()) == [
@@ -699,12 +712,10 @@ def _check_color_queries(g: ColoredGraph) -> None:
         assert profile.sorted_sizes == tuple(len(m) for _, m in canonical)
         assert profile.unique_nbrs == frozenset(
             y for m in classes.values() if len(m) == 1 for y in m)
-        assert (profile.dc, profile.dmon, profile.degree) == (
-            color_degree(g, v), mono_degree(g, v), g.degree(v))
+        assert (profile.dc, profile.dmon, profile.degree) == (dc[v], dmon[v], g.degree(v))
     for v in (-1, g.n):
-        for query in (color_degree, mono_degree, color_profile):
-            with pytest.raises(ValueError):
-                query(g, v)
+        with pytest.raises(ValueError):
+            color_profile(g, v)
     if g.n:
         assert min_color_degree(g) == min(len(classes) for classes in ref)
     else:
@@ -726,11 +737,7 @@ def test_color_queries_match_edge_colors():
         isolated += any(g.degree(v) == 0 for v in range(g.n))
         if g.n < 2:
             continue
-        u, v = rng.sample(range(g.n), 2)
-        if g.has_edge(u, v):
-            derived = g.without_edge(u, v)
-        else:
-            derived = g.with_edge(u, v, rng.randint(1, 6))
+        derived = _toggled(rng, g)
         _check_color_queries(derived)
         _check_color_queries(edge_minimal_reduce(derived))
         _check_color_queries(g)
@@ -768,11 +775,7 @@ def test_adjacency_queries_match_edge_colors():
         links += sum(len(list(_links(g, v))) for v in range(g.n))
         if g.n < 2:
             continue
-        u, v = rng.sample(range(g.n), 2)
-        if g.has_edge(u, v):
-            derived = g.without_edge(u, v)
-        else:
-            derived = g.with_edge(u, v, rng.randint(1, 6))
+        derived = _toggled(rng, g)
         _check_adjacency(derived)
         _check_adjacency(edge_minimal_reduce(derived))
     assert links >= 1000
@@ -839,7 +842,7 @@ def test_bound_kernel_matches_frozen_reference():
                 expected.balance_total, expected.rt_vertex, expected.vertex_lower)
             seen["class"] += len(rows)
             seen["balance"] += balance_total != 0
-            if mono_degree(g, v) != delta:
+            if g.derived(_mono_degrees)[v] != delta:
                 with pytest.raises(ValueError) as got:
                     mono_balance_diagnostics(g, v)
                 with pytest.raises(ValueError) as want:
@@ -926,7 +929,7 @@ def test_every_checked_vertex_compares_the_balance_forms(monkeypatch):
         assert len(calls) == h.n
         calls.clear()
         _concl_mono_balance(g, 0)
-        at_max = sum(mono_degree(h, v) == max_mono_degree(h) for v in range(h.n))
+        at_max = h.derived(_mono_degrees).count(max_mono_degree(h))
         assert len(calls) == (at_max if h.edge_count else 0)
 
     def disagree(*args):
@@ -947,9 +950,9 @@ def test_rainbow_edge_graph_matches_double_loop_reference():
     edges = 0
     for g in graphs:
         for v in range(g.n):
-            sub = rainbow_edge_graph(g, v)
-            assert (sub.vertices, sub.edges) == rainbow_edge_graph_reference(g, v)
-            edges += len(sub.edges)
+            links = tuple(_links(g, v))
+            assert links == rainbow_edge_graph_reference(g, v)
+            edges += len(links)
     assert edges >= 1000
 
 
@@ -981,8 +984,8 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     for v in range(g.n):
         triangle_bound_report(g, v)
         color_profile(g, v)
-        color_degree(g, v)
-        if mono_degree(g, v) == max_mono_degree(g):
+        g.derived(ecgraph.core._color_degrees)
+        if g.derived(ecgraph.core._mono_degrees)[v] == max_mono_degree(g):
             mono_balance_diagnostics(g, v)
     assert is_edge_minimal(g) == is_edge_minimal(g)
     h = edge_minimal_reduce(g)
@@ -1019,11 +1022,7 @@ def test_derived_graphs_get_their_own_facts():
         list(edge_restriction_counts(g))
         if g.n < 2:
             continue
-        u, v = rng.sample(range(g.n), 2)
-        if g.has_edge(u, v):
-            derived = g.without_edge(u, v)
-        else:
-            derived = g.with_edge(u, v, rng.randint(1, 6))
+        derived = _toggled(rng, g)
         for h in (derived, edge_minimal_reduce(derived)):
             assert build_index(h).triangles == tuple(sorted(naive_rainbow_triangles(h)))
             removable = removable_edges_reference(h)

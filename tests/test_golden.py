@@ -29,7 +29,7 @@ from oracles import odd_pieces, random_colored
 
 from ecgraph.bounds import mono_balance_diagnostics, triangle_bound_report
 from ecgraph.cli import main
-from ecgraph.core import ColoredGraph, max_mono_degree, mono_degree, save_ecg
+from ecgraph.core import ColoredGraph, _mono_degrees, max_mono_degree, save_ecg
 from ecgraph.generators import gen_example1, gen_proper_complete, gen_random_colored
 from ecgraph.harness import CLAIMS, TheoremSpec, emit_report, verify
 from ecgraph.reduction import edge_minimal_reduce
@@ -213,7 +213,7 @@ def bounds_digest() -> tuple[str, int]:
         delta = max_mono_degree(reduced)
         for v in range(reduced.n):
             h.update(json.dumps(triangle_bound_report(reduced, v).to_json()).encode())
-            if mono_degree(reduced, v) == delta:
+            if reduced.derived(_mono_degrees)[v] == delta:
                 diag = mono_balance_diagnostics(reduced, v)
                 h.update(json.dumps(dataclasses.asdict(diag)).encode())
                 equality += diag.equality_applicable

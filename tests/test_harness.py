@@ -11,7 +11,6 @@ from ecgraph.harness import (
     Report,
     TheoremSpec,
     UnsatisfiableHypothesisError,
-    check_example1_sharpness,
     emit_report,
     register_claim,
     search_hly_counterexample,
@@ -157,14 +156,6 @@ def test_emit_report_empty_and_with_failures(tmp_path):
     assert doc["schema"] == 1
     assert doc["samples_admitted"] == 0
     assert doc["conclusion_failures"] == []
-
-
-def test_example1_sharpness():
-    report = check_example1_sharpness(range(2, 7))
-    assert report.ok
-    assert report.samples_admitted == 5
-    with pytest.raises(ValueError):
-        check_example1_sharpness([1])
 
 
 def test_hly_search_no_counterexample_for_k1():

@@ -25,10 +25,9 @@ from ecgraph.rainbow import (
     find_fan,
     find_pc_spanning_fan,
     has_rainbow_triangle,
+    _links,
     max_book,
-    max_disjoint_rainbow_triangles,
     max_fan,
-    rainbow_edge_graph,
 )
 
 RAINBOW_K3 = ColoredGraph(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])
@@ -73,20 +72,18 @@ class TestIndex:
 
 class TestRainbowEdgeGraph:
     def test_rainbow_k3(self):
-        sub = rainbow_edge_graph(RAINBOW_K3, 0)
-        assert sub.edges == ((1, 2),)
-        assert sub.vertices == (1, 2)
+        assert list(_links(RAINBOW_K3, 0)) == [(1, 2)]
 
     def test_star_center_has_no_triangle_edges(self):
         g = ColoredGraph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-        assert rainbow_edge_graph(g, 0).edges == ()
+        assert list(_links(g, 0)) == []
 
     def test_example1_k3_matching_at_most_2(self):
         g = gen_example1(3)
         for v in range(g.n):
-            sub = rainbow_edge_graph(g, v)
-            assert sub.edges
-            assert len(max_matching(g.n, sub.edges)) <= 2
+            links = list(_links(g, v))
+            assert links
+            assert len(max_matching(g.n, links)) <= 2
 
     def test_agrees_with_index(self):
         rng = random.Random(0)
@@ -96,7 +93,7 @@ class TestRainbowEdgeGraph:
             for v in range(g.n):
                 expected = {tuple(sorted(set(t) - {v}))
                             for t in idx.triangles if v in t}
-                assert set(rainbow_edge_graph(g, v).edges) == expected
+                assert set(_links(g, v)) == expected
 
 
 class TestBooks:
@@ -114,7 +111,7 @@ class TestBooks:
     def test_single_apex_book(self):
         cert = find_book(RAINBOW_K3, 1)
         assert cert is not None and cert.self_check(RAINBOW_K3)
-        assert cert.apexes == (2,)
+        assert cert.base == (0, 1) and cert.triangles == ((0, 1, 2),)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -143,8 +140,7 @@ class TestFans:
         rng = random.Random(seed)
         g = random_colored(rng, rng.randint(3, 8), 0.7, rng.randint(2, 6))
         for v in range(g.n):
-            sub = rainbow_edge_graph(g, v)
-            assert len(max_matching(g.n, sub.edges)) == brute_fan_at(g, v)
+            assert len(max_matching(g.n, _links(g, v))) == brute_fan_at(g, v)
 
 
 class TestDisjointFamilies:
@@ -167,7 +163,11 @@ class TestDisjointFamilies:
     def test_max_family_matches_oracle(self, seed):
         rng = random.Random(seed + 100)
         g = random_colored(rng, rng.randint(3, 8), 0.6, rng.randint(2, 5))
-        assert max_disjoint_rainbow_triangles(g) == brute_max_disjoint(g)
+        md = brute_max_disjoint(g)
+        if md:
+            cert = find_disjoint_rainbow_triangles(g, md)
+            assert cert is not None and cert.self_check(g)
+        assert find_disjoint_rainbow_triangles(g, md + 1) is None
 
 
 class TestSearchNodeLimit:
@@ -274,7 +274,7 @@ class TestCertificates:
         for _ in range(150):
             g = random_colored(rng, rng.randint(3, 8), 0.7, rng.randint(2, 6))
             mb, mf = max_book(g), max_fan(g)
-            md = max_disjoint_rainbow_triangles(g)
+            md = brute_max_disjoint(g)
             for k in range(1, mb + 2):
                 assert (find_book(g, k) is not None) == (k <= mb)
             for k in range(1, mf + 2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from conftest import colored_graphs
 from oracles import mono_triangle_or_path3, random_colored
 
-from ecgraph.core import ColoredGraph, color_degree
+from ecgraph.core import ColoredGraph, _color_degrees
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
 
 RAINBOW_K3 = ColoredGraph(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])
@@ -43,7 +43,7 @@ def test_reduce_monochromatic_k4_golden():
     # frozen output of the deterministic rule: remove (0,1), (0,2), (1,2)
     g = edge_minimal_reduce(MONO_K4)
     assert g.edges == [(0, 3), (1, 3), (2, 3)]
-    assert all(color_degree(g, v) == 1 for v in range(4))
+    assert g.derived(_color_degrees) == [1, 1, 1, 1]
     assert is_edge_minimal(g)[0]
     assert not mono_triangle_or_path3(g)
 
@@ -57,8 +57,7 @@ def test_fuzz_invariants_10k():
         assert set(h.edges) <= set(g.edges)
         for u, v in h.edges:
             assert h.color(u, v) == g.color(u, v)
-        for v in range(n):
-            assert color_degree(h, v) == color_degree(g, v)
+        assert h.derived(_color_degrees) == g.derived(_color_degrees)
         assert is_edge_minimal(h)[0]
         assert not mono_triangle_or_path3(h)
 

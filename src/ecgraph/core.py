@@ -27,6 +27,8 @@ def _jsonable(value):
     becomes a dict of its fields in declaration order, a tuple or list a
     list, a set a sorted list and a Fraction [numerator, denominator]; any
     other value is returned as is."""
+    if value is None or isinstance(value, (int, float, str)):  # bool is an int
+        return value
     if isinstance(value, (tuple, list)):
         # ints, the common item, skip the call
         return [x if type(x) is int else _jsonable(x) for x in value]
@@ -48,8 +50,10 @@ class ColoredGraph:
     per-vertex rows derived from it (``color_table`` and ``_color_rows``)
     are built in one pass over the sorted edges, which meets every
     vertex's neighbors in ascending order, so each row is keyed in the
-    order of its lowest neighbor.  Isolated vertices are legal and have
-    color degree 0.
+    order of its lowest neighbor.  Color degrees are counted in their own
+    pass over the edge colors, so a graph whose only color query is its
+    color degrees never builds the class table.  Isolated vertices are
+    legal and have color degree 0.
     """
 
     __slots__ = ("n", "_color", "_bits", "_edges", "_derived")
@@ -160,6 +164,19 @@ def _color_table(graph: ColoredGraph) -> list[dict[int, int]]:
     return table
 
 
+def _extended(graph: ColoredGraph, added: list[tuple[int, int, int]]) -> ColoredGraph:
+    """``graph`` plus the ``added`` (u, v, color) edges, which must be
+    absent from it and valid: the same graph, insertion order included, as
+    one build from ``graph``'s edges followed by ``added``, without walking
+    ``graph``'s edges in Python.  ``graph`` is left as it was."""
+    new = ColoredGraph(graph.n, added, validate=False)
+    new._color = {**graph._color, **new._color}
+    new._bits = [a | b for a, b in zip(graph._bits, new._bits)]
+    # two sorted runs, which one merge pass of sorted() joins
+    new._edges = sorted(graph._edges + new._edges)
+    return new
+
+
 def _color_rows(graph: ColoredGraph) -> list[dict[int, int]]:
     """Per vertex v, each neighbor x mapped to c(vx), in ascending order of
     x (see :class:`ColoredGraph`); a per-graph fact."""
@@ -205,9 +222,10 @@ class ColorDegreeProfile:
 def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
     """Color classes, color degree and singleton neighbors of v.
 
-    Read from the graph's cached :meth:`ColoredGraph.color_table`, as are
-    all color-degree queries below; each call returns a new profile, equal
-    for equal graphs.
+    The classes are read from the graph's cached
+    :meth:`ColoredGraph.color_table` and the degrees from its per-graph
+    degree lists below; each call returns a new profile, equal for equal
+    graphs.
     """
     graph._check_vertex(v)
     classes = {c: frozenset(_members(bits)) for c, bits in graph.color_table()[v].items()}
@@ -224,9 +242,14 @@ def color_profile(graph: ColoredGraph, v: int) -> ColorDegreeProfile:
 
 
 def _color_degrees(graph: ColoredGraph) -> list[int]:
-    """The color degree of every vertex; a per-graph fact (see
-    :meth:`ColoredGraph.derived`)."""
-    return list(map(len, graph.color_table()))
+    """The color degree of every vertex, the number of distinct colors on
+    its edges, counted in one pass over the edge colors; a per-graph fact
+    (see :meth:`ColoredGraph.derived`)."""
+    seen: list[set[int]] = [set() for _ in range(graph.n)]
+    for (u, v), c in graph._color.items():
+        seen[u].add(c)
+        seen[v].add(c)
+    return list(map(len, seen))
 
 
 def _mono_degrees(graph: ColoredGraph) -> list[int]:

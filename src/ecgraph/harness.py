@@ -11,7 +11,9 @@ fan, disjoint family, spanning fan) come from one factory,
 The sampler admits a graph only when the hypothesis holds; admission
 combines rejection sampling with a repair mode that raises deficient color
 degrees by adding fresh-colored edges, followed by a full re-check (so
-repair can never smuggle in a hypothesis-violating graph).
+repair can never smuggle in a hypothesis-violating graph).  Repair returns
+the sampled graph extended by its new edges; the re-check counts the color
+degrees of that graph afresh, never from repair's running counts.
 
 The whole sample stream is a deterministic function of (spec, seed).
 Repair is part of it: it always works on the first deficient vertex in
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, _color_degrees, _jsonable, _mono_degrees, load_ecg,
-                   max_mono_degree, min_color_degree, save_ecg)
+from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _mono_degrees,
+                   load_ecg, max_mono_degree, min_color_degree, save_ecg)
 from .generators import gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
@@ -456,8 +458,10 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
     ``rng.choice`` makes over that list), read off a bitset of
     non-neighbors, with the next fresh color from max(colors) + 1 up.
     A fresh color adds one to both ends' color degrees and degrees never
-    fall, so the scan only moves forward.  The graph is built once, from
-    the original edges in insertion order followed by the added ones.
+    fall, so the scan only moves forward.  The result is ``graph``
+    extended by the added edges (see :func:`core._extended`): equal, in
+    insertion order too, to one build from the original edges followed by
+    the added ones.
     """
     n = graph.n
     full = (1 << n) - 1
@@ -482,8 +486,7 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
             added.append((min(u, v), max(u, v), fresh + len(added)))
     if not added:
         return graph
-    return ColoredGraph(n, [(*e, c) for e, c in graph.edge_colors().items()] + added,
-                        validate=False)
+    return _extended(graph, added)
 
 
 def verify(spec: TheoremSpec) -> Report:

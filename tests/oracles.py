@@ -541,6 +541,12 @@ def color_classes_reference(g: ColoredGraph) -> list[dict[int, set[int]]]:
     return classes
 
 
+def color_degrees_reference(g: ColoredGraph) -> list[int]:
+    """The number of distinct colors at each vertex, one scan of
+    ``edge_colors()`` per vertex (0 when isolated)."""
+    return [len({c for e, c in g.edge_colors().items() if v in e}) for v in range(g.n)]
+
+
 def mono_degrees_reference(g: ColoredGraph) -> list[int]:
     """The largest class size at each vertex (0 when isolated)."""
     return [max(map(len, at_v.values()), default=0)

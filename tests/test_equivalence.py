@@ -3,15 +3,22 @@
 - Repair and reduction build one graph at the end; the references in
   ``oracles.py`` rebuild the graph after every added or deleted edge.  Both
   must give the same graph, the same ``edge_colors()`` order and, for
-  repair, leave the random generator in the same state.
+  repair, leave the random generator in the same state.  Repair extends
+  the sampled graph by its new edges; the result must match a one-shot
+  build in every stored row and leave the sampled graph as it was.
+- Color degrees are counted from the edge colors without the class
+  table; they must equal a naive count per vertex and the class table's
+  row sizes, and a repair-path ``verify`` must build no class table and
+  count color degrees once per sampled and once per repaired graph.
 - The Gallai-Edmonds set V_0 comes from one alternating forest; the frozen
   reference in ``oracles.py`` deletes each vertex and reruns a blossom
   matching.  ``max_matching`` must return the reference's exact matching.
 - ``max_fan`` and ``find_fan`` skip centers by the floor(deg / 2) bound;
   the unpruned loops over every center must give the same value and the
   same certificate.
-- Every color-degree query reads the graph's cached color table; each
-  must equal the same quantity counted straight from ``edge_colors()``,
+- Every color-class query reads the graph's cached color table, and color
+  degrees a cached count of their own; each must equal the same quantity
+  counted straight from ``edge_colors()``,
   also on graphs derived by adding or deleting one edge after the parent's
   table was built.
 - The colored sampler makes the same draws as the test-local
@@ -84,6 +91,7 @@ from oracles import (
     find_fan_reference,
     find_pc_spanning_fan_reference,
     color_classes_reference,
+    color_degrees_reference,
     gallai_partition_reference,
     gamma_vertices_deletion_reference,
     min_vertex_cover_reference,
@@ -111,8 +119,9 @@ from oracles import (
 from ecgraph.bounds import (_vertex_bounds, edge_restriction_counts,
                             mono_balance_diagnostics, restriction_count,
                             triangle_bound_report)
-from ecgraph.core import (ColoredGraph, _color_degrees, _mono_degrees, color_profile,
-                          load_ecg, max_mono_degree, min_color_degree, save_ecg)
+from ecgraph.core import (ColoredGraph, _color_degrees, _color_rows, _mono_degrees,
+                          color_profile, load_ecg, max_mono_degree, min_color_degree,
+                          save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
 from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
@@ -179,6 +188,83 @@ def test_repair_edge_cases():
     mono = ColoredGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
     assert _check_repair(mono, 2, seed=5) == "exhausted"
     assert _check_repair(ColoredGraph(1), 1, seed=2) == "exhausted"
+
+
+def _repaired_corpus(seed: int, count: int):
+    """(sampled graph, repaired graph, added triples) for each corpus graph
+    that repair changed; the added triples come from the rebuild reference,
+    in the order it added them."""
+    for rng, g in _corpus(seed, count):
+        target, draws = rng.randint(0, g.n), rng.getrandbits(32)
+        got = _repair_color_degree(g, target, random.Random(draws))
+        if got is None or got is g:
+            continue
+        ref = repair_rebuild_reference(g, target, random.Random(draws))
+        yield g, got, [(*e, c) for e, c in ref.edge_colors().items() if not g.has_edge(*e)]
+
+
+def test_repaired_graph_matches_a_one_shot_build():
+    repaired = 0
+    for g, got, added in _repaired_corpus(seed=37, count=400):
+        before = (g.edge_colors(), g.edges, [g.adjacency_bits(v) for v in range(g.n)])
+        facts = dict(g._derived)
+        oneshot = ColoredGraph(g.n, [(*e, c) for e, c in g.edge_colors().items()] + added)
+        for v in range(g.n):
+            assert got.adjacency_bits(v) == oneshot.adjacency_bits(v)
+            assert got.degree(v) == oneshot.degree(v)
+        assert got.edges == oneshot.edges
+        assert list(got.edge_colors().items()) == list(oneshot.edge_colors().items())
+        assert ([list(at_v.items()) for at_v in got.color_table()]
+                == [list(at_v.items()) for at_v in oneshot.color_table()])
+        assert ([list(row.items()) for row in got.derived(_color_rows)]
+                == [list(row.items()) for row in oneshot.derived(_color_rows)])
+        # the sampled graph is unchanged and shares no stored row with the result
+        assert (g.edge_colors(), g.edges, [g.adjacency_bits(v) for v in range(g.n)]) == before
+        assert g._derived.keys() == facts.keys()
+        assert all(g._derived[build] is fact for build, fact in facts.items())
+        assert g.derived(_color_degrees) == color_degrees_reference(g)
+        for name in ("_color", "_bits", "_edges", "_derived"):
+            assert getattr(got, name) is not getattr(g, name)
+        repaired += 1
+    assert repaired >= 100, repaired
+
+
+def test_color_degrees_match_a_distinct_color_count():
+    graphs = [ColoredGraph(0), ColoredGraph(1), ColoredGraph(3),
+              ColoredGraph(5, [(3, 1, 2), (1, 0, 2), (0, 3, 7)])]  # 2 and 4 isolated
+    graphs += [g for _, g in _corpus(seed=41, count=300)]
+    repaired = [got for _, got, _ in _repaired_corpus(seed=43, count=300)]
+    assert len(repaired) >= 100, len(repaired)
+    isolated = 0
+    for g in graphs + repaired:
+        # counted before any class table exists, then compared with its rows
+        dc = g.derived(_color_degrees)
+        assert dc == color_degrees_reference(g)
+        assert dc == [len(at_v) for at_v in g.color_table()]
+        isolated += 0 in dc
+    assert isolated >= 40, isolated
+
+
+def test_repair_path_verify_builds_no_class_table(monkeypatch):
+    tables = _count_builds(monkeypatch, ecgraph.core, "_color_table")
+    degrees = _count_builds(monkeypatch, ecgraph.core, "_color_degrees")
+    expected = []
+    repair = ecgraph.harness._repair_color_degree
+
+    def recorded(graph, target, rng):
+        result = repair(graph, target, rng)
+        expected.append(graph)
+        if result is not None and result is not graph:
+            expected.append(result)  # counted again by the hypothesis
+        return result
+    monkeypatch.setattr(ecgraph.harness, "_repair_color_degree", recorded)
+    for spec in (TheoremSpec(id="li_triangle", budget=20, seed=1),
+                 TheoremSpec(id="book_bk", k=3, n_range=(7, 10), budget=20, seed=1),
+                 TheoremSpec(id="fan_fk", k=2, n_range=(13, 15), budget=10, seed=1)):
+        ecgraph.harness.verify(spec)
+    assert tables == []
+    assert len(degrees) == len(expected) > 100
+    assert all(built is graph for built, graph in zip(degrees, expected))
 
 
 def test_reduce_matches_rescan_reference():

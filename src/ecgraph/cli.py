@@ -17,7 +17,7 @@ from .generators import KINDS, GeneratorSpec, generate
 from .bounds import counting_lower_bound
 from .harness import (CLAIMS, AdmissionError, TheoremSpec, WriteError, emit_report,
                       search_hly_counterexample, verify, write_json, write_text)
-from .matching import gallai_partition, max_matching, verify_partition_lemmas
+from .matching import gallai_partition, verify_partition_lemmas
 from .rainbow import build_index, max_book, max_fan
 from .reduction import edge_minimal_reduce, is_edge_minimal
 
@@ -194,8 +194,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_partition(args) -> int:
     g = _read_graph(args.file)
-    part = gallai_partition(g.n, g.edges, max_matching(g.n, g.edges))
-    diag = verify_partition_lemmas(g.n, g.edges, part)
+    part = gallai_partition(g.n, g.edges)
+    diag = verify_partition_lemmas(part)
     doc = {"schema": 1, "partition": part.to_json(),
            "diagnostics": diag.to_json()}
     print(f"alpha_prime: {diag.alpha_prime}")

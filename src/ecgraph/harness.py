@@ -197,19 +197,12 @@ def _concl_counting(g: ColoredGraph, k: int) -> tuple[bool, str]:
     return False, f"{count} rainbow triangles < bound {bound}"
 
 
-def _max_matching(g: ColoredGraph) -> list[tuple[int, int]]:
-    """A maximum matching of g, shared through ``g.derived`` by the
-    ``eg_partition`` hypothesis and conclusion."""
-    return max_matching(g.n, g.edges)
-
-
 def _concl_partition(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    n, es = g.n, g.edges
     try:
-        part = gallai_partition(n, es, g.derived(_max_matching))
+        part = gallai_partition(g.n, g.edges)
     except (ValueError, RuntimeError) as exc:
         return False, f"partition construction failed: {exc}"
-    diag = verify_partition_lemmas(n, es, part)
+    diag = verify_partition_lemmas(part)
     if not (diag.size_identity_ok and diag.structure_ok and diag.chain_ok):
         return False, f"partition identities fail: {diag}"
     # the stronger bounds can genuinely fail on disconnected graphs,
@@ -297,7 +290,7 @@ def _register_builtin_claims() -> None:
         id="eg_partition",
         description="matching/cover partition identities hold",
         sampler="injective",
-        graph_hypothesis=lambda g, k: g.n > 2 * len(g.derived(_max_matching)),
+        graph_hypothesis=lambda g, k: g.n > 2 * len(max_matching(g.n, g.edges)),
         conclusion=_concl_partition,
     ))
     register_claim(Claim(

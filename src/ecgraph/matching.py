@@ -121,25 +121,24 @@ def _alternating_forest(adj: list[list[int]], match: list[int],
     return used
 
 
-def _augment(adj: list[list[int]], match: list[int]) -> int:
-    """Grow ``match`` in place to a maximum matching: one alternating-forest
-    search from each exposed vertex in index order.  Returns the number of
-    augmenting paths found.  One pass suffices, because a vertex with no
-    augmenting path keeps none after augmentations elsewhere (Edmonds)."""
-    grown = 0
+def _maximum_matching(adj: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """A maximum matching of the graph with adjacency ``adj``: one
+    alternating-forest search from each exposed vertex in index order.  One
+    pass suffices, because a vertex with no augmenting path keeps none after
+    augmentations elsewhere (Edmonds).  Returns the mate of each vertex (-1
+    when exposed) and the matched pairs sorted lexicographically."""
+    match = [-1] * len(adj)
     for v in range(len(adj)):
-        if match[v] == -1 and _alternating_forest(adj, match, [v]) is None:
-            grown += 1
-    return grown
+        if match[v] == -1:
+            _alternating_forest(adj, match, [v])
+    return match, [(v, w) for v, w in enumerate(match) if v < w]
 
 
 def max_matching(n: int, edges) -> list[tuple[int, int]]:
     """Maximum matching in a general graph via augmenting paths with
     blossom contraction.  Returns the matched pairs sorted lexicographically.
     """
-    match = [-1] * n
-    _augment(_adjacency(n, _normalize_edges(n, edges)), match)
-    return sorted((v, match[v]) for v in range(n) if v < match[v])
+    return _maximum_matching(_adjacency(n, _normalize_edges(n, edges)))[1]
 
 
 def _greedy_matched(edges: list[tuple[int, int]]) -> set[int]:
@@ -268,8 +267,10 @@ def _components(adj: list[list[int]], removed) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class GallaiPartition:
-    """Alternating-path decomposition of a graph relative to a maximum
-    matching, with a virtual vertex joined to every unsaturated vertex.
+    """Alternating-path decomposition of a graph relative to its maximum
+    matching (the one ``max_matching`` returns), with a virtual vertex
+    joined to every unsaturated vertex.  The graph is ``matching`` plus
+    ``gamma_edges``.
 
     ``v0`` is the set of vertices reachable from the virtual vertex only by
     alternating paths that end with a non-matching edge: the outside
@@ -280,10 +281,10 @@ class GallaiPartition:
     unsaturated root, and swapping along that path misses it; with no
     augmenting path the inner vertices form a Tutte-Berge barrier whose odd
     components are the outer blossoms, so every maximum matching covers the
-    rest.  ``components`` are the connected components of the graph minus
-    ``v0``.  The identity alpha' = |v0| + sum(floor(|V_i| / 2)) holds and is
-    checked at build time, together with the structure of matching edges at
-    ``v0``.
+    rest.  So D, ``v0`` and the ``components`` (those of the graph minus
+    ``v0``) are the same for every maximum matching (Gallai-Edmonds).  The
+    identity alpha' = |v0| + sum(floor(|V_i| / 2)) holds and is checked at
+    build time, together with the structure of matching edges at ``v0``.
     """
 
     n: int
@@ -306,28 +307,15 @@ class GallaiPartition:
         return _jsonable(self)
 
 
-def gallai_partition(n: int, edges, matching) -> GallaiPartition:
-    """Build the partition for a maximum matching; raises if the matching is
-    not maximum or if n <= 2 * alpha' (the decomposition needs unsaturated
-    vertices).  Maximality is checked by growing the matching with the
-    augmenting loop of ``max_matching``: any growth means it was not
-    maximum.  So the alternating forest that finds ``v0`` never meets an
-    augmenting path.
+def gallai_partition(n: int, edges) -> GallaiPartition:
+    """Build the partition of a graph for the maximum matching that
+    ``max_matching`` returns; raises if n <= 2 * alpha' (the decomposition
+    needs unsaturated vertices).  The matching is maximum, so the
+    alternating forest that finds ``v0`` never meets an augmenting path.
     """
     es = _normalize_edges(n, edges)
-    eset = set(es)
-    m = _normalize_edges(n, matching)
-    match = [-1] * n
-    for u, v in m:
-        if (u, v) not in eset:
-            raise ValueError(f"matching edge ({u}, {v}) not in graph")
-        if match[u] != -1 or match[v] != -1:
-            raise ValueError("matching edges are not disjoint")
-        match[u], match[v] = v, u
     adj = _adjacency(n, es)
-    grown = _augment(adj, match)
-    if grown:
-        raise ValueError(f"matching has size {len(m)}, maximum is {len(m) + grown}")
+    match, m = _maximum_matching(adj)
     if n <= 2 * len(m):
         raise ValueError("partition undefined: n <= 2 * alpha'")
 
@@ -430,27 +418,21 @@ class PartitionDiagnostics:
         return _jsonable(self)
 
 
-def _matching_size(matching, eset: set) -> int:
-    """Size of ``matching`` if it is a matching of the graph with edge set
-    ``eset``, else 0: only a matching of the graph bounds its cover number
-    from below, and a partition may come from another graph."""
-    ends = {v for e in matching for v in e}
-    if len(ends) == 2 * len(matching) and all((min(e), max(e)) in eset for e in matching):
-        return len(matching)
-    return 0
-
-
-def verify_partition_lemmas(n: int, edges, part: GallaiPartition) -> PartitionDiagnostics:
-    """Evaluate the matching/covering bounds against an exact cover.
+def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
+    """Evaluate the matching/covering bounds of the partition's graph (its
+    matching plus its gamma edges) against an exact cover.
 
     Never raises on a failed bound: this is a diagnostics report, meant to
     record which inequalities hold for the instance.
     """
-    es = _normalize_edges(n, edges)
+    n, a = part.n, part.alpha_prime
+    es = sorted(part.matching + part.gamma_edges)
     eset = set(es)
-    cover = _cover_search(n, es, _matching_size(part.matching, eset))
+    # a matching of the graph bounds its cover number from below; the
+    # matching edges of a hand-built partition need not be disjoint
+    disjoint = len({v for e in part.matching for v in e}) == 2 * a
+    cover = _cover_search(n, es, a if disjoint else 0)
     beta = len(cover)
-    a = part.alpha_prime
     v0 = len(part.v0)
     p = part.p
 

@@ -69,25 +69,6 @@ def brute_max_matching(n: int, edges) -> int:
     return rec(frozenset(range(n)))
 
 
-def enumerate_maximum_matchings(n: int, edges) -> list[tuple[tuple[int, int], ...]]:
-    """All maximum matchings, as sorted edge tuples (small n only)."""
-    es = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    best = brute_max_matching(n, es)
-    out = []
-    for size in (best,):
-        for combo in itertools.combinations(es, size):
-            used: set[int] = set()
-            ok = True
-            for u, v in combo:
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.update((u, v))
-            if ok:
-                out.append(combo)
-    return out
-
-
 def brute_min_cover_size(n: int, edges) -> int:
     es = sorted({(min(u, v), max(u, v)) for u, v in edges})
     if not es:

@@ -166,9 +166,8 @@ def test_criterion_08_partition_identities():
 
     def conclusion(g, k):
         n, es = g.n, g.edges
-        m = max_matching(n, es)
-        part = gallai_partition(n, es, m)
-        diag = verify_partition_lemmas(n, es, part)
+        part = gallai_partition(n, es)
+        diag = verify_partition_lemmas(part)
         if not (diag.size_identity_ok and diag.structure_ok and diag.chain_ok):
             core_failures.append(save_ecg(g))
         if n <= 9 and diag.beta != brute_min_cover_size(n, es):
@@ -202,8 +201,8 @@ def test_criterion_08_partition_identities():
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     assert brute_max_matching(7, edges) == 2
     assert brute_min_cover_size(7, edges) == 4
-    part = gallai_partition(7, edges, max_matching(7, edges))
-    diag = verify_partition_lemmas(7, edges, part)
+    part = gallai_partition(7, edges)
+    diag = verify_partition_lemmas(part)
     print(f"\ntripwire record: alpha'=2 beta=4 v0={sorted(part.v0)} "
           f"size_identity={diag.size_identity_ok} chain={diag.chain_ok} "
           f"strong_bounds_fail_connected={diag.connected}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from oracles import balance_forms_reference, naive_rainbow_triangles, random_col
 
 from ecgraph.core import ColoredGraph, color_profile
 from ecgraph.bounds import (
+    MonoBalanceDiagnostics,
     counting_lower_bound,
     mono_balance_diagnostics,
     restriction_count,
@@ -197,6 +199,16 @@ class TestMonoBalance:
         assert diag.cond_a is True and diag.cond_b is True
         assert not diag.cond_c_applicable  # first-class balance is negative
         assert diag.passed()
+
+    def test_a_negative_balance_or_a_false_condition_fails(self):
+        ok = MonoBalanceDiagnostics(
+            vertex=0, balance_total=0, nonnegative=True, equality_applicable=True,
+            cond_a=True, cond_b=True, cond_c_applicable=False, cond_c=None,
+            edge_minimal=True)
+        assert ok.passed()
+        assert not dataclasses.replace(ok, balance_total=-1, nonnegative=False).passed()
+        for cond in ("cond_a", "cond_b", "cond_c"):
+            assert not dataclasses.replace(ok, **{cond: False}).passed()
 
     def test_nonnegative_and_equality_conditions_fuzz(self):
         rng = random.Random(400)

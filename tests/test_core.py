@@ -65,6 +65,9 @@ def test_load_duplicate_edge_reports_line_3():
     ("ecg 3 2\n0 1\u20282\n0 2 1\n", 2, "must contain integers"),  # LS
     ("ecg 3 1\r0 1 1\r", 1, "header"),  # a lone CR is not a line break
     ("ecg 3 2\n0 1 1\n\n", 3, "expected 2 edges"),  # the last line
+    ("", 1, "empty document"),
+    ("ecg -1 0\n", 1, "nonnegative"),
+    ("ecg 2 0\n0 1 1\n", 2, "more than 0 edge lines"),
 ])
 def test_load_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(EcgError) as err:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from ecgraph.core import load_ecg, min_color_degree
+from ecgraph.generators import gen_example1
 from ecgraph.harness import (
     CLAIMS,
     Claim,
@@ -174,6 +176,44 @@ def test_hly_search_k2_logs_absence():
     assert report.ok
 
 
+def _always_failing_hly(monkeypatch) -> None:
+    """Swap the hly claim for a copy whose conclusion never holds."""
+    monkeypatch.setitem(CLAIMS, "hly_conjecture", dataclasses.replace(
+        CLAIMS["hly_conjecture"], conclusion=lambda g, k: (False, "forced")))
+
+
+def test_hly_search_raises_when_the_exhaustive_check_finds_a_family(monkeypatch):
+    # every candidate is re-checked; at k = 1 each admitted graph has a
+    # rainbow triangle (Li's theorem), so the exhaustive check disagrees
+    _always_failing_hly(monkeypatch)
+    with pytest.raises(RuntimeError, match="^searcher disagreement"):
+        search_hly_counterexample(k=1, n_range=(4, 6), c_range=(2, 6),
+                                  budget=3, seed=0)
+
+
+def test_hly_search_reports_confirmed_counterexamples(monkeypatch, capsys):
+    import ecgraph.harness
+    from ecgraph.cli import main
+
+    _always_failing_hly(monkeypatch)
+    monkeypatch.setattr(ecgraph.harness, "_disjoint_family_exists_bruteforce",
+                        lambda g, k: False)
+    assert main(["hly-search", "--k", "1", "--n", "4:6", "--budget", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "counterexamples: 3" in lines
+    assert [line for line in lines if line.startswith("counterexample at")] == [
+        f"counterexample at sample {i}: forced" for i in range(3)]
+
+
+def test_hypothesis_rejects_a_failed_order_condition_or_a_low_color_degree():
+    # gen_example1(3) meets book_bk's degree bound for k = 3, but n = 6 < 3k - 2
+    g = gen_example1(3)
+    assert min_color_degree(g) >= CLAIMS["book_bk"].delta_target(g.n, 3)
+    assert not CLAIMS["book_bk"].hypothesis(g, 3)
+    path = load_ecg("ecg 3 2\n0 1 1\n1 2 2\n")
+    assert not CLAIMS["li_triangle"].hypothesis(path, 0)
+
+
 def test_hly_search_rejects_malformed_range():
     with pytest.raises(ValueError):
         search_hly_counterexample(k=2, n_range=(4, 5), c_range=(2, 5),
@@ -262,8 +302,8 @@ def test_eg_partition_computes_one_matching_per_sampled_graph(monkeypatch):
     def forbidden(n, edges):
         raise AssertionError("max_matching called from inside ecgraph.matching")
 
-    # the hypothesis and the conclusion share one matching per graph, and
-    # gallai_partition checks maximality without a matching from scratch
+    # the hypothesis computes one matching per sampled graph, and
+    # gallai_partition finds its own without calling max_matching
     monkeypatch.setattr(ecgraph.harness, "max_matching", counting)
     monkeypatch.setattr(ecgraph.matching, "max_matching", forbidden)
     report = verify(TheoremSpec(id="eg_partition", budget=40, seed=1))
@@ -281,12 +321,12 @@ def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
         calls.append(n)
         return normalize(n, edges)
 
-    # one validation per sampled graph (its matching), then the graph and
-    # the matching in gallai_partition and the graph in the diagnostics
+    # one validation per sampled graph (its matching), then the graph in
+    # gallai_partition; the diagnostics read the partition's own edges
     monkeypatch.setattr(ecgraph.matching, "_normalize_edges", counting)
     report = verify(TheoremSpec(id="eg_partition", budget=100, seed=1))
     assert report.ok and report.samples_admitted == 100
-    assert len(calls) <= report.samples_attempted + 3 * report.samples_admitted
+    assert len(calls) == report.samples_attempted + report.samples_admitted
 
 
 @pytest.mark.parametrize("claim_id, search", [

@@ -11,14 +11,13 @@ from oracles import (
     brute_max_independent_set,
     brute_max_matching,
     brute_min_cover_size,
-    enumerate_maximum_matchings,
     gallai_sets_oracle,
 )
 
 from ecgraph.matching import (
+    GallaiPartition,
     _clique_bound as clique_bound,
     _cover_search,
-    _matching_size,
     gallai_partition,
     max_matching,
     min_vertex_cover,
@@ -131,7 +130,7 @@ class TestMinVertexCover:
         for _ in range(300):
             n = rng.randint(1, 9)
             edges = _random_edges(rng, n, rng.uniform(0.1, 0.95))
-            nu = _matching_size(max_matching(n, edges), set(edges))
+            nu = len(max_matching(n, edges))
             assert nu <= brute_min_cover_size(n, edges)
             seen.clear()
             assert len(_cover_search(n, edges, nu)) == \
@@ -209,7 +208,8 @@ class TestDualityInvariants:
 
 class TestGallaiPartition:
     def test_p5_worked_example(self):
-        part = gallai_partition(5, P5, [(0, 1), (2, 3)])
+        part = gallai_partition(5, P5)
+        assert part.matching == ((0, 1), (2, 3))
         assert sorted(part.v0) == [1, 3]
         assert part.components == ((0,), (2,), (4,))
         assert part.alpha_prime == 2 == len(part.v0) + 0
@@ -218,54 +218,21 @@ class TestGallaiPartition:
 
     def test_star_k14(self):
         edges = [(0, v) for v in range(1, 5)]
-        part = gallai_partition(5, edges, [(0, 1)])
+        part = gallai_partition(5, edges)
         assert sorted(part.v0) == [0]
         assert part.alpha_prime == 1
         assert len(part.components) == 4
 
     def test_two_triangles(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-        part = gallai_partition(6, edges, [(0, 1), (3, 4)])
+        part = gallai_partition(6, edges)
         # validated purely against the size identity: 2 = 0 + 1 + 1
         assert part.v0 == frozenset()
         assert sorted(len(c) for c in part.components) == [3, 3]
 
-    def test_rejects_non_maximum_matching(self):
-        with pytest.raises(ValueError):
-            gallai_partition(5, P5, [(0, 1)])
-
-    def test_non_maximum_matching_error_names_the_maximum(self):
-        # random matchings, each edge of a shuffled order taken with
-        # probability 0.3 when both ends are free, so that many need more
-        # than one augmentation
-        rng = random.Random(10)
-        deficits = []
-        for _ in range(400):
-            n = rng.randint(2, 9)
-            edges = _random_edges(rng, n, rng.uniform(0.2, 0.9))
-            nu = brute_max_matching(n, edges)
-            m, used = [], set()
-            for u, v in rng.sample(edges, len(edges)):
-                if not {u, v} & used and rng.random() < 0.3:
-                    m.append((u, v))
-                    used.update((u, v))
-            if len(m) == nu:
-                continue
-            deficits.append(nu - len(m))
-            with pytest.raises(ValueError, match=f"^matching has size {len(m)}, "
-                                                 f"maximum is {nu}$"):
-                gallai_partition(n, edges, m)
-        assert len(deficits) >= 250 and sum(d >= 2 for d in deficits) >= 60
-
     def test_rejects_saturating_matching(self):
-        with pytest.raises(ValueError):
-            gallai_partition(4, [(0, 1), (2, 3)], [(0, 1), (2, 3)])
-
-    def test_rejects_foreign_or_overlapping_edges(self):
-        with pytest.raises(ValueError):
-            gallai_partition(5, P5, [(0, 2), (3, 4)])
-        with pytest.raises(ValueError):
-            gallai_partition(5, P5, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="partition undefined"):
+            gallai_partition(4, [(0, 1), (2, 3)])
 
     def test_v0_matches_independent_oracle(self):
         rng = random.Random(8)
@@ -277,40 +244,21 @@ class TestGallaiPartition:
             if n <= 2 * len(m):
                 continue
             checked += 1
-            part = gallai_partition(n, edges, m)
+            part = gallai_partition(n, edges)
+            assert part.matching == tuple(m)
             _, frontier = gallai_sets_oracle(n, edges)
             assert part.v0 == frozenset(frontier)
+            # every component holds exactly floor(|V_i|/2) matching edges
+            for comp in part.components:
+                cset = set(comp)
+                inside = sum(1 for u, v in m if u in cset and v in cset)
+                assert inside == len(comp) // 2
         assert checked > 100
-
-    def test_invariants_for_every_maximum_matching(self):
-        rng = random.Random(9)
-        swept = 0
-        for _ in range(90):
-            n = rng.randint(2, 9)
-            edges = _random_edges(rng, n, rng.uniform(0.15, 0.6))
-            matchings = enumerate_maximum_matchings(n, edges)
-            if n <= 2 * len(matchings[0]):
-                continue
-            reference_v0 = None
-            for m in matchings:
-                part = gallai_partition(n, edges, list(m))
-                swept += 1
-                if reference_v0 is None:
-                    reference_v0 = part.v0
-                # v0 is canonical: identical across matchings
-                assert part.v0 == reference_v0
-                # every component holds exactly floor(|V_i|/2) matching edges
-                for comp in part.components:
-                    cset = set(comp)
-                    inside = sum(1 for u, v in m if u in cset and v in cset)
-                    assert inside == len(comp) // 2
-        assert swept > 200
 
 
 class TestPartitionDiagnostics:
     def test_p5_chain_is_tight(self):
-        part = gallai_partition(5, P5, [(0, 1), (2, 3)])
-        diag = verify_partition_lemmas(5, P5, part)
+        diag = verify_partition_lemmas(gallai_partition(5, P5))
         assert diag.beta == 2
         assert diag.size_identity_ok and diag.structure_ok and diag.chain_ok
         assert diag.beta <= 5 - diag.p == 2 <= 2 * 2 - diag.v0_size == 2
@@ -318,23 +266,22 @@ class TestPartitionDiagnostics:
     def test_c7_gate(self):
         c7 = [(i, (i + 1) % 7) for i in range(7)]
         c7 = [(min(u, v), max(u, v)) for u, v in c7]
-        m = max_matching(7, c7)
-        part = gallai_partition(7, c7, m)
-        diag = verify_partition_lemmas(7, c7, part)
+        diag = verify_partition_lemmas(gallai_partition(7, c7))
         assert diag.alpha_prime == 3
         # n = 7 = 2 alpha' + 1: the strong bounds do not apply
         assert not diag.strong_applicable
         assert diag.size_identity_ok and diag.structure_ok and diag.chain_ok
 
-    def test_partition_of_another_graph_gives_the_exact_cover(self):
-        # C7's matching is not a matching of the star, so its size is no
-        # lower bound there: the cover is still exact
-        c7 = [(i, i + 1) for i in range(6)] + [(0, 6)]
-        part = gallai_partition(7, c7, max_matching(7, c7))
-        star = [(0, v) for v in range(1, 7)]
-        assert _matching_size(part.matching, set(star)) == 0
-        diag = verify_partition_lemmas(7, star, part)
+    def test_overlapping_matching_edges_do_not_stop_the_cover_early(self):
+        # a hand-built partition of the star K(1,3) whose two "matching"
+        # edges share the center: 2 is no lower bound on the cover number
+        part = GallaiPartition(n=4, matching=((0, 1), (0, 2)), v0=frozenset({0}),
+                               components=((1,), (2,), (3,)),
+                               alpha_edges=((0, 1), (0, 2), (3, 4)),
+                               gamma_edges=((0, 3),), virtual_vertex=4)
+        diag = verify_partition_lemmas(part)
         assert diag.beta == 1 and diag.cover == (0,)
+        assert diag.alpha_prime == 2 and not diag.structure_ok
 
     def test_tripwire_k5_plus_two_isolated(self):
         """Designated boundary instance, resolved by brute force.
@@ -349,9 +296,8 @@ class TestPartitionDiagnostics:
         n = 7
         assert brute_max_matching(n, edges) == 2
         assert brute_min_cover_size(n, edges) == 4
-        m = max_matching(n, edges)
-        part = gallai_partition(n, edges, m)
-        diag = verify_partition_lemmas(n, edges, part)
+        part = gallai_partition(n, edges)
+        diag = verify_partition_lemmas(part)
         record = (f"tripwire K5+2iso: alpha'={diag.alpha_prime} "
                   f"beta={diag.beta} v0={sorted(part.v0)} "
                   f"size_identity={diag.size_identity_ok} chain={diag.chain_ok} "
@@ -371,9 +317,8 @@ class TestPartitionDiagnostics:
         ([(0, 1), (0, 2), (1, 2)], 4),                           # K3 + isolate
     ])
     def test_more_disconnected_boundary_instances(self, edges, n):
-        m = max_matching(n, edges)
-        part = gallai_partition(n, edges, m)
-        diag = verify_partition_lemmas(n, edges, part)
+        part = gallai_partition(n, edges)
+        diag = verify_partition_lemmas(part)
         assert diag.size_identity_ok and diag.structure_ok and diag.chain_ok
         assert diag.strong_applicable and not diag.connected
         assert diag.strong_beta_ok is False or diag.strong_v0_ok is False
@@ -390,8 +335,8 @@ class TestPartitionDiagnostics:
             if n < 2 * len(m) + 2:
                 continue
             checked += 1
-            part = gallai_partition(n, edges, m)
-            diag = verify_partition_lemmas(n, edges, part)
+            part = gallai_partition(n, edges)
+            diag = verify_partition_lemmas(part)
             assert diag.strong_beta_ok and diag.strong_v0_ok
             if diag.tight_applicable:
                 tight += 1
@@ -410,12 +355,11 @@ class TestDeskScale:
 
     def test_complete_k31_partition(self):
         edges = _complete(31)
-        m = max_matching(31, edges)
-        assert len(m) == 15
-        part = gallai_partition(31, edges, m)
+        part = gallai_partition(31, edges)
+        assert part.alpha_prime == 15
         assert part.v0 == frozenset()
         assert part.components == (tuple(range(31)),)
-        diag = verify_partition_lemmas(31, edges, part)
+        diag = verify_partition_lemmas(part)
         assert diag.beta == 30
         assert diag.size_identity_ok and diag.structure_ok and diag.chain_ok
 

@@ -23,7 +23,6 @@ from .generators import (
 )
 from .rainbow import (
     Certificate,
-    RainbowTriangleIndex,
     build_index,
     find_book,
     find_disjoint_rainbow_triangles,

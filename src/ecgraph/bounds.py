@@ -9,8 +9,9 @@ triangle counts is guaranteed only on edge-minimal graphs; reports carry an
 ``edge_minimal`` flag so callers know whether the guarantee applies.
 
 Every per-class quantity comes from one integer kernel, ``_vertex_bounds``,
-over the class bitsets and per-graph color-degree and rt rows; only
-:func:`triangle_bound_report` turns its rows into report objects.
+over the class bitsets, the per-graph color degrees and one walk of the
+vertex's rainbow links; only :func:`triangle_bound_report` turns its rows
+into report objects.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ColoredGraph, _color_degrees, _jsonable, _members, _mono_degrees,
-                   max_mono_degree, min_color_degree)
-from .rainbow import _links, build_index
+from .core import (ColoredGraph, _color_degrees, _color_rows, _jsonable, _members,
+                   _mono_degrees, max_mono_degree, min_color_degree)
+from .rainbow import _links
 from .reduction import is_edge_minimal
 
 
@@ -114,17 +115,17 @@ class TriangleBoundReport:
         return {**_jsonable(self), "per_class": [cb.to_json() for cb in self.per_class]}
 
 
-def _rt_rows(graph: ColoredGraph) -> list[dict[int, int]]:
-    """Per vertex v, each color c at v mapped to rt(v, N_c(v)), the sum of
-    rt(v, x) over the class of c at v; a per-graph fact read from the
-    rainbow triangle index."""
-    rows: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, w), count in build_index(graph).rt_edge.items():
-        c = graph.color(u, w)
-        row_u, row_w = rows[u], rows[w]
-        row_u[c] = row_u.get(c, 0) + count
-        row_w[c] = row_w.get(c, 0) + count
-    return rows
+def _rt_counts(graph: ColoredGraph, v: int) -> tuple[int, dict[int, int]]:
+    """rt(v), and each color c at v mapped to rt(v, N_c(v)), the sum of
+    rt(v, x) over the class of c at v, from one walk of v's rainbow links:
+    a link x < y is one triangle at v and adds 1 to each of the classes of
+    c(vx) and c(vy), which differ, so rt(v) is half the classes' sum."""
+    row = graph.derived(_color_rows)[v]
+    by_class = dict.fromkeys(row.values(), 0)
+    for x, y in _links(graph, v):
+        by_class[row[x]] += 1
+        by_class[row[y]] += 1
+    return sum(by_class.values()) // 2, by_class
 
 
 def _balance_forms(rows: list[tuple[int, int, int, int, int]],
@@ -162,7 +163,7 @@ def _vertex_bounds(graph: ColoredGraph, v: int
     at_v = table[v]
     nv = graph.adjacency_bits(v)
     dc = graph.derived(_color_degrees)
-    rt_row = graph.derived(_rt_rows)[v]
+    rt_vertex, rt_row = _rt_counts(graph, v)
     # per singleton class {y} of color c at v: y's edges of color c into N(v)
     hit_sets = [table[bits.bit_length() - 1][c] & nv
                 for c, bits in at_v.items() if not bits & (bits - 1)]
@@ -180,12 +181,12 @@ def _vertex_bounds(graph: ColoredGraph, v: int
             members ^= low
         hits = sum((t & bits).bit_count() for t in hit_sets)
         balance = size * excess - size * (size - 1) - hits
-        rows.append((c, size, rt_row.get(c, 0), neighbor_sum + balance, balance))
+        rows.append((c, size, rt_row[c], neighbor_sum + balance, balance))
 
     forms = _balance_forms(rows, sum(map(int.bit_count, hit_sets)))
     if len(set(forms)) != 1:
         raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
-    return rows, forms[0], build_index(graph).rt(v), sum(row[3] for row in rows)
+    return rows, forms[0], rt_vertex, sum(row[3] for row in rows)
 
 
 def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:

@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> int:
         "max_mono_degree": max_mono_degree(g),
         "edge_minimal": minimal,
         "removable_edge": _jsonable(witness),
-        "rainbow_triangles": build_index(g).count(),
+        "rainbow_triangles": len(build_index(g)),
         "max_book": max_book(g),
         "max_fan": max_fan(g),
         "counting_lower_bound": _jsonable(counting_lower_bound(g)),

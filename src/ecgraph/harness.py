@@ -37,6 +37,7 @@ from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _mono_deg
                    load_ecg, max_mono_degree, min_color_degree, save_ecg)
 from .generators import gen_proper_complete, sample_random_colored
 from .rainbow import (
+    _apexes,
     build_index,
     find_book,
     find_disjoint_rainbow_triangles,
@@ -181,16 +182,16 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
 
 
 def _concl_restriction(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    # rt(a, b) >= 0 always dominates sigma = 0, so the rainbow triangle
-    # index is built only for a graph with a positive restriction count
+    # rt(a, b) >= 0 always dominates sigma = 0, so the apexes of ab are
+    # walked only for a positive restriction count
     for a, b, sigma in edge_restriction_counts(g):
-        if sigma and (rt := build_index(g).rt_pair(a, b)) < sigma:
+        if sigma and (rt := sum(1 for _ in _apexes(g, a, b))) < sigma:
             return False, f"rt({a},{b}) = {rt} < restriction count {sigma}"
     return True, ""
 
 
 def _concl_counting(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    count = build_index(g).count()
+    count = len(build_index(g))
     bound = counting_lower_bound(g)
     if Fraction(count) >= bound:
         return True, ""
@@ -552,7 +553,7 @@ def _disjoint_family_exists_bruteforce(g: ColoredGraph, k: int) -> bool:
     they cover 3k vertices.  Raises ValueError past SEARCH_NODE_LIMIT
     subsets tried."""
     visit = _node_budget("_disjoint_family_exists_bruteforce")
-    for combo in itertools.combinations(build_index(g).triangles, k):
+    for combo in itertools.combinations(build_index(g), k):
         visit()
         if len(set().union(*combo)) == 3 * k:
             return True

@@ -9,29 +9,10 @@ which keeps outputs deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import ColoredGraph, _color_rows, _jsonable
 from .matching import _node_budget, max_matching
-
-
-@dataclass(frozen=True)
-class RainbowTriangleIndex:
-    """All rainbow triangles of a graph plus per-vertex/per-edge counts."""
-
-    triangles: tuple[tuple[int, int, int], ...]
-    rt_vertex: dict[int, int]
-    rt_edge: dict[tuple[int, int], int]
-
-    def count(self) -> int:
-        return len(self.triangles)
-
-    def rt(self, v: int) -> int:
-        return self.rt_vertex.get(v, 0)
-
-    def rt_pair(self, u: int, v: int) -> int:
-        return self.rt_edge.get((u, v) if u < v else (v, u), 0)
 
 
 def _links(graph: ColoredGraph, v: int, lo: int = 0, proper: bool = False):
@@ -67,18 +48,31 @@ def _rainbow_triangles(graph: ColoredGraph):
                 yield u, v, w
 
 
-def _index(graph: ColoredGraph) -> RainbowTriangleIndex:
-    tris = tuple(_rainbow_triangles(graph))
-    rt_v = Counter(itertools.chain.from_iterable(tris))
-    rt_e = Counter(itertools.chain.from_iterable(
-        ((u, v), (u, w), (v, w)) for u, v, w in tris))
-    return RainbowTriangleIndex(tris, rt_v, rt_e)
+def _index(graph: ColoredGraph) -> tuple[tuple[int, int, int], ...]:
+    return tuple(_rainbow_triangles(graph))
 
 
-def build_index(graph: ColoredGraph) -> RainbowTriangleIndex:
-    """Every rainbow triangle, in lexicographic order, with its vertex and
-    edge counts.  Built once per graph (see :meth:`ColoredGraph.derived`)."""
+def build_index(graph: ColoredGraph) -> tuple[tuple[int, int, int], ...]:
+    """Every rainbow triangle (u, v, w), u < v < w, in lexicographic order.
+    Built once per graph (see :meth:`ColoredGraph.derived`)."""
     return graph.derived(_index)
+
+
+def _apexes(graph: ColoredGraph, u: int, v: int):
+    """The rainbow apexes of edge uv in ascending order: the common
+    neighbors w with c(uv), c(uw) and c(vw) pairwise distinct, so their
+    number is rt(u, v)."""
+    rows = graph.derived(_color_rows)
+    row_u, row_v = rows[u], rows[v]
+    cuv = row_u[v]
+    common = graph.adjacency_bits(u) & graph.adjacency_bits(v)
+    while common:
+        low = common & -common
+        common ^= low
+        w = low.bit_length() - 1
+        cuw, cvw = row_u[w], row_v[w]
+        if cuw != cuv and cvw != cuv and cuw != cvw:
+            yield w
 
 
 def has_rainbow_triangle(graph: ColoredGraph) -> bool:
@@ -151,8 +145,15 @@ class Certificate:
 
 
 def max_book(graph: ColoredGraph) -> int:
-    """Largest k such that k rainbow triangles share one edge."""
-    return max(build_index(graph).rt_edge.values(), default=0)
+    """Largest k such that k rainbow triangles share one edge: the most
+    rainbow apexes on any edge.  An edge with no more common neighbors
+    than the best found so far cannot beat it and is skipped by a
+    popcount."""
+    best = 0
+    for u, v in graph.edges:
+        if (graph.adjacency_bits(u) & graph.adjacency_bits(v)).bit_count() > best:
+            best = max(best, sum(1 for _ in _apexes(graph, u, v)))
+    return best
 
 
 def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
@@ -160,29 +161,17 @@ def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
     its k smallest apexes.
 
     An early-exit scan that builds no index: an edge uv with fewer than k
-    common neighbors is skipped by a popcount, and otherwise its common
-    neighbors w are walked upward, keeping those where c(uv), c(uw) and
-    c(vw) are pairwise distinct, until k are found."""
+    common neighbors is skipped by a popcount, and otherwise the first k
+    of its rainbow apexes are taken from the upward walk :func:`_apexes`."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = graph.derived(_color_rows)
     for u, v in graph.edges:
-        common = graph.adjacency_bits(u) & graph.adjacency_bits(v)
-        if common.bit_count() < k:
+        if (graph.adjacency_bits(u) & graph.adjacency_bits(v)).bit_count() < k:
             continue
-        row_u, row_v = rows[u], rows[v]
-        cuv = row_u[v]
-        apexes = []
-        while common:
-            low = common & -common
-            common ^= low
-            w = low.bit_length() - 1
-            cuw, cvw = row_u[w], row_v[w]
-            if cuw != cuv and cvw != cuv and cuw != cvw:
-                apexes.append(w)
-                if len(apexes) == k:
-                    tris = tuple(tuple(sorted((u, v, a))) for a in apexes)
-                    return Certificate(kind="book", base=(u, v), triangles=tris)
+        apexes = tuple(itertools.islice(_apexes(graph, u, v), k))
+        if len(apexes) == k:
+            tris = tuple(tuple(sorted((u, v, a))) for a in apexes)
+            return Certificate(kind="book", base=(u, v), triangles=tris)
     return None
 
 
@@ -237,7 +226,7 @@ def find_disjoint_rainbow_triangles(graph: ColoredGraph,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    tris = build_index(graph).triangles
+    tris = build_index(graph)
     chosen: list[tuple[int, int, int]] = []
     visit = _node_budget("find_disjoint_rainbow_triangles")
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here is deliberately naive and kept separate from the package
-implementations it cross-checks.
+implementations it cross-checks: from ``ecgraph`` it imports only the graph
+type and the result dataclasses it builds, never a function.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from typing import NamedTuple
 
 from ecgraph.bounds import ClassBound, MonoBalanceDiagnostics, TriangleBoundReport
 from ecgraph.core import ColoredGraph
-from ecgraph.matching import GallaiPartition, PartitionDiagnostics, max_matching
-from ecgraph.rainbow import Certificate, build_index
-from ecgraph.reduction import is_edge_minimal
+from ecgraph.matching import GallaiPartition, PartitionDiagnostics
+from ecgraph.rainbow import Certificate
 
 
 def naive_rainbow_triangles(g: ColoredGraph) -> set[tuple[int, int, int]]:
@@ -243,7 +243,7 @@ def find_fan_reference(g: ColoredGraph, k: int) -> Certificate | None:
     for v in range(g.n):
         if g.degree(v) < 2 * k:
             continue
-        matched = max_matching(g.n, naive_links(g, v))
+        matched = blossom_matching_reference(g.n, naive_links(g, v))
         if len(matched) >= k:
             tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
             return Certificate(kind="fan", base=v, triangles=tris)
@@ -257,7 +257,7 @@ def pc_spanning_fan_matching_reference(g: ColoredGraph) -> Certificate | None:
     for v in range(n):
         if g.degree(v) < n - 1:
             continue
-        matched = max_matching(n, naive_links(g, v, proper=True))
+        matched = blossom_matching_reference(n, naive_links(g, v, proper=True))
         if 2 * len(matched) == n - 1:
             tris = tuple(tuple(sorted((v, x, y))) for x, y in matched)
             return Certificate(kind="spanning_fan", base=v, triangles=tris)
@@ -711,10 +711,11 @@ def balance_forms_reference(g: ColoredGraph, profile,
 def triangle_bound_report_reference(g: ColoredGraph, v: int):
     """``bounds.triangle_bound_report`` frozen as it stood when it built a
     ``ColorDegreeProfile`` per vertex, read the color degree of each class
-    member and summed ``rt_pair`` per member."""
+    member and summed rt(v, x) per member, with every rt counted from the
+    naive triangle set."""
     profile = color_profile_reference(g, v)
     classes = color_classes_reference(g)
-    index = build_index(g)
+    at_v = [t for t in naive_rainbow_triangles(g) if v in t]
     n = g.n
     dcv = profile.dc
     excess = sum(s - 1 for s in profile.sorted_sizes)
@@ -729,7 +730,7 @@ def triangle_bound_report_reference(g: ColoredGraph, v: int):
         per_class.append(ClassBound(
             color=color,
             size=di,
-            rt_observed=sum(index.rt_pair(v, x) for x in members),
+            rt_observed=sum(x in t for t in at_v for x in members),
             lower_bound=lower,
             lower_bound_strict=lower,
             balance=balance,
@@ -741,10 +742,10 @@ def triangle_bound_report_reference(g: ColoredGraph, v: int):
 
     return TriangleBoundReport(
         vertex=v,
-        edge_minimal=is_edge_minimal(g)[0],
+        edge_minimal=not removable_edges_reference(g),
         per_class=tuple(per_class),
         balance_total=forms[0],
-        rt_vertex=index.rt(v),
+        rt_vertex=len(at_v),
         vertex_lower=Fraction(sum(cb.lower_bound for cb in per_class), 2),
     )
 

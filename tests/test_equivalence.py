@@ -25,10 +25,13 @@
   ``random_colored``; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
 - The class bounds, the balance term and the diagnostics at a vertex come
-  from one integer kernel over the class bitsets and per-graph color-degree
-  and rt rows; every report field and every diagnostics field must equal
-  the frozen profile-based versions in ``oracles.py``, and the ``lemma1``
-  and ``lemma2`` conclusions must build no report object and no profile.
+  from one integer kernel over the class bitsets, the per-graph color
+  degrees and one walk of the vertex's rainbow links for rt(v) and each
+  rt(v, class); every report field and every diagnostics field must equal
+  the frozen profile-based versions in ``oracles.py``, which count rt from
+  the naive triangle set, and the ``lemma1``, ``lemma2`` and ``prop1``
+  conclusions must build no report object, no profile and no triangle
+  index.
 - One link scan per vertex serves the rainbow triangle index and the fan
   searches; the scan from 0 must equal the frozen double loop in
   ``oracles.py``, pair order included.  Whole-graph facts are built once
@@ -36,7 +39,9 @@
   their own.
 - Restriction counts come from the color table's class bitsets; each must
   equal the frozen set-based count in ``oracles.py``, on every ordered
-  edge the ``prop1`` conclusion visits and on random subsets X.
+  edge the ``prop1`` conclusion visits and on random subsets X.  The
+  conclusion counts rt(a, b) by the edge's apex walk, only where the
+  restriction count is positive, and each count must equal the naive one.
 - The minimum vertex cover comes from a bitset branch and bound with a
   clique-partition bound and a stop at the matching number; the cover
   itself, not only its size, must equal the frozen edge-list search in
@@ -54,8 +59,10 @@
 - ``find_book`` scans the edges and stops at the first book; it must
   return the certificate (or None) of the frozen search over the whole
   triangle set in ``oracles.py``, also past edges with k common neighbors
-  but fewer than k rainbow apexes, and a book conclusion that holds must
-  build no triangle index.
+  but fewer than k rainbow apexes.  ``max_book`` walks the apexes of each
+  edge whose common neighbors outnumber the best so far; it must equal
+  the naive per-edge maximum and walk exactly those edges.  No book
+  conclusion, holding or failing, builds the triangle index.
 - Every result's JSON comes from one encoder in ``ecgraph.core``; each
   ``to_json()`` and ``TheoremSpec.echo()`` must equal the frozen
   hand-written encoder in ``oracles.py``, list for list (a tuple is not
@@ -131,8 +138,8 @@ from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
-from ecgraph.rainbow import (Certificate, RainbowTriangleIndex, _links, build_index,
-                             find_book, find_disjoint_rainbow_triangles, find_fan,
+from ecgraph.rainbow import (Certificate, _apexes, _links, build_index, find_book,
+                             find_disjoint_rainbow_triangles, find_fan,
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
                              max_fan)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
@@ -699,6 +706,31 @@ def test_book_search_matches_frozen_reference():
     assert found >= 700 and missing >= 1500 and passing >= 200, (found, missing, passing)
 
 
+def test_largest_book_matches_naive_per_edge_maximum(monkeypatch):
+    # max_book walks the apexes of exactly the edges whose common-neighbor
+    # count beats the best found before them, and returns the naive maximum
+    walked = []
+    walk = ecgraph.rainbow._apexes
+
+    def counted(g, u, v):
+        walked.append((u, v))
+        return walk(g, u, v)
+    monkeypatch.setattr(ecgraph.rainbow, "_apexes", counted)
+    skipped = 0
+    for g in _book_graphs():
+        tris = naive_rainbow_triangles(g)
+        best, expected = 0, []
+        for u, v in g.edges:
+            if len(set(g.neighbors(u)) & set(g.neighbors(v))) > best:
+                expected.append((u, v))
+                best = max(best, sum(u in t and v in t for t in tris))
+        walked.clear()
+        assert max_book(g) == best
+        assert walked == expected
+        skipped += g.edge_count - len(expected)
+    assert skipped >= 1000, skipped
+
+
 def _concl_book_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
     cert = find_book(g, k)
     if cert is not None and cert.self_check(g):
@@ -859,7 +891,7 @@ def test_adjacency_queries_match_edge_colors():
 def test_rainbow_triangle_scan_matches_naive():
     for rng, g in _corpus(seed=67, count=300):
         naive = sorted(naive_rainbow_triangles(g))
-        assert build_index(g).triangles == tuple(naive)
+        assert build_index(g) == tuple(naive)
         assert has_rainbow_triangle(g) == bool(naive)
 
 
@@ -933,24 +965,34 @@ def test_bound_kernel_matches_frozen_reference():
     assert seen["equality"] >= 100 and seen["cond_c"] >= 20, seen
 
 
-def _lowered_index(monkeypatch, scope: str) -> None:
-    """Replace each graph's rainbow triangle index by one whose per-edge
-    (``scope`` "class") or per-vertex ("vertex") counts are 0."""
-    build = ecgraph.rainbow._index
+def _lowered_walk(monkeypatch, scope: str) -> None:
+    """Replace the link walk's rt counts at every vertex by ones whose
+    per-class (``scope`` "class") or per-vertex ("vertex") counts are 0."""
+    walk = ecgraph.bounds._rt_counts
 
-    def lowered(graph):
-        index = build(graph)
+    def lowered(graph, v):
+        rt, by_class = walk(graph, v)
         if scope == "class":
-            return RainbowTriangleIndex(index.triangles, index.rt_vertex, {})
-        return RainbowTriangleIndex(index.triangles, {}, index.rt_edge)
-    monkeypatch.setattr(ecgraph.rainbow, "_index", lowered)
+            return rt, dict.fromkeys(by_class, 0)
+        return 0, by_class
+    monkeypatch.setattr(ecgraph.bounds, "_rt_counts", lowered)
 
 
-def _class_bounds_gap_reference(g: ColoredGraph) -> tuple[bool, str]:
-    """The lemma1 conclusion as it read ``triangle_bound_report``."""
+def _lowered_report(g: ColoredGraph, v: int, scope: str):
+    """The frozen bound report with the rt counts of ``scope`` set to 0."""
+    report = triangle_bound_report_reference(g, v)
+    if scope == "vertex":
+        return dataclasses.replace(report, rt_vertex=0)
+    return dataclasses.replace(report, per_class=tuple(
+        dataclasses.replace(cb, rt_observed=0) for cb in report.per_class))
+
+
+def _class_bounds_gap_reference(g: ColoredGraph, scope: str) -> tuple[bool, str]:
+    """The lemma1 conclusion as it read ``triangle_bound_report``, with the
+    rt counts of ``scope`` lowered to 0."""
     h = edge_minimal_reduce(g)
     for v in range(h.n):
-        report = triangle_bound_report_reference(h, v)
+        report = _lowered_report(h, v, scope)
         for cb in report.per_class:
             if cb.rt_observed < cb.lower_bound:
                 return False, (f"class bound fails at v={v}, color={cb.color}: "
@@ -963,11 +1005,11 @@ def _class_bounds_gap_reference(g: ColoredGraph) -> tuple[bool, str]:
 
 @pytest.mark.parametrize("scope", ["class", "vertex"])
 def test_class_bound_gaps_match_reference(monkeypatch, scope):
-    _lowered_index(monkeypatch, scope)
+    _lowered_walk(monkeypatch, scope)
     failures = halves = 0
     for _, g in _corpus(seed=127, count=200):
         result = _concl_class_bounds(g, 0)
-        assert result == _class_bounds_gap_reference(g)
+        assert result == _class_bounds_gap_reference(g, scope)
         if not result[0]:
             failures += 1
             assert result[1].startswith(f"{scope} bound fails at v=")
@@ -978,15 +1020,19 @@ def test_class_bound_gaps_match_reference(monkeypatch, scope):
 
 
 def test_bound_conclusions_build_no_report_objects(monkeypatch):
+    # nor the rainbow triangle list: lemma1, lemma2 and prop1 count rt with
+    # the link and apex walks
     def refuse(*args, **kwargs):
         raise AssertionError("built on the conclusion path")
     for module in _PACKAGE_MODULES:
-        for name in ("ClassBound", "TriangleBoundReport", "color_profile"):
+        for name in ("ClassBound", "TriangleBoundReport", "color_profile",
+                     "build_index", "_index"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for _, g in _corpus(seed=131, count=150):
         assert _concl_class_bounds(g, 0) == (True, "")
         assert _concl_mono_balance(g, 0) == (True, "")
+        assert _concl_restriction(g, 0) == (True, "")
 
 
 def test_every_checked_vertex_compares_the_balance_forms(monkeypatch):
@@ -1050,9 +1096,8 @@ def _count_builds(monkeypatch, module, name: str) -> list:
 def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     facts = [_count_builds(monkeypatch, module, name) for module, name in (
         (ecgraph.core, "_color_table"), (ecgraph.rainbow, "_index"),
-        (ecgraph.reduction, "_removals"),
-        (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"),
-        (ecgraph.bounds, "_rt_rows"))]
+        (ecgraph.reduction, "_removals"), (ecgraph.core, "_color_rows"),
+        (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"))]
     g = random_colored(random.Random(83), 9, 0.7, 4)
     assert build_index(g) is build_index(g)
     assert g.color_table() is g.color_table()
@@ -1072,6 +1117,7 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     for _ in range(2):
         assert _concl_class_bounds(h, 0) == (True, "")
         assert _concl_mono_balance(h, 0) == (True, "")
+        assert len(build_index(h)) == len(naive_rainbow_triangles(h))
     assert facts == [[g, h]] * len(facts)
 
 
@@ -1083,12 +1129,12 @@ def test_book_conclusion_holds_without_the_index(monkeypatch):
     builds = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
     assert _concl_book(gen_proper_complete(9, seed=9), 2) == (True, "")
     assert _concl_book(sample, 3) == (True, "")
-    assert builds == []
-    # only a failing conclusion builds the index, for its gap's max_book
+    # a failing conclusion's gap walks apexes for max_book, and builds no
+    # index either
     g = gen_example1(4)
     assert _concl_book(g, 4) == (
         False, "no 4 rainbow triangles on a common edge (max 3)")
-    assert builds == [g]
+    assert builds == []
 
 
 def test_derived_graphs_get_their_own_facts():
@@ -1099,7 +1145,7 @@ def test_derived_graphs_get_their_own_facts():
             continue
         derived = _toggled(rng, g)
         for h in (derived, edge_minimal_reduce(derived)):
-            assert build_index(h).triangles == tuple(sorted(naive_rainbow_triangles(h)))
+            assert build_index(h) == tuple(sorted(naive_rainbow_triangles(h)))
             removable = removable_edges_reference(h)
             assert is_edge_minimal(h) == (not removable, removable[0] if removable else None)
             assert max_mono_degree(h) == max(
@@ -1159,24 +1205,14 @@ def test_restriction_count_matches_reference_on_random_subsets():
     assert len(cases) == 3 and min(cases.values()) >= 100
 
 
-class _OrderedRt:
-    """Stands in for the rainbow triangle index: rt_pair(a, b) reads a
-    table keyed by the ordered edge."""
-
-    def __init__(self, rt: dict):
-        self.rt = rt
-
-    def rt_pair(self, a: int, b: int) -> int:
-        return self.rt[a, b]
-
-
 def test_prop1_conclusion_compares_the_reference_counts(monkeypatch):
     # With rt(a, b) set to the reference count on every ordered edge the
     # conclusion must pass, so no count it compares exceeds the reference.
     # With rt lowered by one on a single edge it must fail there, with that
     # edge's reference count in the gap, so no count falls short of it.
+    # The stand-in apex walk of the ordered edge (a, b) has rt[a, b] apexes.
     rt: dict = {}
-    monkeypatch.setattr(ecgraph.harness, "build_index", lambda g: _OrderedRt(rt))
+    monkeypatch.setattr(ecgraph.harness, "_apexes", lambda g, a, b: iter(range(rt[a, b])))
     checked = 0
     for g in _restriction_graphs(seed=107, count=150):
         expected = _reference_edge_counts(g)
@@ -1193,14 +1229,27 @@ def test_prop1_conclusion_compares_the_reference_counts(monkeypatch):
     assert checked >= 1000
 
 
-def test_prop1_conclusion_builds_the_index_only_for_positive_counts(monkeypatch):
+def test_prop1_conclusion_walks_apexes_only_for_positive_counts(monkeypatch):
+    # rt(a, b) is the apex count of ab, equal to the naive count, walked on
+    # exactly the ordered edges with a positive restriction count
     indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
-    built = []
+    walked = []
+
+    def recorded(g, a, b):
+        apexes = list(_apexes(g, a, b))
+        walked.append((a, b, len(apexes)))
+        return iter(apexes)
+    monkeypatch.setattr(ecgraph.harness, "_apexes", recorded)
+    graphs = positive = 0
     for _, g in _corpus(seed=109, count=200):
+        walked.clear()
         assert _concl_restriction(g, 0) == (True, "")
-        if any(sigma for _, _, sigma in _reference_edge_counts(g)):
-            built.append(g)
-    assert indexes == built and 0 < len(built) < 200
+        tris = naive_rainbow_triangles(g)
+        assert walked == [(a, b, sum(a in t and b in t for t in tris))
+                          for a, b, sigma in _reference_edge_counts(g) if sigma]
+        graphs += bool(walked)
+        positive += sum(rt > 0 for _, _, rt in walked)
+    assert indexes == [] and 0 < graphs < 200 and positive >= 1000, (graphs, positive)
 
 
 def test_json_encodings_match_frozen_encoders():

@@ -18,7 +18,9 @@ from oracles import (
 from ecgraph.core import ColoredGraph
 from ecgraph.generators import gen_example1, gen_proper_complete
 from ecgraph.matching import max_matching
+from ecgraph.bounds import _vertex_bounds
 from ecgraph.rainbow import (
+    _apexes,
     build_index,
     find_book,
     find_disjoint_rainbow_triangles,
@@ -37,37 +39,47 @@ PROPER_K4 = ColoredGraph(4, [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2),
                              (0, 3, 3), (1, 2, 3)])
 
 
+def _rt_vertex(g: ColoredGraph, v: int) -> int:
+    """rt(v) as the bound kernel counts it, from v's link walk."""
+    return _vertex_bounds(g, v)[2]
+
+
+def _rt_edge(g: ColoredGraph, u: int, v: int) -> int:
+    """rt(u, v) as the book searches count it, from uv's apex walk."""
+    return len(list(_apexes(g, u, v)))
+
+
 class TestIndex:
     def test_rainbow_triangle(self):
-        idx = build_index(RAINBOW_K3)
-        assert idx.triangles == ((0, 1, 2),)
-        assert all(idx.rt(v) == 1 for v in range(3))
-        assert all(idx.rt_pair(u, v) == 1 for u, v in RAINBOW_K3.edges)
+        tris = build_index(RAINBOW_K3)
+        assert tris == ((0, 1, 2),)
+        assert all(_rt_vertex(RAINBOW_K3, v) == 1 for v in range(3))
+        assert all(_rt_edge(RAINBOW_K3, u, v) == 1 for u, v in RAINBOW_K3.edges)
 
     def test_monochromatic_triangle(self):
-        assert build_index(MONO_K3).count() == 0
+        assert len(build_index(MONO_K3)) == 0
         assert not has_rainbow_triangle(MONO_K3)
 
     def test_properly_3_colored_k4(self):
         # hand enumeration: all four triangles use three distinct classes
-        idx = build_index(PROPER_K4)
-        assert idx.count() == 4
-        assert all(idx.rt_pair(u, v) == 2 for u, v in PROPER_K4.edges)
-        assert all(idx.rt(v) == 3 for v in range(4))
+        tris = build_index(PROPER_K4)
+        assert len(tris) == 4
+        assert all(_rt_edge(PROPER_K4, u, v) == 2 for u, v in PROPER_K4.edges)
+        assert all(_rt_vertex(PROPER_K4, v) == 3 for v in range(4))
 
     @settings(max_examples=200)
     @given(colored_graphs())
     def test_matches_naive_triple_loop(self, g):
-        idx = build_index(g)
-        assert set(idx.triangles) == naive_rainbow_triangles(g)
-        assert has_rainbow_triangle(g) == (idx.count() > 0)
+        tris = build_index(g)
+        assert set(tris) == naive_rainbow_triangles(g)
+        assert has_rainbow_triangle(g) == (len(tris) > 0)
 
     @settings(max_examples=100)
     @given(colored_graphs())
     def test_count_identities(self, g):
-        idx = build_index(g)
-        assert sum(idx.rt_vertex.values()) == 3 * idx.count()
-        assert sum(idx.rt_edge.values()) == 3 * idx.count()
+        count = len(build_index(g))
+        assert sum(_rt_vertex(g, v) for v in range(g.n)) == 3 * count
+        assert sum(_rt_edge(g, u, v) for u, v in g.edges) == 3 * count
 
 
 class TestRainbowEdgeGraph:
@@ -89,10 +101,10 @@ class TestRainbowEdgeGraph:
         rng = random.Random(0)
         for _ in range(50):
             g = random_colored(rng, rng.randint(3, 8), 0.6, 4)
-            idx = build_index(g)
+            tris = build_index(g)
             for v in range(g.n):
                 expected = {tuple(sorted(set(t) - {v}))
-                            for t in idx.triangles if v in t}
+                            for t in tris if v in t}
                 assert set(_links(g, v)) == expected
 
 
@@ -107,6 +119,17 @@ class TestBooks:
         g = gen_example1(4)
         assert find_book(g, 4) is None
         assert max_book(g) == 3
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_example1_largest_book_is_k_minus_1(self, k):
+        assert max_book(gen_example1(k)) == k - 1
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_monochromatic_complete_graph_has_no_book(self, n):
+        # every edge has n-2 common neighbors and none is a rainbow apex, so
+        # the best stays 0 and the popcount never skips an edge
+        g = ColoredGraph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+        assert max_book(g) == 0
 
     def test_single_apex_book(self):
         cert = find_book(RAINBOW_K3, 1)
@@ -298,10 +321,11 @@ def test_searches_are_deterministic():
 @settings(max_examples=80)
 @given(colored_graphs(max_colors=5))
 def test_injective_recoloring_preserves_counts(g):
-    idx = build_index(g)
+    tris = build_index(g)
     shifted = ColoredGraph(
         g.n, [(u, v, c + 17) for (u, v), c in g.edge_colors().items()])
-    idx2 = build_index(shifted)
-    assert idx2.count() == idx.count()
-    assert idx2.rt_vertex == idx.rt_vertex
+    tris2 = build_index(shifted)
+    assert len(tris2) == len(tris)
+    assert [_rt_vertex(shifted, v) for v in range(g.n)] == [
+        _rt_vertex(g, v) for v in range(g.n)]
     assert max_book(shifted) == max_book(g)

@@ -11,7 +11,9 @@ triangle counts is guaranteed only on edge-minimal graphs; reports carry an
 Every per-class quantity comes from one integer kernel, ``_vertex_bounds``,
 over the class bitsets, the per-graph color degrees and one walk of the
 vertex's rainbow links; only :func:`triangle_bound_report` turns its rows
-into report objects.
+into report objects.  Every per-edge quantity of the restriction bound
+comes from one pass over the edges, ``_edge_counts``: both restriction
+counts of an edge and rt(u, v), from popcounts of the class bitsets alone.
 """
 
 from __future__ import annotations
@@ -64,15 +66,47 @@ def restriction_count(graph: ColoredGraph, v: int, x_set, y: int) -> int:
     return _sigma(graph.color_table(), v, x_bits, y)
 
 
-def edge_restriction_counts(graph: ColoredGraph):
-    """(a, b, sigma(a, X, b)) for each ordered edge, with X = N(a) minus the
-    class of c(ab) at a: edges in lexicographic order, (u, v) then (v, u)."""
+def _edge_counts(graph: ColoredGraph) -> list[tuple[int, int, int, int, int]]:
+    """(u, v, sigma(u, X_u, v), sigma(v, X_v, u), rt(u, v)) for each edge uv
+    in lexicographic order, with X_a = N(a) minus the class of c(uv) at a.
+
+    Everything comes from the class bitsets of :meth:`ColoredGraph.color_table`:
+    each sigma is the test of :func:`_sigma`, in one loop over the colors at
+    v and one over the colors at u.  With c = c(uv) and W the common
+    neighbors outside C_u(c) and C_v(c), rt(u, v) is |W| less the w in W
+    with c(uw) = c(vw), which are the members of C_u(a) & C_v(a) over the
+    colors a != c; the loop over u's colors sums these intersections over
+    every a, and the term of c is added back.  Without a common neighbor
+    both sigmas and rt are 0, since a class at v inside X_u lies in
+    N(u) & N(v).
+    """
     table = graph.color_table()
+    colors = graph.edge_colors()
+    out = []
     for u, v in graph.edges:
-        c = graph.color(u, v)
-        for a, b in ((u, v), (v, u)):
-            x_bits = graph.adjacency_bits(a) & ~table[a][c]
-            yield a, b, _sigma(table, a, x_bits, b)
+        nu, nv = graph.adjacency_bits(u), graph.adjacency_bits(v)
+        common = nu & nv
+        if not common:
+            out.append((u, v, 0, 0, 0))
+            continue
+        c = colors[u, v]
+        at_u, at_v = table[u], table[v]
+        cu, cv = at_u[c], at_v[c]
+        # the complements of X_u and X_v
+        out_u, out_v = ~nu | cu, ~nv | cv
+        s_uv = 0
+        for a, y in at_v.items():
+            if not y & out_u and y & ~at_u.get(a, 0):
+                s_uv += 1
+        s_vu = same = 0
+        for a, y in at_u.items():
+            z = at_v.get(a, 0)
+            same += (y & z).bit_count()
+            if not y & out_v and y & ~z:
+                s_vu += 1
+        rt = (common & ~(cu | cv)).bit_count() - same + (cu & cv).bit_count()
+        out.append((u, v, s_uv, s_vu, rt))
+    return out
 
 
 @dataclass(frozen=True)

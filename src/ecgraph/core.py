@@ -272,9 +272,13 @@ def max_mono_degree(graph: ColoredGraph) -> int:
 
 
 def relabel_colors(graph: ColoredGraph, mapping: dict[int, int]) -> ColoredGraph:
-    """Apply an injective color relabeling.  Queries are invariant under it."""
+    """Apply an injective color relabeling, which must map every color of
+    the graph.  Queries are invariant under it."""
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("color relabeling must be injective")
+    missed = graph.colors() - mapping.keys()
+    if missed:
+        raise ValueError(f"color relabeling misses color {min(missed)}")
     triples = [(u, v, mapping[c]) for (u, v), c in graph.edge_colors().items()]
     return ColoredGraph(graph.n, triples)
 

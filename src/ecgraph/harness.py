@@ -37,7 +37,6 @@ from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _mono_deg
                    load_ecg, max_mono_degree, min_color_degree, save_ecg)
 from .generators import gen_proper_complete, sample_random_colored
 from .rainbow import (
-    _apexes,
     build_index,
     find_book,
     find_disjoint_rainbow_triangles,
@@ -48,13 +47,9 @@ from .rainbow import (
     max_fan,
 )
 from .reduction import edge_minimal_reduce
-from .bounds import (
-    _vertex_bounds,
-    counting_lower_bound,
-    edge_restriction_counts,
-    mono_balance_diagnostics,
-)
-from .matching import (_node_budget, gallai_partition, max_matching,
+from .bounds import (_edge_counts, _vertex_bounds, counting_lower_bound,
+                     mono_balance_diagnostics)
+from .matching import (GallaiPartition, _node_budget, gallai_partition,
                        verify_partition_lemmas)
 
 
@@ -182,11 +177,11 @@ def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
 
 
 def _concl_restriction(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    # rt(a, b) >= 0 always dominates sigma = 0, so the apexes of ab are
-    # walked only for a positive restriction count
-    for a, b, sigma in edge_restriction_counts(g):
-        if sigma and (rt := sum(1 for _ in _apexes(g, a, b))) < sigma:
-            return False, f"rt({a},{b}) = {rt} < restriction count {sigma}"
+    for u, v, s_uv, s_vu, rt in _edge_counts(g):
+        if rt < s_uv:
+            return False, f"rt({u},{v}) = {rt} < restriction count {s_uv}"
+        if rt < s_vu:
+            return False, f"rt({v},{u}) = {rt} < restriction count {s_vu}"
     return True, ""
 
 
@@ -198,11 +193,22 @@ def _concl_counting(g: ColoredGraph, k: int) -> tuple[bool, str]:
     return False, f"{count} rainbow triangles < bound {bound}"
 
 
-def _concl_partition(g: ColoredGraph, k: int) -> tuple[bool, str]:
+def _partition(g: ColoredGraph) -> GallaiPartition | ValueError | RuntimeError:
+    """``gallai_partition`` of g, or the error its construction raised: a
+    ValueError exactly when n <= 2 alpha' leaves the partition undefined.
+    A per-graph fact (see :meth:`ColoredGraph.derived`), so the eg_partition
+    hypothesis and conclusion share one construction and one matching."""
     try:
-        part = gallai_partition(g.n, g.edges)
+        return gallai_partition(g.n, g.edges)
     except (ValueError, RuntimeError) as exc:
-        return False, f"partition construction failed: {exc}"
+        # without its frames, the cached error does not hold the graph
+        return exc.with_traceback(None)
+
+
+def _concl_partition(g: ColoredGraph, k: int) -> tuple[bool, str]:
+    part = g.derived(_partition)
+    if isinstance(part, Exception):
+        return False, f"partition construction failed: {part}"
     diag = verify_partition_lemmas(part)
     if not (diag.size_identity_ok and diag.structure_ok and diag.chain_ok):
         return False, f"partition identities fail: {diag}"
@@ -291,7 +297,8 @@ def _register_builtin_claims() -> None:
         id="eg_partition",
         description="matching/cover partition identities hold",
         sampler="injective",
-        graph_hypothesis=lambda g, k: g.n > 2 * len(max_matching(g.n, g.edges)),
+        # n > 2 alpha': the partition is defined
+        graph_hypothesis=lambda g, k: not isinstance(g.derived(_partition), ValueError),
         conclusion=_concl_partition,
     ))
     register_claim(Claim(

@@ -176,6 +176,18 @@ def test_normalize_colors_is_contiguous_and_invariant(g):
     assert naive_rainbow_triangles(h) == naive_rainbow_triangles(g)
 
 
+def test_relabeling_that_misses_a_color_names_it():
+    g = ColoredGraph(4, [(0, 1, 1), (1, 2, 3), (2, 3, 5)])
+    with pytest.raises(ValueError, match="^color relabeling misses color 3$"):
+        relabel_colors(g, {1: 2})
+    with pytest.raises(ValueError, match="^color relabeling misses color 5$"):
+        relabel_colors(g, {1: 2, 3: 4, 7: 6})
+    with pytest.raises(ValueError, match="must be injective"):
+        relabel_colors(g, {1: 2, 3: 2, 5: 6})
+    # a mapping may name colors the graph does not use
+    assert relabel_colors(g, {1: 2, 3: 4, 5: 6, 9: 9}).colors() == {2, 4, 6}
+
+
 def test_constructor_rejects_bad_edges():
     with pytest.raises(ValueError):
         ColoredGraph(3, [(0, 0, 1)])

@@ -123,9 +123,8 @@ from oracles import (
     vertex_lower_half_sum_reference,
 )
 
-from ecgraph.bounds import (_vertex_bounds, edge_restriction_counts,
-                            mono_balance_diagnostics, restriction_count,
-                            triangle_bound_report)
+from ecgraph.bounds import (_edge_counts, _vertex_bounds, mono_balance_diagnostics,
+                            restriction_count, triangle_bound_report)
 from ecgraph.core import (ColoredGraph, _color_degrees, _color_rows, _mono_degrees,
                           color_profile, load_ecg, max_mono_degree, min_color_degree,
                           save_ecg)
@@ -138,7 +137,7 @@ from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
-from ecgraph.rainbow import (Certificate, _apexes, _links, build_index, find_book,
+from ecgraph.rainbow import (Certificate, _links, build_index, find_book,
                              find_disjoint_rainbow_triangles, find_fan,
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
                              max_fan)
@@ -1020,8 +1019,8 @@ def test_class_bound_gaps_match_reference(monkeypatch, scope):
 
 
 def test_bound_conclusions_build_no_report_objects(monkeypatch):
-    # nor the rainbow triangle list: lemma1, lemma2 and prop1 count rt with
-    # the link and apex walks
+    # nor the rainbow triangle list: lemma1 and lemma2 count rt with the
+    # link walk, prop1 from the class bitsets
     def refuse(*args, **kwargs):
         raise AssertionError("built on the conclusion path")
     for module in _PACKAGE_MODULES:
@@ -1111,7 +1110,7 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     h = edge_minimal_reduce(g)
     for a, xs, b in _ordered_edge_queries(g):
         restriction_count(g, a, xs, b)
-    list(edge_restriction_counts(g))
+    _edge_counts(g)
     # the conclusions reduce h to itself, so every fact they read is h's
     assert h is not g and edge_minimal_reduce(h) is h
     for _ in range(2):
@@ -1140,7 +1139,7 @@ def test_book_conclusion_holds_without_the_index(monkeypatch):
 def test_derived_graphs_get_their_own_facts():
     for rng, g in _corpus(seed=89, count=300):
         build_index(g), is_edge_minimal(g), g.color_table(), max_mono_degree(g)
-        list(edge_restriction_counts(g))
+        _edge_counts(g)
         if g.n < 2:
             continue
         derived = _toggled(rng, g)
@@ -1151,7 +1150,7 @@ def test_derived_graphs_get_their_own_facts():
             assert max_mono_degree(h) == max(
                 (len(m) for at_v in color_classes_reference(h) for m in at_v.values()),
                 default=0)
-            assert list(edge_restriction_counts(h)) == _reference_edge_counts(h)
+            assert _edge_counts(h) == _reference_edge_counts(h)
 
 
 def _ordered_edge_queries(g: ColoredGraph):
@@ -1163,9 +1162,15 @@ def _ordered_edge_queries(g: ColoredGraph):
             yield a, [w for w in g.neighbors(a) if g.color(a, w) != cab], b
 
 
-def _reference_edge_counts(g: ColoredGraph) -> list[tuple[int, int, int]]:
-    return [(a, b, restriction_count_reference(g, a, xs, b))
-            for a, xs, b in _ordered_edge_queries(g)]
+def _reference_edge_counts(g: ColoredGraph) -> list[tuple[int, int, int, int, int]]:
+    """(u, v, sigma(u -> v), sigma(v -> u), rt(u, v)) per edge from the
+    oracles: the frozen restriction count and the naive triangle scan."""
+    sigma = [restriction_count_reference(g, a, xs, b)
+             for a, xs, b in _ordered_edge_queries(g)]
+    tris = naive_rainbow_triangles(g)
+    return [(u, v, sigma[2 * i], sigma[2 * i + 1],
+             sum(u in t and v in t for t in tris))
+            for i, (u, v) in enumerate(g.edges)]
 
 
 def _restriction_graphs(seed: int, count: int) -> list[ColoredGraph]:
@@ -1175,15 +1180,24 @@ def _restriction_graphs(seed: int, count: int) -> list[ColoredGraph]:
     return graphs
 
 
-def test_restriction_counts_match_reference_on_every_ordered_edge():
-    positive = 0
+def test_edge_counts_match_the_references_on_every_edge():
+    cases = Counter()
     for g in _restriction_graphs(seed=97, count=300):
         expected = _reference_edge_counts(g)
-        assert list(edge_restriction_counts(g)) == expected
-        for (a, xs, b), (_, _, sigma) in zip(_ordered_edge_queries(g), expected):
-            assert restriction_count(g, a, xs, b) == sigma
-        positive += sum(sigma > 0 for _, _, sigma in expected)
-    assert positive >= 1000
+        assert _edge_counts(g) == expected
+        queries = list(_ordered_edge_queries(g))
+        for i, (u, v, s_uv, s_vu, rt) in enumerate(expected):
+            for (a, xs, b), sigma in zip(queries[2 * i:2 * i + 2], (s_uv, s_vu)):
+                assert restriction_count(g, a, xs, b) == sigma
+            common = g.adjacency_bits(u) & g.adjacency_bits(v)
+            cases["no common neighbor"] += not common
+            cases["positive both ways"] += s_uv > 0 and s_vu > 0
+            cases["positive one way"] += (s_uv > 0) != (s_vu > 0)
+            cases["common neighbors, nothing restricted"] += bool(
+                common and not s_uv and not s_vu)
+            cases["sigma < rt"] += max(s_uv, s_vu) < rt
+            cases["sigma = rt > 0"] += 0 < max(s_uv, s_vu) == rt
+    assert len(cases) == 6 and min(cases.values()) >= 200, cases
 
 
 def test_restriction_count_matches_reference_on_random_subsets():
@@ -1206,50 +1220,54 @@ def test_restriction_count_matches_reference_on_random_subsets():
 
 
 def test_prop1_conclusion_compares_the_reference_counts(monkeypatch):
-    # With rt(a, b) set to the reference count on every ordered edge the
-    # conclusion must pass, so no count it compares exceeds the reference.
-    # With rt lowered by one on a single edge it must fail there, with that
-    # edge's reference count in the gap, so no count falls short of it.
-    # The stand-in apex walk of the ordered edge (a, b) has rt[a, b] apexes.
-    rt: dict = {}
-    monkeypatch.setattr(ecgraph.harness, "_apexes", lambda g, a, b: iter(range(rt[a, b])))
-    checked = 0
+    # The conclusion must pass on every graph, so no count it compares
+    # exceeds the reference.  With the kernel's rt(u, v) lowered by one on a
+    # single edge it fails exactly when a reference sigma of that edge
+    # reaches the reference rt, at the first such ordered edge, (u, v)
+    # before (v, u), with that reference sigma in the gap; otherwise it
+    # still passes.  So no count it compares falls short of the reference.
+    lowered = []
+
+    def lowering(g):
+        rows = _edge_counts(g)
+        if lowered:
+            u, v, s_uv, s_vu, rt = rows[lowered[0]]
+            rows[lowered[0]] = (u, v, s_uv, s_vu, rt - 1)
+        return rows
+    monkeypatch.setattr(ecgraph.harness, "_edge_counts", lowering)
+    outcomes = Counter()
     for g in _restriction_graphs(seed=107, count=150):
         expected = _reference_edge_counts(g)
-        rt.clear()
-        rt.update(((a, b), sigma) for a, b, sigma in expected)
+        lowered.clear()
         assert _concl_restriction(g, 0) == (True, "")
-        for a, b, sigma in expected:
-            if sigma:
-                rt[a, b] = sigma - 1
+        for i, (u, v, s_uv, s_vu, rt) in enumerate(expected):
+            lowered[:] = [i]
+            first = next(((a, b, sigma) for a, b, sigma in ((u, v, s_uv), (v, u, s_vu))
+                          if sigma > rt - 1), None)
+            if first is None:
+                assert _concl_restriction(g, 0) == (True, "")
+                outcomes["passes"] += 1
+            else:
+                a, b, sigma = first
                 assert _concl_restriction(g, 0) == (
-                    False, f"rt({a},{b}) = {sigma - 1} < restriction count {sigma}")
-                rt[a, b] = sigma
-                checked += 1
-    assert checked >= 1000
+                    False, f"rt({a},{b}) = {rt - 1} < restriction count {sigma}")
+                outcomes["fails at (u, v)" if a == u else "fails at (v, u)"] += bool(sigma)
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 50, outcomes
+    assert outcomes["fails at (u, v)"] + outcomes["fails at (v, u)"] >= 1000, outcomes
 
 
-def test_prop1_conclusion_walks_apexes_only_for_positive_counts(monkeypatch):
-    # rt(a, b) is the apex count of ab, equal to the naive count, walked on
-    # exactly the ordered edges with a positive restriction count
-    indexes = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
-    walked = []
-
-    def recorded(g, a, b):
-        apexes = list(_apexes(g, a, b))
-        walked.append((a, b, len(apexes)))
-        return iter(apexes)
-    monkeypatch.setattr(ecgraph.harness, "_apexes", recorded)
-    graphs = positive = 0
+def test_prop1_builds_neither_the_index_nor_the_color_rows(monkeypatch):
+    # prop1 reads the class table alone: no rainbow triangle list, and no
+    # neighbor -> color rows, which the link and apex walks read
+    builds = [_count_builds(monkeypatch, module, name) for module, name in (
+        (ecgraph.rainbow, "_index"), (ecgraph.core, "_color_rows"))]
+    graphs = 0
     for _, g in _corpus(seed=109, count=200):
-        walked.clear()
         assert _concl_restriction(g, 0) == (True, "")
-        tris = naive_rainbow_triangles(g)
-        assert walked == [(a, b, sum(a in t and b in t for t in tris))
-                          for a, b, sigma in _reference_edge_counts(g) if sigma]
-        graphs += bool(walked)
-        positive += sum(rt > 0 for _, _, rt in walked)
-    assert indexes == [] and 0 < graphs < 200 and positive >= 1000, (graphs, positive)
+        graphs += g.edge_count > 0
+    report = ecgraph.harness.verify(TheoremSpec(id="prop1", budget=60, seed=1))
+    assert report.ok and report.samples_admitted == 60
+    assert builds == [[], []] and graphs >= 150, graphs
 
 
 def test_json_encodings_match_frozen_encoders():

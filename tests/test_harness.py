@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from ecgraph.core import load_ecg, min_color_degree
+from ecgraph.core import ColoredGraph, load_ecg, min_color_degree
 from ecgraph.generators import gen_example1
 from ecgraph.harness import (
     CLAIMS,
@@ -291,24 +293,24 @@ def test_bruteforce_disjoint_check_has_a_subset_limit(monkeypatch):
 def test_eg_partition_computes_one_matching_per_sampled_graph(monkeypatch):
     import ecgraph.harness
     import ecgraph.matching
-    from ecgraph.matching import max_matching
 
-    calls = []
+    matchings = []
+    maximum = ecgraph.matching._maximum_matching
 
-    def counting(n, edges):
-        calls.append(n)
-        return max_matching(n, edges)
+    def counting(adj):
+        matchings.append(len(adj))
+        return maximum(adj)
 
     def forbidden(n, edges):
-        raise AssertionError("max_matching called from inside ecgraph.matching")
+        raise AssertionError("max_matching called on the eg_partition path")
 
-    # the hypothesis computes one matching per sampled graph, and
-    # gallai_partition finds its own without calling max_matching
-    monkeypatch.setattr(ecgraph.harness, "max_matching", counting)
+    # the hypothesis and the conclusion share one partition per sampled
+    # graph, and the partition finds the graph's only matching
+    monkeypatch.setattr(ecgraph.matching, "_maximum_matching", counting)
     monkeypatch.setattr(ecgraph.matching, "max_matching", forbidden)
     report = verify(TheoremSpec(id="eg_partition", budget=40, seed=1))
     assert report.ok and report.samples_admitted == 40
-    assert len(calls) == report.samples_attempted > report.samples_admitted
+    assert len(matchings) == report.samples_attempted > report.samples_admitted
 
 
 def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
@@ -321,12 +323,59 @@ def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
         calls.append(n)
         return normalize(n, edges)
 
-    # one validation per sampled graph (its matching), then the graph in
-    # gallai_partition; the diagnostics read the partition's own edges
+    # one validation per sampled graph, in its one gallai_partition call;
+    # the diagnostics read the partition's own edges
     monkeypatch.setattr(ecgraph.matching, "_normalize_edges", counting)
     report = verify(TheoremSpec(id="eg_partition", budget=100, seed=1))
     assert report.ok and report.samples_admitted == 100
-    assert len(calls) == report.samples_attempted + report.samples_admitted
+    assert len(calls) == report.samples_attempted > report.samples_admitted
+
+
+def test_eg_partition_hypothesis_is_exactly_an_unsaturated_vertex():
+    from ecgraph.matching import max_matching
+
+    claim = CLAIMS["eg_partition"]
+    rng = random.Random(13)
+    admitted = Counter()
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        g = ColoredGraph(n, [(u, v, rng.randint(1, 3)) for u in range(n)
+                             for v in range(u + 1, n) if rng.random() < 0.4])
+        expected = g.n > 2 * len(max_matching(g.n, g.edges))
+        assert claim.hypothesis(g, 0) == expected
+        admitted[expected] += 1
+        if not expected:
+            # the conclusion of a graph the hypothesis rejects names why
+            assert claim.conclusion(g, 0) == (
+                False, "partition construction failed: "
+                       "partition undefined: n <= 2 * alpha'")
+    assert min(admitted[True], admitted[False]) >= 100, admitted
+
+
+def test_failed_partition_construction_is_a_recorded_failure(monkeypatch):
+    import ecgraph.harness
+
+    built = ecgraph.harness.gallai_partition
+    calls = []
+
+    def failing_on_odd_calls(n, edges):
+        calls.append(n)
+        part = built(n, edges)
+        if len(calls) % 2:
+            raise RuntimeError("partition invariant violated: stand-in")
+        return part
+
+    # a RuntimeError raised past the n > 2 alpha' test admits the graph, and
+    # its conclusion records the failure instead of escaping verify
+    monkeypatch.setattr(ecgraph.harness, "gallai_partition", failing_on_odd_calls)
+    report = verify(TheoremSpec(id="eg_partition", budget=30, seed=2))
+    assert report.samples_admitted == 30
+    assert len(calls) == report.samples_attempted
+    assert 0 < len(report.conclusion_failures) < 30
+    for failure in report.conclusion_failures:
+        assert failure.gap == ("partition construction failed: "
+                               "partition invariant violated: stand-in")
+        assert CLAIMS["eg_partition"].hypothesis(load_ecg(failure.ecg), 0)
 
 
 @pytest.mark.parametrize("claim_id, search", [

@@ -9,8 +9,6 @@ from .core import (
     load_ecg,
     max_mono_degree,
     min_color_degree,
-    normalize_colors,
-    relabel_colors,
     save_ecg,
 )
 from .generators import (

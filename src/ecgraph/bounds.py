@@ -8,12 +8,14 @@ ties broken by ascending color id.  The per-class lower bound on rainbow
 triangle counts is guaranteed only on edge-minimal graphs; reports carry an
 ``edge_minimal`` flag so callers know whether the guarantee applies.
 
-Every per-class quantity comes from one integer kernel, ``_vertex_bounds``,
-over the class bitsets, the per-graph color degrees and one walk of the
-vertex's rainbow links; only :func:`triangle_bound_report` turns its rows
-into report objects.  Every per-edge quantity of the restriction bound
-comes from one pass over the edges, ``_edge_counts``: both restriction
-counts of an edge and rt(u, v), from popcounts of the class bitsets alone.
+Everything here is counted from the class bitsets of
+:meth:`ColoredGraph.color_table`.  Every per-edge quantity comes from one
+pass over the edges, ``_edge_counts``: both restriction counts of an edge
+and rt(u, v), from popcounts alone.  The rt counts of the vertices and
+their classes, ``_rt_classes``, are sums of those rt(u, v).  Every
+per-class bound comes from one integer kernel, ``_vertex_bounds``, over the
+class bitsets and the per-graph color degrees; only
+:func:`triangle_bound_report` turns its rows into report objects.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ColoredGraph, _color_degrees, _color_rows, _jsonable, _members,
-                   _mono_degrees, max_mono_degree, min_color_degree)
-from .rainbow import _links
+from .core import (ColoredGraph, _color_degrees, _jsonable, _mono_degrees,
+                   max_mono_degree, min_color_degree)
 from .reduction import is_edge_minimal
 
 
@@ -149,20 +150,26 @@ class TriangleBoundReport:
         return {**_jsonable(self), "per_class": [cb.to_json() for cb in self.per_class]}
 
 
-def _rt_counts(graph: ColoredGraph, v: int) -> tuple[int, dict[int, int]]:
-    """rt(v), and each color c at v mapped to rt(v, N_c(v)), the sum of
-    rt(v, x) over the class of c at v, from one walk of v's rainbow links:
-    a link x < y is one triangle at v and adds 1 to each of the classes of
-    c(vx) and c(vy), which differ, so rt(v) is half the classes' sum."""
-    row = graph.derived(_color_rows)[v]
-    by_class = dict.fromkeys(row.values(), 0)
-    for x, y in _links(graph, v):
-        by_class[row[x]] += 1
-        by_class[row[y]] += 1
-    return sum(by_class.values()) // 2, by_class
+def _rt_classes(graph: ColoredGraph) -> list[tuple[int, dict[int, int]]]:
+    """Per vertex v, rt(v) and each color c at v mapped to rt(v, N_c(v)),
+    the sum of rt(v, x) over the class of c at v; a per-graph fact (see
+    :meth:`ColoredGraph.derived`).
+
+    Each edge's rt(u, v) from :func:`_edge_counts` is added to the class of
+    c(uv) at u and at v.  A triangle at v is counted at both of its edges at
+    v, so rt(v) is half the sum over v's classes.
+    """
+    colors = graph.edge_colors()
+    by_class = [dict.fromkeys(at_v, 0) for at_v in graph.color_table()]
+    for u, v, _, _, rt in _edge_counts(graph):
+        if rt:
+            c = colors[u, v]
+            by_class[u][c] += rt
+            by_class[v][c] += rt
+    return [(sum(row.values()) // 2, row) for row in by_class]
 
 
-def _balance_forms(rows: list[tuple[int, int, int, int, int]],
+def _balance_forms(rows: list[tuple[int, int, int, int]],
                    hits_all: int) -> tuple[int, int, int]:
     """The three algebraic forms of the balance term; they must agree.
 
@@ -172,7 +179,7 @@ def _balance_forms(rows: list[tuple[int, int, int, int, int]],
     sizes = [row[1] for row in rows]
     d = sum(sizes)
     excess = sum(s - 1 for s in sizes)
-    form1 = sum(row[4] for row in rows)
+    form1 = sum(row[3] for row in rows)
     form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
     if sizes:
         d1 = sizes[0]
@@ -184,20 +191,19 @@ def _balance_forms(rows: list[tuple[int, int, int, int, int]],
 
 
 def _vertex_bounds(graph: ColoredGraph, v: int
-                   ) -> tuple[list[tuple[int, int, int, int, int]], int, int, int]:
-    """The bound data of :func:`triangle_bound_report` at v, as plain ints.
+                   ) -> tuple[list[tuple[int, int, int, int]], int, int]:
+    """The bounds of :func:`triangle_bound_report` at v, as plain ints.
 
-    Returns ``(rows, balance_total, rt_vertex, lower_sum)``: one row
-    ``(color, size, rt_observed, lower_bound, balance)`` per class in
-    canonical order, the balance term, rt(v) and the sum of the per-class
-    lower bounds (twice the vertex bound).
+    Returns ``(rows, balance_total, lower_sum)``: one row
+    ``(color, size, lower_bound, balance)`` per class in canonical order,
+    the balance term and the sum of the per-class lower bounds (twice the
+    vertex bound).  The rt counts they bound are :func:`_rt_classes`.
     """
     graph._check_vertex(v)
     table = graph.color_table()
     at_v = table[v]
     nv = graph.adjacency_bits(v)
     dc = graph.derived(_color_degrees)
-    rt_vertex, rt_row = _rt_counts(graph, v)
     # per singleton class {y} of color c at v: y's edges of color c into N(v)
     hit_sets = [table[bits.bit_length() - 1][c] & nv
                 for c, bits in at_v.items() if not bits & (bits - 1)]
@@ -215,12 +221,12 @@ def _vertex_bounds(graph: ColoredGraph, v: int
             members ^= low
         hits = sum((t & bits).bit_count() for t in hit_sets)
         balance = size * excess - size * (size - 1) - hits
-        rows.append((c, size, rt_row[c], neighbor_sum + balance, balance))
+        rows.append((c, size, neighbor_sum + balance, balance))
 
     forms = _balance_forms(rows, sum(map(int.bit_count, hit_sets)))
     if len(set(forms)) != 1:
         raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
-    return rows, forms[0], rt_vertex, sum(row[3] for row in rows)
+    return rows, forms[0], sum(row[2] for row in rows)
 
 
 def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
@@ -236,14 +242,15 @@ def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:
     bound: a singleton-class neighbor y inside N_i makes N_i = {y}, and y
     has no edge into {y}.
     """
-    rows, balance_total, rt_vertex, lower_sum = _vertex_bounds(graph, v)
+    rows, balance_total, lower_sum = _vertex_bounds(graph, v)
+    rt_vertex, rt_row = graph.derived(_rt_classes)[v]
     return TriangleBoundReport(
         vertex=v,
         edge_minimal=is_edge_minimal(graph)[0],
-        per_class=tuple(ClassBound(color=c, size=size, rt_observed=rt,
+        per_class=tuple(ClassBound(color=c, size=size, rt_observed=rt_row[c],
                                    lower_bound=lower, lower_bound_strict=lower,
                                    balance=balance)
-                        for c, size, rt, lower, balance in rows),
+                        for c, size, lower, balance in rows),
         balance_total=balance_total,
         rt_vertex=rt_vertex,
         vertex_lower=Fraction(lower_sum, 2),
@@ -295,29 +302,29 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int) -> MonoBalanceDiagnost
         raise ValueError(
             f"vertex {v} does not attain the maximum monochromatic degree")
 
-    rows, b_total, _, _ = _vertex_bounds(graph, v)
+    rows, b_total, _ = _vertex_bounds(graph, v)
     applicable = delta_mon >= 2 and b_total == 0
 
     cond_a = cond_b = cond_c = None
     cond_c_applicable = False
     minimal = is_edge_minimal(graph)[0]
     if applicable:
-        at_v = graph.color_table()[v]
-        largest = at_v[rows[0][0]]
-        # singleton classes are disjoint, so their sum is their union
-        unique = sum(bits for bits in at_v.values() if not bits & (bits - 1))
-        cond_a = unique == graph.adjacency_bits(v) & ~largest
-        unique_nbrs = _members(unique)
-        cond_b = all(monos[u] == delta_mon for u in unique_nbrs)
-        b_first = rows[0][4]
-        cond_c_applicable = b_first == 0 and minimal
+        table = graph.color_table()
+        at_v = table[v]
+        big = rows[0][0]
+        largest = at_v[big]
+        # (c, y) per singleton class {y} of color c at v
+        singles = [(c, bits.bit_length() - 1)
+                   for c, bits in at_v.items() if not bits & (bits - 1)]
+        cond_a = sum(1 << y for _, y in singles) == graph.adjacency_bits(v) & ~largest
+        cond_b = all(monos[y] == delta_mon for _, y in singles)
+        cond_c_applicable = rows[0][3] == 0 and minimal
         if cond_c_applicable:
-            rt_edges = set(_links(graph, v))
-            cond_c = all(
-                (min(x, y), max(x, y)) in rt_edges
-                for x in _members(largest) for y in unique_nbrs
-                if graph.has_edge(x, y)
-            )
+            # for x in the largest class, c(vx) = big != c = c(vy), so
+            # {v, x, y} is rainbow iff c(xy) is neither: x lies in no class
+            # of big or of c at y
+            cond_c = not any(largest & (table[y].get(big, 0) | table[y][c])
+                             for c, y in singles)
     return MonoBalanceDiagnostics(
         vertex=v,
         balance_total=b_total,

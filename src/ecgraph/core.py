@@ -1,7 +1,6 @@
 """Edge-colored graph data model, ECG text format, and color-degree queries.
 
-Vertices are dense integers 0..n-1.  Colors are sparse positive integers;
-:func:`normalize_colors` relabels them 1..k without changing any query.
+Vertices are dense integers 0..n-1.  Colors are sparse positive integers.
 A :class:`ColoredGraph` is immutable after construction, so it is safe to
 share between threads and to use as the input of pure functions.
 """
@@ -269,28 +268,6 @@ def max_mono_degree(graph: ColoredGraph) -> int:
     """Largest number of equally colored edges at one vertex: the largest
     entry of the per-graph mono-degree list (see :meth:`ColoredGraph.derived`)."""
     return max(graph.derived(_mono_degrees), default=0)
-
-
-def relabel_colors(graph: ColoredGraph, mapping: dict[int, int]) -> ColoredGraph:
-    """Apply an injective color relabeling, which must map every color of
-    the graph.  Queries are invariant under it."""
-    if len(set(mapping.values())) != len(mapping):
-        raise ValueError("color relabeling must be injective")
-    missed = graph.colors() - mapping.keys()
-    if missed:
-        raise ValueError(f"color relabeling misses color {min(missed)}")
-    triples = [(u, v, mapping[c]) for (u, v), c in graph.edge_colors().items()]
-    return ColoredGraph(graph.n, triples)
-
-
-def normalize_colors(graph: ColoredGraph) -> ColoredGraph:
-    """Relabel colors 1..k by first appearance in lexicographic edge order."""
-    mapping: dict[int, int] = {}
-    for u, v in graph.edges:
-        c = graph.color(u, v)
-        if c not in mapping:
-            mapping[c] = len(mapping) + 1
-    return relabel_colors(graph, mapping)
 
 
 # -- ECG text format -------------------------------------------------------

@@ -47,7 +47,7 @@ from .rainbow import (
     max_fan,
 )
 from .reduction import edge_minimal_reduce
-from .bounds import (_edge_counts, _vertex_bounds, counting_lower_bound,
+from .bounds import (_edge_counts, _rt_classes, _vertex_bounds, counting_lower_bound,
                      mono_balance_diagnostics)
 from .matching import (GallaiPartition, _node_budget, gallai_partition,
                        verify_partition_lemmas)
@@ -150,8 +150,10 @@ _concl_spanning_fan = _certified(lambda g, k: find_pc_spanning_fan(g),
 def _concl_class_bounds(g: ColoredGraph, k: int) -> tuple[bool, str]:
     h = edge_minimal_reduce(g)
     for v in range(h.n):
-        rows, _, rt_vertex, lower_sum = _vertex_bounds(h, v)
-        for color, _, rt, lower, _ in rows:
+        rows, _, lower_sum = _vertex_bounds(h, v)
+        rt_vertex, rt_row = h.derived(_rt_classes)[v]
+        for color, _, lower, _ in rows:
+            rt = rt_row[color]
             if rt < lower:
                 return False, (f"class bound fails at v={v}, color={color}: "
                                f"{rt} < {lower}")

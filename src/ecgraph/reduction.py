@@ -12,18 +12,22 @@ from .core import ColoredGraph
 
 
 def _removals(graph: ColoredGraph) -> list[tuple[int, int]]:
-    """Edges :func:`edge_minimal_reduce` deletes, in lexicographic order."""
+    """Edges :func:`edge_minimal_reduce` deletes, in lexicographic order.
+
+    An edge goes while both of its ends still hold at least 2 edges of its
+    color, counted by live copies of the class bitsets of
+    :meth:`ColoredGraph.color_table`, which lose the bit of each deleted
+    edge's other end."""
     color = graph.edge_colors()
-    counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), c in color.items():
-        counts[u][c] = counts[u].get(c, 0) + 1
-        counts[v][c] = counts[v].get(c, 0) + 1
+    live = [dict(at_v) for at_v in graph.color_table()]
     removed = []
     for u, v in graph.edges:
         c = color[u, v]
-        if counts[u][c] >= 2 and counts[v][c] >= 2:
-            counts[u][c] -= 1
-            counts[v][c] -= 1
+        at_u, at_v = live[u], live[v]
+        cu, cv = at_u[c], at_v[c]
+        if cu & (cu - 1) and cv & (cv - 1):
+            at_u[c] = cu ^ 1 << v
+            at_v[c] = cv ^ 1 << u
             removed.append((u, v))
     return removed
 
@@ -45,7 +49,8 @@ def edge_minimal_reduce(graph: ColoredGraph) -> ColoredGraph:
     The rule deletes the lexicographically smallest removable edge, then
     rescans.  Deletions only lower color counts, so an edge that is not
     removable when reached never becomes so later: one forward pass in
-    lexicographic order with live counts deletes exactly the same edges.
+    lexicographic order with live class bitsets deletes exactly the same
+    edges.
     The result keeps d^c of every vertex, is edge-minimal and keeps the
     surviving edges in their original order (the input itself if none go).
     """

@@ -15,8 +15,6 @@ from ecgraph.core import (
     color_profile,
     load_ecg,
     min_color_degree,
-    normalize_colors,
-    relabel_colors,
     save_ecg,
 )
 from ecgraph.generators import gen_example1
@@ -156,36 +154,15 @@ def test_profile_invariants(g):
 def test_color_relabeling_changes_no_query(g, rnd):
     colors = sorted(g.colors())
     fresh = rnd.sample(range(1, 10 * len(colors) + 10), len(colors))
-    relabeled = relabel_colors(g, dict(zip(colors, fresh)))
+    mapping = dict(zip(colors, fresh))
+    relabeled = ColoredGraph(g.n, [(u, v, mapping[c])
+                                   for (u, v), c in g.edge_colors().items()])
     assert min_color_degree(relabeled) == min_color_degree(g) if g.n else True
     for v in range(g.n):
         assert color_profile(relabeled, v).dc == color_profile(g, v).dc
         assert color_profile(relabeled, v).dmon == color_profile(g, v).dmon
     naive = {t for t in naive_rainbow_triangles(g)}
     assert naive_rainbow_triangles(relabeled) == naive
-
-
-@settings(max_examples=100)
-@given(colored_graphs())
-def test_normalize_colors_is_contiguous_and_invariant(g):
-    h = normalize_colors(g)
-    k = len(g.colors())
-    assert h.colors() == set(range(1, k + 1))
-    for v in range(g.n):
-        assert color_profile(h, v).dc == color_profile(g, v).dc
-    assert naive_rainbow_triangles(h) == naive_rainbow_triangles(g)
-
-
-def test_relabeling_that_misses_a_color_names_it():
-    g = ColoredGraph(4, [(0, 1, 1), (1, 2, 3), (2, 3, 5)])
-    with pytest.raises(ValueError, match="^color relabeling misses color 3$"):
-        relabel_colors(g, {1: 2})
-    with pytest.raises(ValueError, match="^color relabeling misses color 5$"):
-        relabel_colors(g, {1: 2, 3: 4, 7: 6})
-    with pytest.raises(ValueError, match="must be injective"):
-        relabel_colors(g, {1: 2, 3: 2, 5: 6})
-    # a mapping may name colors the graph does not use
-    assert relabel_colors(g, {1: 2, 3: 4, 5: 6, 9: 9}).colors() == {2, 4, 6}
 
 
 def test_constructor_rejects_bad_edges():

@@ -25,13 +25,13 @@
   ``random_colored``; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
 - The class bounds, the balance term and the diagnostics at a vertex come
-  from one integer kernel over the class bitsets, the per-graph color
-  degrees and one walk of the vertex's rainbow links for rt(v) and each
-  rt(v, class); every report field and every diagnostics field must equal
-  the frozen profile-based versions in ``oracles.py``, which count rt from
-  the naive triangle set, and the ``lemma1``, ``lemma2`` and ``prop1``
-  conclusions must build no report object, no profile and no triangle
-  index.
+  from one integer kernel over the class bitsets and the per-graph color
+  degrees; rt(v) and each rt(v, class) are sums of the per-edge rt(u, v)
+  of the restriction pass.  Every rt count must equal one counted from the
+  naive triangle set, every report field and every diagnostics field must
+  equal the frozen profile-based versions in ``oracles.py``, and the
+  ``lemma1``, ``lemma2`` and ``prop1`` conclusions must build no report
+  object, no profile, no triangle index and no neighbor -> color rows.
 - One link scan per vertex serves the rainbow triangle index and the fan
   searches; the scan from 0 must equal the frozen double loop in
   ``oracles.py``, pair order included.  Whole-graph facts are built once
@@ -84,6 +84,7 @@ import ecgraph.harness
 import ecgraph.matching
 import ecgraph.rainbow
 import ecgraph.reduction
+import oracles
 from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
@@ -123,8 +124,9 @@ from oracles import (
     vertex_lower_half_sum_reference,
 )
 
-from ecgraph.bounds import (_edge_counts, _vertex_bounds, mono_balance_diagnostics,
-                            restriction_count, triangle_bound_report)
+from ecgraph.bounds import (_edge_counts, _rt_classes, _vertex_bounds,
+                            mono_balance_diagnostics, restriction_count,
+                            triangle_bound_report)
 from ecgraph.core import (ColoredGraph, _color_degrees, _color_rows, _mono_degrees,
                           color_profile, load_ecg, max_mono_degree, min_color_degree,
                           save_ecg)
@@ -932,7 +934,7 @@ def _bound_corpus() -> list[ColoredGraph]:
     return graphs
 
 
-def test_bound_kernel_matches_frozen_reference():
+def test_bound_kernel_matches_frozen_reference(monkeypatch):
     seen = Counter()
     for g in _bound_corpus():
         delta = max_mono_degree(g)
@@ -941,11 +943,14 @@ def test_bound_kernel_matches_frozen_reference():
             report = triangle_bound_report(g, v)
             assert report == expected
             assert report.to_json() == expected.to_json()
-            rows, balance_total, rt_vertex, lower_sum = _vertex_bounds(g, v)
-            assert rows == [(cb.color, cb.size, cb.rt_observed, cb.lower_bound, cb.balance)
+            rows, balance_total, lower_sum = _vertex_bounds(g, v)
+            assert rows == [(cb.color, cb.size, cb.lower_bound, cb.balance)
                             for cb in expected.per_class]
-            assert (balance_total, rt_vertex, Fraction(lower_sum, 2)) == (
-                expected.balance_total, expected.rt_vertex, expected.vertex_lower)
+            assert (balance_total, Fraction(lower_sum, 2)) == (
+                expected.balance_total, expected.vertex_lower)
+            rt_vertex, rt_row = g.derived(_rt_classes)[v]
+            assert rt_vertex == expected.rt_vertex
+            assert rt_row == {cb.color: cb.rt_observed for cb in expected.per_class}
             seen["class"] += len(rows)
             seen["balance"] += balance_total != 0
             if g.derived(_mono_degrees)[v] != delta:
@@ -963,18 +968,32 @@ def test_bound_kernel_matches_frozen_reference():
     assert seen["class"] >= 10000 and seen["balance"] >= 500, seen
     assert seen["equality"] >= 100 and seen["cond_c"] >= 20, seen
 
+    # Condition (c) cannot fail on an edge-minimal graph, so it is compared
+    # again with both sides told that the graph is edge-minimal.  At v = 0 the
+    # largest class {1, 2} (color 1) and the singletons 3, 4, 5 leave every
+    # balance at 0; an edge of color 1 from the class to a singleton closes
+    # a triangle that is not rainbow.
+    monkeypatch.setattr(ecgraph.bounds, "is_edge_minimal", lambda g: (True, None))
+    monkeypatch.setattr(oracles, "removable_edges_reference", lambda g: [])
+    base = [(0, 1, 1), (0, 2, 1), (0, 3, 2), (0, 4, 3), (0, 5, 4),
+            (3, 4, 2), (4, 5, 3), (3, 5, 4)]
+    for extra, holds in (((1, 3, 5), True), ((1, 3, 1), False), ((2, 5, 1), False)):
+        g = ColoredGraph(6, [*base, extra])
+        diag = mono_balance_diagnostics(g, 0)
+        assert diag.cond_c is holds
+        assert dataclasses.asdict(diag) == dataclasses.asdict(
+            mono_balance_diagnostics_reference(g, 0))
 
-def _lowered_walk(monkeypatch, scope: str) -> None:
-    """Replace the link walk's rt counts at every vertex by ones whose
+
+def _lowered_rt(monkeypatch, scope: str) -> None:
+    """Replace the conclusion's rt counts at every vertex by ones whose
     per-class (``scope`` "class") or per-vertex ("vertex") counts are 0."""
-    walk = ecgraph.bounds._rt_counts
-
-    def lowered(graph, v):
-        rt, by_class = walk(graph, v)
+    def lowered(graph):
         if scope == "class":
-            return rt, dict.fromkeys(by_class, 0)
-        return 0, by_class
-    monkeypatch.setattr(ecgraph.bounds, "_rt_counts", lowered)
+            return [(rt, dict.fromkeys(by_class, 0))
+                    for rt, by_class in _rt_classes(graph)]
+        return [(0, by_class) for _, by_class in _rt_classes(graph)]
+    monkeypatch.setattr(ecgraph.harness, "_rt_classes", lowered)
 
 
 def _lowered_report(g: ColoredGraph, v: int, scope: str):
@@ -1004,7 +1023,7 @@ def _class_bounds_gap_reference(g: ColoredGraph, scope: str) -> tuple[bool, str]
 
 @pytest.mark.parametrize("scope", ["class", "vertex"])
 def test_class_bound_gaps_match_reference(monkeypatch, scope):
-    _lowered_walk(monkeypatch, scope)
+    _lowered_rt(monkeypatch, scope)
     failures = halves = 0
     for _, g in _corpus(seed=127, count=200):
         result = _concl_class_bounds(g, 0)
@@ -1018,14 +1037,32 @@ def test_class_bound_gaps_match_reference(monkeypatch, scope):
         assert halves >= 5  # the vertex bound prints as a Fraction
 
 
+def test_rt_classes_match_the_naive_triangle_set():
+    seen = Counter()
+    for _, g in _corpus(seed=139, count=300):
+        for h in (g, edge_minimal_reduce(g)):
+            tris = naive_rainbow_triangles(h)
+            table = h.color_table()
+            for v, (rt_vertex, by_class) in enumerate(h.derived(_rt_classes)):
+                at_v = [t for t in tris if v in t]
+                assert rt_vertex == len(at_v)
+                # rt(v, N_c(v)): the triangles at v, once per edge of color c at v
+                assert by_class == {c: sum(h.color(v, x) == c for t in at_v
+                                           for x in t if x != v)
+                                    for c in table[v]}
+                seen["positive class"] += sum(map(bool, by_class.values()))
+                seen["zero class"] += sum(not rt for rt in by_class.values())
+    assert min(seen.values()) >= 1000, seen
+
+
 def test_bound_conclusions_build_no_report_objects(monkeypatch):
-    # nor the rainbow triangle list: lemma1 and lemma2 count rt with the
-    # link walk, prop1 from the class bitsets
+    # nor the rainbow triangle list or the neighbor -> color rows that the
+    # link walks read: all three count from the class bitsets
     def refuse(*args, **kwargs):
         raise AssertionError("built on the conclusion path")
     for module in _PACKAGE_MODULES:
         for name in ("ClassBound", "TriangleBoundReport", "color_profile",
-                     "build_index", "_index"):
+                     "build_index", "_index", "_color_rows"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for _, g in _corpus(seed=131, count=150):
@@ -1096,7 +1133,8 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     facts = [_count_builds(monkeypatch, module, name) for module, name in (
         (ecgraph.core, "_color_table"), (ecgraph.rainbow, "_index"),
         (ecgraph.reduction, "_removals"), (ecgraph.core, "_color_rows"),
-        (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"))]
+        (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"),
+        (ecgraph.bounds, "_rt_classes"))]
     g = random_colored(random.Random(83), 9, 0.7, 4)
     assert build_index(g) is build_index(g)
     assert g.color_table() is g.color_table()

@@ -18,7 +18,7 @@ from oracles import (
 from ecgraph.core import ColoredGraph
 from ecgraph.generators import gen_example1, gen_proper_complete
 from ecgraph.matching import max_matching
-from ecgraph.bounds import _vertex_bounds
+from ecgraph.bounds import _rt_classes
 from ecgraph.rainbow import (
     _apexes,
     build_index,
@@ -40,8 +40,8 @@ PROPER_K4 = ColoredGraph(4, [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2),
 
 
 def _rt_vertex(g: ColoredGraph, v: int) -> int:
-    """rt(v) as the bound kernel counts it, from v's link walk."""
-    return _vertex_bounds(g, v)[2]
+    """rt(v) as the bounds count it, from the per-edge rt(u, v)."""
+    return g.derived(_rt_classes)[v][0]
 
 
 def _rt_edge(g: ColoredGraph, u: int, v: int) -> int:

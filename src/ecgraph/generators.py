@@ -63,23 +63,40 @@ def gen_random_colored(n: int, p: float, c: int, seed: int) -> ColoredGraph:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if c < 1:
-        raise ValueError("palette size must be >= 1")
     return sample_random_colored(n, p, c, random.Random(seed))
+
+
+def _below(bits, n: int) -> int:
+    """A uniform integer in [0, n) read from ``bits``, a generator's
+    ``getrandbits``: draw n.bit_length() bits until the value is below n.
+
+    This is the rejection loop that ``random.Random.randrange(n)``,
+    ``randint`` and ``choice`` run, so it returns what they return and
+    leaves the generator in the same state.  Callers pass n >= 1:
+    ``bits(0)`` is always 0, so n = 0 would never end.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def sample_random_colored(n: int, p: float, c: int,
                           rng: random.Random) -> ColoredGraph:
     """G(n, p) with uniform colors from 1..c, drawn from ``rng``: one
     ``rng.random()`` per pair u < v in lexicographic order and one
-    ``1 + rng.randrange(c)`` per edge kept (the draw ``rng.randint(1, c)``
-    makes)."""
-    draw, draw_color = rng.random, rng.randrange
+    ``1 + _below(rng.getrandbits, c)`` per edge kept (the value and state
+    ``rng.randint(1, c)`` gives).  A palette c < 1 raises ``ValueError``
+    before anything is drawn."""
+    if c < 1:
+        raise ValueError("palette size must be >= 1")
+    draw, bits = rng.random, rng.getrandbits
     triples = []
     for u in range(n):
         for v in range(u + 1, n):
             if draw() < p:
-                triples.append((u, v, 1 + draw_color(c)))
+                triples.append((u, v, 1 + _below(bits, c)))
     return ColoredGraph(n, triples, validate=False)
 
 

@@ -15,12 +15,16 @@ repair can never smuggle in a hypothesis-violating graph).  Repair returns
 the sampled graph extended by its new edges; the re-check counts the color
 degrees of that graph afresh, never from repair's running counts.
 
-The whole sample stream is a deterministic function of (spec, seed).
-Repair is part of it: it always works on the first deficient vertex in
-index order, joins it to the rank-``rng.randrange(count)`` vertex among
-its ``count`` non-neighbors in increasing order (the draw ``rng.choice``
-makes over that list), one draw per added edge, and numbers fresh colors
-from the largest color + 1 upward.
+The whole sample stream is a deterministic function of (spec, seed), and
+it reads only ``random()`` and ``getrandbits()`` of the
+``random.Random``: every bounded integer (the order, the palette, each
+edge color, each repair partner) is one ``generators._below`` draw, the
+rejection loop that ``randrange``, ``randint`` and ``choice`` run.  Repair
+is part of the stream: it always works on the first deficient vertex in
+index order, joins it to the rank-``_below(rng.getrandbits, count)``
+vertex among its ``count`` non-neighbors in increasing order, one draw
+per added edge, and numbers fresh colors from the largest color + 1
+upward.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Callable
 
 from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _mono_degrees,
                    load_ecg, max_mono_degree, min_color_degree, save_ecg)
-from .generators import gen_proper_complete, sample_random_colored
+from .generators import _below, gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
     find_book,
@@ -75,7 +79,8 @@ def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:
 # call time, so a module-level rebinding (for tracing) is seen
 _SAMPLERS = {
     "random": lambda n, p, spec, rng: sample_random_colored(
-        n, p, rng.randint(*spec.c_range), rng),
+        n, p, spec.c_range[0] + _below(
+            rng.getrandbits, spec.c_range[1] - spec.c_range[0] + 1), rng),
     "injective": lambda n, p, spec, rng: _sample_injective(n, p, rng),
     "proper_complete": lambda n, p, spec, rng: gen_proper_complete(
         n, rng.getrandbits(32)),
@@ -456,10 +461,10 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
     at deficient vertices; None when some deficient vertex is already full.
 
     Determinism contract: each step takes the first deficient vertex in
-    index order and joins it to the rank-``rng.randrange(count)`` vertex
-    among its ``count`` non-neighbors in increasing order (the draw
-    ``rng.choice`` makes over that list), read off a bitset of
-    non-neighbors, with the next fresh color from max(colors) + 1 up.
+    index order and joins it to the rank-``_below(rng.getrandbits, count)``
+    vertex among its ``count`` non-neighbors in increasing order (the
+    value and state ``rng.choice`` gives over that list), read off a bitset
+    of non-neighbors, with the next fresh color from max(colors) + 1 up.
     A fresh color adds one to both ends' color degrees and degrees never
     fall, so the scan only moves forward.  The result is ``graph``
     extended by the added edges (see :func:`core._extended`): equal, in
@@ -479,7 +484,7 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
                 return None
             # the rank-i non-neighbor: clear the i lowest bits, take the next
             bits = free[v]
-            for _ in range(rng.randrange(count)):
+            for _ in range(_below(rng.getrandbits, count)):
                 bits &= bits - 1
             u = (bits & -bits).bit_length() - 1
             free[v] ^= 1 << u
@@ -537,7 +542,7 @@ def verify(spec: TheoremSpec) -> Report:
                 f"admission rate too low for {spec.id!r}: "
                 f"{report.samples_admitted}/{report.samples_attempted}")
         report.samples_attempted += 1
-        n = rng.choice(feasible)
+        n = feasible[_below(rng.getrandbits, len(feasible))]
         p = rng.uniform(*spec.p_range)
         g = _SAMPLERS[claim.sampler](n, p, spec, rng)
         if claim.delta_target is not None:

@@ -22,7 +22,8 @@
   also on graphs derived by adding or deleting one edge after the parent's
   table was built.
 - The colored sampler makes the same draws as the test-local
-  ``random_colored``; the class bounds equal the strict form recounted in
+  ``random_colored``, which draws its colors with ``randint``, palettes
+  up to 256 included; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
 - The class bounds, the balance term and the diagnostics at a vertex come
   from one integer kernel over the class bitsets and the per-graph color
@@ -897,9 +898,13 @@ def test_rainbow_triangle_scan_matches_naive():
 
 
 def test_sampler_matches_random_colored():
+    # small palettes, then the bench's (up to 24) and powers of two, where
+    # the color draw rejects about half of its bit patterns
     rng = random.Random(71)
-    for _ in range(300):
-        n, p, c = rng.randint(0, 15), rng.uniform(0.0, 1.0), rng.randint(1, 8)
+    palettes = [rng.randint(1, 8) for _ in range(300)]
+    palettes += [c for c in (16, 17, 20, 24, 32, 64, 255, 256) for _ in range(25)]
+    for c in palettes:
+        n, p = rng.randint(0, 15), rng.uniform(0.0, 1.0)
         seed = rng.getrandbits(32)
         ref_rng, new_rng = random.Random(seed), random.Random(seed)
         got = sample_random_colored(n, p, c, new_rng)

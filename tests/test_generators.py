@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from ecgraph.core import color_profile, min_color_degree, save_ecg
 from ecgraph.generators import (
     KINDS,
     GeneratorSpec,
+    _below,
     gen_complete_multipartite,
     gen_example1,
     gen_proper_complete,
     gen_random_colored,
     generate,
+    sample_random_colored,
 )
 from ecgraph.rainbow import find_book, find_fan, max_book, max_fan
 
@@ -90,6 +95,40 @@ class TestRandomColored:
             gen_random_colored(5, 1.5, 3, 0)
         with pytest.raises(ValueError):
             gen_random_colored(5, 0.5, 0, 0)
+
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_empty_palette_raises_before_any_draw(self, c):
+        # an edge kept with no color to draw would spin, since
+        # getrandbits(0) is 0; this generator fails such a draw instead
+        class NoEmptyDraws(random.Random):
+            def getrandbits(self, k):
+                assert k > 0, "a 0-bit draw never leaves the rejection loop"
+                return super().getrandbits(k)
+
+        rng = NoEmptyDraws(9)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="palette size must be >= 1"):
+            sample_random_colored(8, 1.0, c, rng)
+        assert rng.getstate() == state
+
+
+# every n up to 1,100, and 2^j - 1, 2^j and 2^j + 1 for j <= 70
+BELOW_SIZES = sorted({*range(1, 1101), *(2 ** j + d for j in range(71) for d in (-1, 0, 1))}
+                     - {0})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 71, 2 ** 40 + 3])
+def test_below_draws_what_randrange_randint_and_choice_draw(seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    bits = ours.getrandbits
+    for n in BELOW_SIZES:
+        assert _below(bits, n) == stdlib.randrange(n)
+        if n <= sys.maxsize:  # choice takes len(), which stops there
+            seq = range(seed, seed + 3 * n, 3)
+            assert seq[_below(bits, n)] == stdlib.choice(seq)
+        a, b = -n // 2, -n // 2 + n - 1
+        assert a + _below(bits, b - a + 1) == stdlib.randint(a, b)
+    assert ours.getstate() == stdlib.getstate()
 
 
 class TestProperComplete:

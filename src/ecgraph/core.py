@@ -327,7 +327,10 @@ def load_ecg(text: str) -> ColoredGraph:
         triples.append((u, v, c))
     if len(triples) != m:
         raise EcgError(f"expected {m} edges, found {len(triples)}", len(lines))
-    return ColoredGraph(n, triples, validate=False)
+    try:
+        return ColoredGraph(n, triples, validate=False)
+    except (OverflowError, MemoryError):  # a vertex list of n entries fails
+        raise EcgError(f"vertex count {n} is too large to build", 1) from None
 
 
 def save_ecg(graph: ColoredGraph) -> str:

@@ -171,8 +171,6 @@ def _concl_class_bounds(g: ColoredGraph, k: int) -> tuple[bool, str]:
 
 def _concl_mono_balance(g: ColoredGraph, k: int) -> tuple[bool, str]:
     h = edge_minimal_reduce(g)
-    if h.edge_count == 0:
-        return True, ""
     delta = max_mono_degree(h)
     for v, dmon in enumerate(h.derived(_mono_degrees)):
         if dmon != delta:

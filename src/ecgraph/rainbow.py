@@ -1,5 +1,10 @@
 """Rainbow triangle enumeration and structured searches.
 
+Every search counts rainbow apexes w of an edge uv through one walk over
+N(u) & N(v), :func:`_apexes`: a triangle is an edge with one apex, a book
+an edge with k apexes, and a fan a matching among the apex pairs of the
+edges at one vertex (:func:`_links`).
+
 Searches return :class:`Certificate` witnesses so that every positive
 answer can be re-checked against the graph without trusting the search.
 Scans run in ascending vertex/edge order and return the first witness,
@@ -15,37 +20,40 @@ from .core import ColoredGraph, _color_rows, _jsonable
 from .matching import _node_budget, max_matching
 
 
-def _links(graph: ColoredGraph, v: int, lo: int = 0, proper: bool = False):
-    """Pairs (x, y) with lo <= x < y such that v, x, y is a rainbow
-    triangle, or with ``proper`` a properly colored one (c(xy) differs from
-    c(vx) and c(vy), while c(vx) == c(vy) is allowed), in lexicographic
-    order: x walks N(v) upward from lo (the row of v past its neighbors
-    below lo), and y the bits of N(v) & N(x) above x."""
+def _apexes(graph: ColoredGraph, u: int, v: int, lo: int = 0, proper: bool = False):
+    """The apexes w >= lo of edge uv in ascending order: the common
+    neighbors w with c(uv), c(uw) and c(vw) pairwise distinct, so that from
+    0 their number is rt(u, v), or with ``proper`` those with c(vw)
+    different from c(uv) and c(uw), while c(uv) == c(uw) is allowed (a
+    properly colored triangle at the center u)."""
     rows = graph.derived(_color_rows)
-    row = rows[v]
-    nv = graph.adjacency_bits(v)
-    below = (nv & ((1 << lo) - 1)).bit_count()
-    for x, cvx in itertools.islice(row.items(), below, None):
-        row_x = rows[x]
-        common = (nv & graph.adjacency_bits(x)) >> (x + 1)
-        while common:
-            low = common & -common
-            common ^= low
-            y = x + low.bit_length()
-            cvy, cxy = row[y], row_x[y]
-            if (proper or cvx != cvy) and cxy != cvx and cxy != cvy:
-                yield x, y
+    row_u, row_v = rows[u], rows[v]
+    cuv = row_u[v]
+    common = (graph.adjacency_bits(u) & graph.adjacency_bits(v)) >> lo
+    while common:
+        low = common & -common
+        common ^= low
+        w = lo + low.bit_length() - 1
+        cuw, cvw = row_u[w], row_v[w]
+        if (proper or cuw != cuv) and cvw != cuv and cvw != cuw:
+            yield w
+
+
+def _links(graph: ColoredGraph, v: int, proper: bool = False):
+    """Pairs (x, y) with x < y such that v, x, y is a rainbow triangle, or
+    with ``proper`` a properly colored one, in lexicographic order: the
+    apexes above x of each edge vx, x ascending over the row of v."""
+    for x in graph.derived(_color_rows)[v]:
+        for y in _apexes(graph, v, x, x + 1, proper):
+            yield x, y
 
 
 def _rainbow_triangles(graph: ColoredGraph):
-    """Rainbow triangles (u, v, w) with u < v < w in lexicographic order,
-    which is edge uv in lexicographic order and then ascending apex w.
-    Only vertices with two neighbors above them are scanned as u."""
-    for u in range(graph.n):
-        above = graph.adjacency_bits(u) >> (u + 1)
-        if above & (above - 1):
-            for v, w in _links(graph, u, u + 1):
-                yield u, v, w
+    """Rainbow triangles (u, v, w) with u < v < w in lexicographic order:
+    the apexes above v of each edge uv in lexicographic order."""
+    for u, v in graph.edges:
+        for w in _apexes(graph, u, v, v + 1):
+            yield u, v, w
 
 
 def _index(graph: ColoredGraph) -> tuple[tuple[int, int, int], ...]:
@@ -56,23 +64,6 @@ def build_index(graph: ColoredGraph) -> tuple[tuple[int, int, int], ...]:
     """Every rainbow triangle (u, v, w), u < v < w, in lexicographic order.
     Built once per graph (see :meth:`ColoredGraph.derived`)."""
     return graph.derived(_index)
-
-
-def _apexes(graph: ColoredGraph, u: int, v: int):
-    """The rainbow apexes of edge uv in ascending order: the common
-    neighbors w with c(uv), c(uw) and c(vw) pairwise distinct, so their
-    number is rt(u, v)."""
-    rows = graph.derived(_color_rows)
-    row_u, row_v = rows[u], rows[v]
-    cuv = row_u[v]
-    common = graph.adjacency_bits(u) & graph.adjacency_bits(v)
-    while common:
-        low = common & -common
-        common ^= low
-        w = low.bit_length() - 1
-        cuw, cvw = row_u[w], row_v[w]
-        if cuw != cuv and cvw != cuv and cuw != cvw:
-            yield w
 
 
 def has_rainbow_triangle(graph: ColoredGraph) -> bool:
@@ -160,14 +151,11 @@ def find_book(graph: ColoredGraph, k: int) -> Certificate | None:
     """First edge (lexicographically) carrying k rainbow triangles, with
     its k smallest apexes.
 
-    An early-exit scan that builds no index: an edge uv with fewer than k
-    common neighbors is skipped by a popcount, and otherwise the first k
-    of its rainbow apexes are taken from the upward walk :func:`_apexes`."""
+    An early-exit scan that builds no index: the first k rainbow apexes
+    of each edge are taken from the upward walk :func:`_apexes`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     for u, v in graph.edges:
-        if (graph.adjacency_bits(u) & graph.adjacency_bits(v)).bit_count() < k:
-            continue
         apexes = tuple(itertools.islice(_apexes(graph, u, v), k))
         if len(apexes) == k:
             tris = tuple(tuple(sorted((u, v, a))) for a in apexes)
@@ -195,16 +183,14 @@ def _first_fan(graph: ColoredGraph, kind: str, k: int) -> Certificate | None:
     rule ``Certificate.self_check`` applies), rainbow ones otherwise.
 
     The k rims are a matching of size k among those pairs, so each center
-    costs one maximum matching, and centers of degree below 2k, which
-    cannot hold k disjoint pairs of neighbors, are skipped without one.
+    costs one maximum matching.
     """
     proper = kind == "spanning_fan"
     for v in range(graph.n):
-        if graph.degree(v) >= 2 * k:
-            matched = max_matching(graph.n, _links(graph, v, proper=proper))
-            if len(matched) >= k:
-                tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
-                return Certificate(kind=kind, base=v, triangles=tris)
+        matched = max_matching(graph.n, _links(graph, v, proper))
+        if len(matched) >= k:
+            tris = tuple(tuple(sorted((v, x, y))) for x, y in matched[:k])
+            return Certificate(kind=kind, base=v, triangles=tris)
     return None
 
 

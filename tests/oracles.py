@@ -46,6 +46,20 @@ def naive_links(g: ColoredGraph, v: int, proper: bool = False) -> list[tuple[int
     return out
 
 
+def naive_apexes(g: ColoredGraph, u: int, v: int, lo: int = 0,
+                 proper: bool = False) -> list[int]:
+    """Common neighbors w >= lo of edge uv, ascending, such that u, v, w is
+    a rainbow triangle, or with ``proper`` such that c(vw) differs from
+    c(uv) and c(uw) (c(uv) == c(uw) is allowed).  Every color is read
+    through ``color``."""
+    out = []
+    for w in sorted(set(g.neighbors(u)) & set(g.neighbors(v))):
+        cuv, cuw, cvw = g.color(u, v), g.color(u, w), g.color(v, w)
+        if w >= lo and cvw not in (cuv, cuw) and (proper or cuw != cuv):
+            out.append(w)
+    return out
+
+
 def brute_max_matching(n: int, edges) -> int:
     """Recursive exact maximum matching (branch on the lowest live vertex)."""
     adj = {v: set() for v in range(n)}

@@ -407,6 +407,18 @@ def test_claim_registered_after_import_is_a_theorem(capsys):
         del CLAIMS["_test_late"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "reduce", "partition"])
+def test_oversized_vertex_count_is_input_error(command, monkeypatch, capsys):
+    # 10**20 vertices do not fit a list index, so the graph is refused on
+    # line 1 before any vertex list is allocated
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ecg 100000000000000000000 0\n"))
+    assert main([command, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 1: vertex count 100000000000000000000 "
+                            "is too large to build\n")
+
+
 @pytest.mark.parametrize("data, line", [
     (b"ecg 3 2\r\n0 1 1\r\n0 2 2\r\n", None),  # CRLF loads
     (b"ecg 3 1\r0 1 1\r", 1),  # a lone CR ends no line: one bad header

@@ -65,6 +65,8 @@ def test_load_duplicate_edge_reports_line_3():
     ("ecg 3 2\n0 1 1\n\n", 3, "expected 2 edges"),  # the last line
     ("", 1, "empty document"),
     ("ecg -1 0\n", 1, "nonnegative"),
+    # more vertices than a list can hold: refused before any allocation
+    ("ecg 100000000000000000000 0\n", 1, "is too large to build"),
     ("ecg 2 0\n0 1 1\n", 2, "more than 0 edge lines"),
 ])
 def test_load_errors_carry_line_numbers(text, line, fragment):

@@ -13,9 +13,9 @@
 - The Gallai-Edmonds set V_0 comes from one alternating forest; the frozen
   reference in ``oracles.py`` deletes each vertex and reruns a blossom
   matching.  ``max_matching`` must return the reference's exact matching.
-- ``max_fan`` and ``find_fan`` skip centers by the floor(deg / 2) bound;
-  the unpruned loops over every center must give the same value and the
-  same certificate.
+- ``max_fan`` skips centers by the floor(deg / 2) bound, and ``find_fan``
+  runs one matching per center in ascending order; the unpruned loops over
+  every center must give the same value and the same certificate.
 - Every color-class query reads the graph's cached color table, and color
   degrees a cached count of their own; each must equal the same quantity
   counted straight from ``edge_colors()``,
@@ -33,11 +33,13 @@
   equal the frozen profile-based versions in ``oracles.py``, and the
   ``lemma1``, ``lemma2`` and ``prop1`` conclusions must build no report
   object, no profile, no triangle index and no neighbor -> color rows.
-- One link scan per vertex serves the rainbow triangle index and the fan
-  searches; the scan from 0 must equal the frozen double loop in
-  ``oracles.py``, pair order included.  Whole-graph facts are built once
-  per graph, and graphs derived after the parent's facts were cached get
-  their own.
+- One apex walk over N(u) & N(v) serves the rainbow triangle index, the
+  book searches and the fan searches, whose links are the apexes above x
+  of each edge vx.  From every start and under both color rules it must
+  equal a naive filter over the common neighbors in ``oracles.py``, and
+  the links of every vertex the frozen double loop there, pair order
+  included.  Whole-graph facts are built once per graph, and graphs
+  derived after the parent's facts were cached get their own.
 - Restriction counts come from the color table's class bitsets; each must
   equal the frozen set-based count in ``oracles.py``, on every ordered
   edge the ``prop1`` conclusion visits and on random subsets X.  The
@@ -57,13 +59,14 @@
   give the frozen per-kind checker's answer, apart from three bases that
   checker mishandles.  Both fan searches are one first-center search, and
   each must return the frozen copy's certificate.
-- ``find_book`` scans the edges and stops at the first book; it must
-  return the certificate (or None) of the frozen search over the whole
-  triangle set in ``oracles.py``, also past edges with k common neighbors
-  but fewer than k rainbow apexes.  ``max_book`` walks the apexes of each
-  edge whose common neighbors outnumber the best so far; it must equal
-  the naive per-edge maximum and walk exactly those edges.  No book
-  conclusion, holding or failing, builds the triangle index.
+- ``find_book`` walks the apexes of each edge in turn and stops at the
+  first book; it must return the certificate (or None) of the frozen
+  search over the whole triangle set in ``oracles.py``, also past edges
+  with k common neighbors but fewer than k rainbow apexes.  ``max_book``
+  walks the apexes of each edge whose common neighbors outnumber the best
+  so far; it must equal the naive per-edge maximum and walk exactly those
+  edges.  No book conclusion, holding or failing, builds the triangle
+  index.
 - Every result's JSON comes from one encoder in ``ecgraph.core``; each
   ``to_json()`` and ``TheoremSpec.echo()`` must equal the frozen
   hand-written encoder in ``oracles.py``, list for list (a tuple is not
@@ -105,6 +108,7 @@ from oracles import (
     gamma_vertices_deletion_reference,
     min_vertex_cover_reference,
     mono_balance_diagnostics_reference,
+    naive_apexes,
     naive_links,
     naive_rainbow_triangles,
     odd_pieces,
@@ -140,7 +144,7 @@ from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
                               _normalize_edges, gallai_partition, max_matching,
                               min_vertex_cover, verify_partition_lemmas)
-from ecgraph.rainbow import (Certificate, _links, build_index, find_book,
+from ecgraph.rainbow import (Certificate, _apexes, _links, build_index, find_book,
                              find_disjoint_rainbow_triangles, find_fan,
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
                              max_fan)
@@ -669,9 +673,9 @@ def test_fan_searches_match_frozen_copies():
 
 
 def _passed_book_edges(g: ColoredGraph, k: int, cert: Certificate | None) -> int:
-    """Edges the book scan walks and passes before ``cert``'s base (every
-    edge when there is none): at least k common neighbors, but fewer than k
-    rainbow apexes."""
+    """Edges before ``cert``'s base (every edge when there is none) with at
+    least k common neighbors but fewer than k rainbow apexes: the book scan
+    passes them only by walking their apexes."""
     tris = naive_rainbow_triangles(g)
     passed = 0
     for u, v in g.edges:
@@ -854,7 +858,7 @@ def test_color_queries_match_edge_colors():
 
 
 def _check_adjacency(g: ColoredGraph) -> None:
-    """neighbors, degree and the link scan against a count from edge_colors."""
+    """neighbors and degree against a count from edge_colors."""
     ref = [[] for _ in range(g.n)]
     for u, v in g.edge_colors():
         ref[u].append(v)
@@ -862,9 +866,6 @@ def _check_adjacency(g: ColoredGraph) -> None:
     for v in range(g.n):
         assert g.neighbors(v) == tuple(sorted(ref[v]))
         assert g.degree(v) == len(ref[v])
-        links = list(_links(g, v))
-        for lo in range(g.n + 1):
-            assert list(_links(g, v, lo)) == [(x, y) for x, y in links if x >= lo]
 
 
 def test_adjacency_queries_match_edge_colors():
@@ -872,7 +873,6 @@ def test_adjacency_queries_match_edge_colors():
               ColoredGraph(5, [(3, 1, 2), (1, 0, 2), (0, 3, 7)]),  # 2 and 4 isolated
               ColoredGraph(4, [(2, 3, 1), (1, 3, 2), (1, 2, 3), (0, 3, 3), (0, 1, 1)])):
         _check_adjacency(g)
-    links = 0
     for rng, g in _corpus(seed=97, count=300):
         # the same graph from its edges in shuffled input order
         triples = [(u, v, c) for (u, v), c in g.edge_colors().items()]
@@ -881,13 +881,36 @@ def test_adjacency_queries_match_edge_colors():
                                       for u, v, c in triples])
         for h in (g, shuffled, edge_minimal_reduce(g)):
             _check_adjacency(h)
-        links += sum(len(list(_links(g, v))) for v in range(g.n))
         if g.n < 2:
             continue
         derived = _toggled(rng, g)
         _check_adjacency(derived)
         _check_adjacency(edge_minimal_reduce(derived))
-    assert links >= 1000
+
+
+def test_apex_walk_matches_naive_filter():
+    # every start lo, both color rules and both orientations of each edge;
+    # the proper rule also admits apexes w with c(uw) == c(uv)
+    seen = Counter()
+    graphs = [g for _, g in _corpus(seed=173, count=300)]
+    graphs += [gen_proper_complete(n, seed=n) for n in range(3, 10)]
+    for g in graphs:
+        for proper in (False, True):
+            for v in range(g.n):
+                links = list(_links(g, v, proper))
+                assert links == naive_links(g, v, proper)
+                seen["proper links" if proper else "links"] += len(links)
+            for u, v in g.edges:
+                for a, b in ((u, v), (v, u)):
+                    every = naive_apexes(g, a, b, 0, proper)
+                    for lo in range(g.n + 1):
+                        apexes = list(_apexes(g, a, b, lo, proper))
+                        assert apexes == naive_apexes(g, a, b, lo, proper)
+                        seen["cut by lo"] += len(apexes) < len(every)
+        seen["proper only"] += sum(
+            len(list(_apexes(g, u, v, 0, True))) - len(list(_apexes(g, u, v)))
+            for u, v in g.edges)
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_rainbow_triangle_scan_matches_naive():
@@ -1092,7 +1115,7 @@ def test_every_checked_vertex_compares_the_balance_forms(monkeypatch):
         calls.clear()
         _concl_mono_balance(g, 0)
         at_max = h.derived(_mono_degrees).count(max_mono_degree(h))
-        assert len(calls) == (at_max if h.edge_count else 0)
+        assert len(calls) == at_max
 
     def disagree(*args):
         form1, form2, form3 = forms(*args)

@@ -16,6 +16,16 @@ their classes, ``_rt_classes``, are sums of those rt(u, v).  Every
 per-class bound comes from one integer kernel, ``_vertex_bounds``, over the
 class bitsets and the per-graph color degrees; only
 :func:`triangle_bound_report` turns its rows into report objects.
+
+The number of rainbow triangles, which the counting bound is checked
+against, is T - P + 2M (:func:`_rainbow_count`), again without listing a
+triangle.  T counts the triangles and M the monochromatic ones; P counts
+the pairs (triangle, vertex) at which the triangle's two edges share a
+color.  Two such vertices would make all three colors equal, so P counts a
+triangle with exactly two equal colors once, a monochromatic one three
+times and a rainbow one never: rainbow = T - (P - 3M) - M.  Each term is
+an integer sum that counts every triangle a fixed number of times (3T,
+2P, 6M), so the divisions are exact.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ColoredGraph, _color_degrees, _jsonable, _mono_degrees,
+from .core import (ColoredGraph, _color_degrees, _jsonable, _members, _mono_degrees,
                    max_mono_degree, min_color_degree)
 from .reduction import is_edge_minimal
 
@@ -336,6 +346,29 @@ def mono_balance_diagnostics(graph: ColoredGraph, v: int) -> MonoBalanceDiagnost
         cond_c=cond_c,
         edge_minimal=minimal,
     )
+
+
+def _rainbow_count(graph: ColoredGraph) -> int:
+    """The number of rainbow triangles, T - P + 2M (see the module
+    docstring), from three integer sums: 3T over the edges uv of
+    |N(u) & N(v)|; 2P over each class C of two or more members at a vertex,
+    of |N(x) & C| over its members x; 6M the same double sum of
+    |C_x(a) & C|, with a the color of C.  A division that is not exact
+    raises RuntimeError."""
+    table = graph.color_table()
+    adj = [graph.adjacency_bits(v) for v in range(graph.n)]
+    t3 = sum((adj[u] & adj[v]).bit_count() for u, v in graph.edges)
+    p2 = m6 = 0
+    for at_w in table:
+        for a, cls in at_w.items():
+            if cls & (cls - 1):  # a singleton {x} adds 0: x is not in N(x)
+                for x in _members(cls):
+                    p2 += (adj[x] & cls).bit_count()
+                    m6 += (table[x][a] & cls).bit_count()
+    if t3 % 3 or p2 % 2 or m6 % 6:
+        raise RuntimeError(f"triangle counts are not whole: 3T = {t3}, "
+                           f"2P = {p2}, 6M = {m6}")
+    return t3 // 3 - p2 // 2 + m6 // 3
 
 
 def counting_lower_bound(graph: ColoredGraph) -> Fraction:

@@ -14,11 +14,11 @@ from contextlib import suppress
 
 from .core import _jsonable, load_ecg, max_mono_degree, min_color_degree, save_ecg
 from .generators import KINDS, GeneratorSpec, generate
-from .bounds import counting_lower_bound
+from .bounds import _rainbow_count, counting_lower_bound
 from .harness import (CLAIMS, AdmissionError, TheoremSpec, WriteError, emit_report,
                       search_hly_counterexample, verify, write_json, write_text)
 from .matching import gallai_partition, verify_partition_lemmas
-from .rainbow import build_index, max_book, max_fan
+from .rainbow import max_book, max_fan
 from .reduction import edge_minimal_reduce, is_edge_minimal
 
 
@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> int:
         "max_mono_degree": max_mono_degree(g),
         "edge_minimal": minimal,
         "removable_edge": _jsonable(witness),
-        "rainbow_triangles": len(build_index(g)),
+        "rainbow_triangles": _rainbow_count(g),
         "max_book": max_book(g),
         "max_fan": max_fan(g),
         "counting_lower_bound": _jsonable(counting_lower_bound(g)),

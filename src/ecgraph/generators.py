@@ -71,8 +71,8 @@ def _below(bits, n: int) -> int:
     ``getrandbits``: draw n.bit_length() bits until the value is below n.
 
     This is the rejection loop that ``random.Random.randrange(n)``,
-    ``randint`` and ``choice`` run, so it returns what they return and
-    leaves the generator in the same state.  Callers pass n >= 1:
+    ``randint``, ``choice`` and each step of ``shuffle`` run, so it returns
+    what they return and leaves the generator in the same state.  Callers pass n >= 1:
     ``bits(0)`` is always 0, so n = 0 would never end.
     """
     k = n.bit_length()
@@ -118,7 +118,8 @@ def gen_proper_complete(n: int, seed: int) -> ColoredGraph:
 
     Uses n-1 colors for even n and n colors for odd n (each odd-n color
     class is a near-perfect matching); color ids are then permuted by the
-    seed.  The minimum color degree is n-1.
+    seed, as ``random.Random(seed).shuffle`` permutes them.  The minimum
+    color degree is n-1.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -130,9 +131,13 @@ def gen_proper_complete(n: int, seed: int) -> ColoredGraph:
             [(u, v) for u, v in pairs if u != n and v != n]
             for pairs in _round_robin_rounds(n + 1)
         ]
-    k = len(rounds)
-    perm = list(range(1, k + 1))
-    random.Random(seed).shuffle(perm)
+    # the Fisher-Yates loop of random.Random(seed).shuffle, drawn through
+    # _below like every other sample path
+    bits = random.Random(seed).getrandbits
+    perm = list(range(1, len(rounds) + 1))
+    for i in range(len(perm) - 1, 0, -1):
+        j = _below(bits, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
     triples = []
     for r, pairs in enumerate(rounds):
         for u, v in pairs:

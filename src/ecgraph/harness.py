@@ -51,8 +51,8 @@ from .rainbow import (
     max_fan,
 )
 from .reduction import edge_minimal_reduce
-from .bounds import (_edge_counts, _rt_classes, _vertex_bounds, counting_lower_bound,
-                     mono_balance_diagnostics)
+from .bounds import (_edge_counts, _rainbow_count, _rt_classes, _vertex_bounds,
+                     counting_lower_bound, mono_balance_diagnostics)
 from .matching import (GallaiPartition, _node_budget, gallai_partition,
                        verify_partition_lemmas)
 
@@ -191,7 +191,7 @@ def _concl_restriction(g: ColoredGraph, k: int) -> tuple[bool, str]:
 
 
 def _concl_counting(g: ColoredGraph, k: int) -> tuple[bool, str]:
-    count = len(build_index(g))
+    count = _rainbow_count(g)
     bound = counting_lower_bound(g)
     if Fraction(count) >= bound:
         return True, ""

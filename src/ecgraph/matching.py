@@ -126,11 +126,21 @@ def _maximum_matching(adj: list[list[int]]) -> tuple[list[int], list[tuple[int, 
     alternating-forest search from each exposed vertex in index order.  One
     pass suffices, because a vertex with no augmenting path keeps none after
     augmentations elsewhere (Edmonds).  Returns the mate of each vertex (-1
-    when exposed) and the matched pairs sorted lexicographically."""
+    when exposed) and the matched pairs sorted lexicographically.
+
+    An exposed v with an exposed neighbor is matched to the first one
+    without a search: the forest from v scans v's whole row first, and
+    nothing it meets before that neighbor augments (a blossom through v
+    only relabels bases), so the search would augment along that edge."""
     match = [-1] * len(adj)
     for v in range(len(adj)):
         if match[v] == -1:
-            _alternating_forest(adj, match, [v])
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    break
+            else:
+                _alternating_forest(adj, match, [v])
     return match, [(v, w) for v, w in enumerate(match) if v < w]
 
 

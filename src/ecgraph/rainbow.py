@@ -3,7 +3,10 @@
 Every search counts rainbow apexes w of an edge uv through one walk over
 N(u) & N(v), :func:`_apexes`: a triangle is an edge with one apex, a book
 an edge with k apexes, and a fan a matching among the apex pairs of the
-edges at one vertex (:func:`_links`).
+edges at one vertex (:func:`_links`).  The triangle list itself,
+:func:`build_index`, serves only the disjoint-family search (and the
+brute-force confirmation of its counterexamples); the number of rainbow
+triangles is counted from the class bitsets (``bounds._rainbow_count``).
 
 Searches return :class:`Certificate` witnesses so that every positive
 answer can be re-checked against the graph without trusting the search.

@@ -12,7 +12,8 @@
   count color degrees once per sampled and once per repaired graph.
 - The Gallai-Edmonds set V_0 comes from one alternating forest; the frozen
   reference in ``oracles.py`` deletes each vertex and reruns a blossom
-  matching.  ``max_matching`` must return the reference's exact matching.
+  matching.  ``max_matching``, which matches a vertex to its first exposed
+  neighbor without a search, must return the reference's exact matching.
 - ``max_fan`` skips centers by the floor(deg / 2) bound, and ``find_fan``
   runs one matching per center in ascending order; the unpruned loops over
   every center must give the same value and the same certificate.
@@ -40,6 +41,10 @@
   the links of every vertex the frozen double loop there, pair order
   included.  Whole-graph facts are built once per graph, and graphs
   derived after the parent's facts were cached get their own.
+- The rainbow triangle count is T - P + 2M over the class bitsets; it must
+  equal the naive triangle set's size on graphs with monochromatic,
+  two-color and rainbow triangles, and neither the ``lnsz`` conclusion
+  nor ``ecgraph analyze`` may build the triangle index.
 - Restriction counts come from the color table's class bitsets; each must
   equal the frozen set-based count in ``oracles.py``, on every ordered
   edge the ``prop1`` conclusion visits and on random subsets X.  The
@@ -76,6 +81,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 from collections import Counter
@@ -83,6 +89,7 @@ from fractions import Fraction
 
 import pytest
 import ecgraph.bounds
+import ecgraph.cli
 import ecgraph.core
 import ecgraph.harness
 import ecgraph.matching
@@ -129,15 +136,16 @@ from oracles import (
     vertex_lower_half_sum_reference,
 )
 
-from ecgraph.bounds import (_edge_counts, _rt_classes, _vertex_bounds,
-                            mono_balance_diagnostics, restriction_count,
-                            triangle_bound_report)
+from ecgraph.bounds import (_edge_counts, _rainbow_count, _rt_classes, _vertex_bounds,
+                            counting_lower_bound, mono_balance_diagnostics,
+                            restriction_count, triangle_bound_report)
 from ecgraph.core import (ColoredGraph, _color_degrees, _color_rows, _mono_degrees,
                           color_profile, load_ecg, max_mono_degree, min_color_degree,
                           save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
                                 sample_random_colored)
-from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_disjoint,
+from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_counting,
+                             _concl_disjoint,
                              _concl_fan, _concl_mono_balance, _concl_restriction,
                              _concl_spanning_fan, _repair_color_degree, Failure,
                              Report, TheoremSpec)
@@ -918,6 +926,80 @@ def test_rainbow_triangle_scan_matches_naive():
         naive = sorted(naive_rainbow_triangles(g))
         assert build_index(g) == tuple(naive)
         assert has_rainbow_triangle(g) == bool(naive)
+
+
+def _triangle_colorings(g: ColoredGraph) -> Counter:
+    """How many triangles of g carry 1, 2 and 3 distinct colors."""
+    kinds = Counter()
+    for a, b, c in itertools.combinations(range(g.n), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            kinds[len({g.color(a, b), g.color(a, c), g.color(b, c)})] += 1
+    return kinds
+
+
+def _count_cases():
+    """The corpus and its reductions, proper K3..K13, Example 1 for
+    k = 2..6, one- and two-color graphs, and every graph on at most 2
+    vertices."""
+    for _, g in _corpus(seed=139, count=300):
+        yield g
+        yield edge_minimal_reduce(g)
+    for n in range(3, 14):
+        yield gen_proper_complete(n, seed=n)
+    for k in range(2, 7):
+        yield gen_example1(k)
+    rng = random.Random(149)
+    for _ in range(100):
+        yield random_colored(rng, rng.randint(3, 12), rng.uniform(0.3, 1.0),
+                             rng.randint(1, 2))
+    yield from (ColoredGraph(0), ColoredGraph(1), ColoredGraph(2),
+                ColoredGraph(2, [(0, 1, 5)]))
+
+
+def test_rainbow_count_matches_naive_triangles():
+    seen = Counter()
+    for g in _count_cases():
+        count = _rainbow_count(g)
+        assert count == len(naive_rainbow_triangles(g)) == len(build_index(g))
+        kinds = _triangle_colorings(g)
+        seen["monochromatic"] += kinds[1] > 0
+        seen["two equal"] += kinds[2] > 0
+        seen["rainbow"] += kinds[3] > 0
+        seen["all three"] += all(kinds[i] for i in (1, 2, 3))
+    floors = {"monochromatic": 100, "two equal": 150, "rainbow": 200, "all three": 25}
+    assert all(seen[kind] >= floor for kind, floor in floors.items()), seen
+
+
+def test_rainbow_count_rejects_a_fraction():
+    # a table with a class of color 1 at vertex 0 that vertex 1 does not
+    # mirror: the six-fold monochromatic sum is no longer a multiple of 6
+    g = ColoredGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    table = [dict(at_v) for at_v in g.color_table()]
+    table[1][1] = 1 << 0
+    g._derived[ecgraph.core._color_table] = table
+    with pytest.raises(RuntimeError, match="not whole"):
+        _rainbow_count(g)
+
+
+def test_counting_conclusion_and_analyze_build_no_index(monkeypatch, tmp_path, capsys):
+    # both print one number, counted from the class bitsets
+    def refuse(*args, **kwargs):
+        raise AssertionError("rainbow triangle list built")
+    for module in (*_PACKAGE_MODULES, ecgraph.cli):
+        for name in ("build_index", "_index"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    path = tmp_path / "g.ecg"
+    checked = 0
+    for _, g in _corpus(seed=151, count=150):
+        count, bound = len(naive_rainbow_triangles(g)), counting_lower_bound(g)
+        assert _concl_counting(g, 0) == ((True, "") if count >= bound else (
+            False, f"{count} rainbow triangles < bound {bound}"))
+        if checked < 40:
+            path.write_text(save_ecg(g))
+            assert ecgraph.cli.main(["analyze", str(path)]) == 0
+            assert f"\nrainbow_triangles: {count}\n" in capsys.readouterr().out
+            checked += 1
 
 
 def test_sampler_matches_random_colored():

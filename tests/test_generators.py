@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import ecgraph.generators
 from ecgraph.core import color_profile, min_color_degree, save_ecg
 from ecgraph.generators import (
     KINDS,
@@ -170,6 +171,22 @@ class TestProperComplete:
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):
             gen_proper_complete(1, 0)
+
+    def test_colors_are_permuted_as_shuffle_permutes_them(self, monkeypatch):
+        # with every draw at its top value the loop swaps nothing, so each
+        # edge of that graph carries its round r + 1 unpermuted
+        with monkeypatch.context() as patched:
+            patched.setattr(ecgraph.generators, "_below", lambda bits, n: n - 1)
+            unpermuted = {n: gen_proper_complete(n, 0) for n in range(2, 41)}
+        rng = random.Random(157)
+        seeds = [0, 1, 2 ** 32 - 1, *(rng.getrandbits(32) for _ in range(27))]
+        for n, base in unpermuted.items():
+            for seed in seeds:
+                perm = list(range(1, len(base.colors()) + 1))
+                random.Random(seed).shuffle(perm)
+                g = gen_proper_complete(n, seed)
+                assert list(g.edge_colors().items()) == [
+                    (e, perm[c - 1]) for e, c in base.edge_colors().items()]
 
 
 class TestCompleteMultipartite:

@@ -8,6 +8,7 @@ import pytest
 import ecgraph.matching
 from oracles import (
     _reference_components as reference_components,
+    blossom_matching_reference,
     brute_max_independent_set,
     brute_max_matching,
     brute_min_cover_size,
@@ -70,6 +71,27 @@ class TestMaxMatching:
             n = rng.randint(1, 9)
             edges = _random_edges(rng, n, rng.uniform(0.1, 0.95))
             assert len(max_matching(n, edges)) == brute_max_matching(n, edges)
+
+    # graphs where an exposed v meets matched neighbors before its first
+    # exposed one, with the matching that both searches must return: at
+    # v = 2, neighbor 0 and its mate 1 (a blossom through v) precede 3; at
+    # v = 6, three such pairs precede 7; at v = 2, matched 1 precedes 3
+    # while 1's mate 0 is no neighbor of v
+    MATED_FIRST = [
+        (4, [(0, 1), (0, 2), (1, 2), (2, 3)], [(0, 1), (2, 3)]),
+        (8, [(0, 1), (2, 3), (4, 5), *((v, 6) for v in range(6)), (6, 7)],
+         [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        (4, [(0, 1), (1, 2), (2, 3)], [(0, 1), (2, 3)]),
+    ]
+
+    def test_first_free_neighbor_is_the_search_matching(self):
+        for n, edges, expected in self.MATED_FIRST:
+            assert max_matching(n, edges) == blossom_matching_reference(n, edges) == expected
+        rng = random.Random(3)
+        for _ in range(2000):
+            n = rng.randint(0, 24)
+            edges = _random_edges(rng, n, rng.uniform(0.05, 0.9))
+            assert max_matching(n, edges) == blossom_matching_reference(n, edges)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):

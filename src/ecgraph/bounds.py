@@ -14,7 +14,7 @@ pass over the edges, ``_edge_counts``: both restriction counts of an edge
 and rt(u, v), from popcounts alone.  The rt counts of the vertices and
 their classes, ``_rt_classes``, are sums of those rt(u, v).  Every
 per-class bound comes from one integer kernel, ``_vertex_bounds``, over the
-class bitsets and the per-graph color degrees; only
+class bitsets alone, which give each color degree as a class count; only
 :func:`triangle_bound_report` turns its rows into report objects.
 
 The number of rainbow triangles, which the counting bound is checked
@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ColoredGraph, _color_degrees, _jsonable, _members, _mono_degrees,
-                   max_mono_degree, min_color_degree)
+from .core import (ColoredGraph, _jsonable, _members, _mono_degrees, max_mono_degree,
+                   min_color_degree)
 from .reduction import is_edge_minimal
 
 
@@ -208,12 +208,13 @@ def _vertex_bounds(graph: ColoredGraph, v: int
     ``(color, size, lower_bound, balance)`` per class in canonical order,
     the balance term and the sum of the per-class lower bounds (twice the
     vertex bound).  The rt counts they bound are :func:`_rt_classes`.
+    Every color degree, of v and of each class member x, is the number of
+    classes at that vertex in the class table.
     """
     graph._check_vertex(v)
     table = graph.color_table()
     at_v = table[v]
     nv = graph.adjacency_bits(v)
-    dc = graph.derived(_color_degrees)
     # per singleton class {y} of color c at v: y's edges of color c into N(v)
     hit_sets = [table[bits.bit_length() - 1][c] & nv
                 for c, bits in at_v.items() if not bits & (bits - 1)]
@@ -227,7 +228,7 @@ def _vertex_bounds(graph: ColoredGraph, v: int
         members = bits
         while members:
             low = members & -members
-            neighbor_sum += dc[low.bit_length() - 1]
+            neighbor_sum += len(table[low.bit_length() - 1])
             members ^= low
         hits = sum((t & bits).bit_count() for t in hit_sets)
         balance = size * excess - size * (size - 1) - hits

@@ -45,11 +45,12 @@ class ColoredGraph:
 
     The per-vertex bitsets (``adjacency_bits``) are the graph's only
     adjacency: ``neighbors`` walks the bits of one upward and ``degree``
-    counts them, and triangle enumeration uses bitset intersection.  The
-    per-vertex rows derived from it (``color_table`` and ``_color_rows``)
-    are built in one pass over the sorted edges, which meets every
-    vertex's neighbors in ascending order, so each row is keyed in the
-    order of its lowest neighbor.  Color degrees are counted in their own
+    counts them, and triangle enumeration uses bitset intersection.  Edge
+    colors have one store, read through ``color``.  The class table
+    (``color_table``) is the one per-vertex color structure; it is built
+    in one pass over the sorted edges, which meets every vertex's
+    neighbors in ascending order, so each row is keyed in the order of its
+    lowest neighbor.  Color degrees are counted in their own
     pass over the edge colors, so a graph whose only color query is its
     color degrees never builds the class table.  Isolated vertices are
     legal and have color degree 0.
@@ -174,15 +175,6 @@ def _extended(graph: ColoredGraph, added: list[tuple[int, int, int]]) -> Colored
     # two sorted runs, which one merge pass of sorted() joins
     new._edges = sorted(graph._edges + new._edges)
     return new
-
-
-def _color_rows(graph: ColoredGraph) -> list[dict[int, int]]:
-    """Per vertex v, each neighbor x mapped to c(vx), in ascending order of
-    x (see :class:`ColoredGraph`); a per-graph fact."""
-    rows: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), c in zip(graph._edges, map(graph._color.get, graph._edges)):
-        rows[u][v] = rows[v][u] = c
-    return rows
 
 
 def _members(bits: int) -> list[int]:

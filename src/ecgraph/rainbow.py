@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import ColoredGraph, _color_rows, _jsonable
+from .core import ColoredGraph, _jsonable
 from .matching import _node_budget, max_matching
 
 
@@ -29,15 +29,14 @@ def _apexes(graph: ColoredGraph, u: int, v: int, lo: int = 0, proper: bool = Fal
     0 their number is rt(u, v), or with ``proper`` those with c(vw)
     different from c(uv) and c(uw), while c(uv) == c(uw) is allowed (a
     properly colored triangle at the center u)."""
-    rows = graph.derived(_color_rows)
-    row_u, row_v = rows[u], rows[v]
-    cuv = row_u[v]
+    color = graph.color
+    cuv = color(u, v)
     common = (graph.adjacency_bits(u) & graph.adjacency_bits(v)) >> lo
     while common:
         low = common & -common
         common ^= low
         w = lo + low.bit_length() - 1
-        cuw, cvw = row_u[w], row_v[w]
+        cuw, cvw = color(u, w), color(v, w)
         if (proper or cuw != cuv) and cvw != cuv and cvw != cuw:
             yield w
 
@@ -45,8 +44,8 @@ def _apexes(graph: ColoredGraph, u: int, v: int, lo: int = 0, proper: bool = Fal
 def _links(graph: ColoredGraph, v: int, proper: bool = False):
     """Pairs (x, y) with x < y such that v, x, y is a rainbow triangle, or
     with ``proper`` a properly colored one, in lexicographic order: the
-    apexes above x of each edge vx, x ascending over the row of v."""
-    for x in graph.derived(_color_rows)[v]:
+    apexes above x of each edge vx, x ascending over the neighbors of v."""
+    for x in graph.neighbors(v):
         for y in _apexes(graph, v, x, x + 1, proper):
             yield x, y
 

@@ -27,20 +27,22 @@
   up to 256 included; the class bounds equal the strict form recounted in
   ``oracles.py``, and the vertex bound equals the half-sum formula.
 - The class bounds, the balance term and the diagnostics at a vertex come
-  from one integer kernel over the class bitsets and the per-graph color
-  degrees; rt(v) and each rt(v, class) are sums of the per-edge rt(u, v)
-  of the restriction pass.  Every rt count must equal one counted from the
+  from one integer kernel over the class bitsets, whose class counts are
+  the color degrees; rt(v) and each rt(v, class) are sums of the per-edge
+  rt(u, v) of the restriction pass.  Every rt count must equal one counted from the
   naive triangle set, every report field and every diagnostics field must
   equal the frozen profile-based versions in ``oracles.py``, and the
   ``lemma1``, ``lemma2`` and ``prop1`` conclusions must build no report
-  object, no profile, no triangle index and no neighbor -> color rows.
+  object, no profile and no triangle index.
 - One apex walk over N(u) & N(v) serves the rainbow triangle index, the
   book searches and the fan searches, whose links are the apexes above x
   of each edge vx.  From every start and under both color rules it must
   equal a naive filter over the common neighbors in ``oracles.py``, and
   the links of every vertex the frozen double loop there, pair order
-  included.  Whole-graph facts are built once per graph, and graphs
-  derived after the parent's facts were cached get their own.
+  included.  The walk reads every edge color through ``graph.color``, so
+  no rainbow search builds a per-graph fact.  Whole-graph facts are built
+  once per graph, and graphs derived after the parent's facts were cached
+  get their own.
 - The rainbow triangle count is T - P + 2M over the class bitsets; it must
   equal the naive triangle set's size on graphs with monochromatic,
   two-color and rainbow triangles, and neither the ``lnsz`` conclusion
@@ -139,7 +141,7 @@ from oracles import (
 from ecgraph.bounds import (_edge_counts, _rainbow_count, _rt_classes, _vertex_bounds,
                             counting_lower_bound, mono_balance_diagnostics,
                             restriction_count, triangle_bound_report)
-from ecgraph.core import (ColoredGraph, _color_degrees, _color_rows, _mono_degrees,
+from ecgraph.core import (ColoredGraph, _color_degrees, _mono_degrees,
                           color_profile, load_ecg, max_mono_degree, min_color_degree,
                           save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
@@ -237,8 +239,6 @@ def test_repaired_graph_matches_a_one_shot_build():
         assert list(got.edge_colors().items()) == list(oneshot.edge_colors().items())
         assert ([list(at_v.items()) for at_v in got.color_table()]
                 == [list(at_v.items()) for at_v in oneshot.color_table()])
-        assert ([list(row.items()) for row in got.derived(_color_rows)]
-                == [list(row.items()) for row in oneshot.derived(_color_rows)])
         # the sampled graph is unchanged and shares no stored row with the result
         assert (g.edge_colors(), g.edges, [g.adjacency_bits(v) for v in range(g.n)]) == before
         assert g._derived.keys() == facts.keys()
@@ -921,6 +921,24 @@ def test_apex_walk_matches_naive_filter():
     assert min(seen.values()) >= 1000, seen
 
 
+def test_rainbow_searches_build_no_per_graph_fact():
+    # the apex walk reads the edge colors through graph.color alone
+    searched = 0
+    for _, g in _corpus(seed=179, count=200):
+        has_rainbow_triangle(g)
+        find_book(g, 2)
+        max_book(g)
+        find_fan(g, 2)
+        max_fan(g)
+        assert g._derived == {}
+        searched += g.edge_count > 0
+    for n in range(3, 12, 2):
+        g = gen_proper_complete(n, seed=n)
+        assert find_pc_spanning_fan(g) is not None
+        assert g._derived == {}
+    assert searched >= 150, searched
+
+
 def test_rainbow_triangle_scan_matches_naive():
     for rng, g in _corpus(seed=67, count=300):
         naive = sorted(naive_rainbow_triangles(g))
@@ -1166,13 +1184,12 @@ def test_rt_classes_match_the_naive_triangle_set():
 
 
 def test_bound_conclusions_build_no_report_objects(monkeypatch):
-    # nor the rainbow triangle list or the neighbor -> color rows that the
-    # link walks read: all three count from the class bitsets
+    # nor the rainbow triangle list: all three count from the class bitsets
     def refuse(*args, **kwargs):
         raise AssertionError("built on the conclusion path")
     for module in _PACKAGE_MODULES:
         for name in ("ClassBound", "TriangleBoundReport", "color_profile",
-                     "build_index", "_index", "_color_rows"):
+                     "build_index", "_index"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for _, g in _corpus(seed=131, count=150):
@@ -1242,9 +1259,8 @@ def _count_builds(monkeypatch, module, name: str) -> list:
 def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
     facts = [_count_builds(monkeypatch, module, name) for module, name in (
         (ecgraph.core, "_color_table"), (ecgraph.rainbow, "_index"),
-        (ecgraph.reduction, "_removals"), (ecgraph.core, "_color_rows"),
-        (ecgraph.core, "_color_degrees"), (ecgraph.core, "_mono_degrees"),
-        (ecgraph.bounds, "_rt_classes"))]
+        (ecgraph.reduction, "_removals"), (ecgraph.core, "_color_degrees"),
+        (ecgraph.core, "_mono_degrees"), (ecgraph.bounds, "_rt_classes"))]
     g = random_colored(random.Random(83), 9, 0.7, 4)
     assert build_index(g) is build_index(g)
     assert g.color_table() is g.color_table()
@@ -1265,6 +1281,7 @@ def test_whole_graph_facts_are_built_once_per_graph(monkeypatch):
         assert _concl_class_bounds(h, 0) == (True, "")
         assert _concl_mono_balance(h, 0) == (True, "")
         assert len(build_index(h)) == len(naive_rainbow_triangles(h))
+        min_color_degree(h)
     assert facts == [[g, h]] * len(facts)
 
 
@@ -1404,18 +1421,16 @@ def test_prop1_conclusion_compares_the_reference_counts(monkeypatch):
     assert outcomes["fails at (u, v)"] + outcomes["fails at (v, u)"] >= 1000, outcomes
 
 
-def test_prop1_builds_neither_the_index_nor_the_color_rows(monkeypatch):
-    # prop1 reads the class table alone: no rainbow triangle list, and no
-    # neighbor -> color rows, which the link and apex walks read
-    builds = [_count_builds(monkeypatch, module, name) for module, name in (
-        (ecgraph.rainbow, "_index"), (ecgraph.core, "_color_rows"))]
+def test_prop1_builds_no_index(monkeypatch):
+    # prop1 reads the class table alone: no rainbow triangle list
+    builds = _count_builds(monkeypatch, ecgraph.rainbow, "_index")
     graphs = 0
     for _, g in _corpus(seed=109, count=200):
         assert _concl_restriction(g, 0) == (True, "")
         graphs += g.edge_count > 0
     report = ecgraph.harness.verify(TheoremSpec(id="prop1", budget=60, seed=1))
     assert report.ok and report.samples_admitted == 60
-    assert builds == [[], []] and graphs >= 150, graphs
+    assert builds == [] and graphs >= 150, graphs
 
 
 def test_json_encodings_match_frozen_encoders():

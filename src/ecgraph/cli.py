@@ -206,7 +206,10 @@ def _cmd_partition(args) -> int:
           f"chain_ok: {diag.chain_ok}")
     if args.json_path is not None:
         write_json(doc, args.json_path)
-    return 0 if diag.size_identity_ok and diag.structure_ok and diag.chain_ok else 1
+    gap = diag.gap()  # the eg_partition claim's rule
+    if gap:
+        print(gap, file=sys.stderr)
+    return 1 if gap else 0
 
 
 def _cmd_verify(args) -> int:

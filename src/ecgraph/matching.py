@@ -293,8 +293,9 @@ class GallaiPartition:
     components are the outer blossoms, so every maximum matching covers the
     rest.  So D, ``v0`` and the ``components`` (those of the graph minus
     ``v0``) are the same for every maximum matching (Gallai-Edmonds).  The
-    identity alpha' = |v0| + sum(floor(|V_i| / 2)) holds and is checked at
-    build time, together with the structure of matching edges at ``v0``.
+    identity alpha' = |v0| + sum(floor(|V_i| / 2)) holds, and so does the
+    structure of matching edges at ``v0``; ``verify_partition_lemmas``
+    checks both (``size_identity_ok``, ``structure_ok``).
     """
 
     n: int
@@ -319,9 +320,11 @@ class GallaiPartition:
 
 def gallai_partition(n: int, edges) -> GallaiPartition:
     """Build the partition of a graph for the maximum matching that
-    ``max_matching`` returns; raises if n <= 2 * alpha' (the decomposition
-    needs unsaturated vertices).  The matching is maximum, so the
-    alternating forest that finds ``v0`` never meets an augmenting path.
+    ``max_matching`` returns; raises a ValueError if n <= 2 * alpha' (the
+    decomposition needs unsaturated vertices).  The matching is maximum, so
+    the alternating forest that finds ``v0`` never meets an augmenting path.
+    The build checks nothing else: ``structure_ok`` of
+    ``verify_partition_lemmas`` is the check of a built partition.
     """
     es = _normalize_edges(n, edges)
     adj = _adjacency(n, es)
@@ -340,7 +343,7 @@ def gallai_partition(n: int, edges) -> GallaiPartition:
     x = n
     alpha = tuple(m) + tuple((v, x) for v in unsaturated)
     gamma = tuple((u, v) for u, v in es if match[u] != v)
-    part = GallaiPartition(
+    return GallaiPartition(
         n=n,
         matching=tuple(m),
         v0=v0,
@@ -349,62 +352,41 @@ def gallai_partition(n: int, edges) -> GallaiPartition:
         gamma_edges=gamma,
         virtual_vertex=x,
     )
-    problems = _partition_violations(part)
-    if problems:
-        raise RuntimeError("partition invariant violated: " + "; ".join(problems))
-    return part
 
 
-def _partition_violations(part: GallaiPartition) -> list[str]:
-    """Internal consistency checks: the size identity, the placement of
-    matching edges around v0, and saturation of v0."""
-    problems = []
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(part.components):
-        for v in comp:
-            comp_of[v] = i
-    covered = part.v0 | set(comp_of)
-    if covered != set(range(part.n)) or part.v0 & set(comp_of):
-        problems.append("v0 and components do not partition the vertex set")
-
-    rhs = len(part.v0) + sum(len(c) // 2 for c in part.components)
-    if part.alpha_prime != rhs:
-        problems.append(f"size identity fails: {part.alpha_prime} != {rhs}")
-
-    saturated = {v for e in part.matching for v in e}
-    if not part.v0 <= saturated:
-        problems.append("v0 contains an unsaturated vertex")
-
-    # every alpha edge at a gamma vertex ends in an odd component,
-    # and each odd component receives exactly one such edge
-    odd = {i for i, c in enumerate(part.components) if len(c) % 2 == 1}
-    hits: dict[int, int] = {i: 0 for i in odd}
-    x = part.virtual_vertex
-    for u, v in part.alpha_edges:
-        gamma_ends = [w for w in (u, v) if w == x or w in part.v0]
-        if not gamma_ends:
-            continue
-        others = [w for w in (u, v) if w != x and w not in part.v0]
-        if len(others) != 1 or comp_of.get(others[0]) not in odd:
-            problems.append(f"alpha edge ({u}, {v}) not matched to an odd component")
-            continue
-        hits[comp_of[others[0]]] += 1
-    for i in odd:
-        if hits[i] != 1:
-            problems.append(
-                f"odd component {i} meets {hits[i]} alpha edges at gamma vertices")
-    return problems
+def _structure_holds(part: GallaiPartition) -> bool:
+    """The structure of a partition, short of its size identity: ``v0``
+    and the components partition the vertex set, ``v0`` is saturated, and
+    the alpha edges at gamma vertices (``v0`` and the virtual vertex) each
+    join one gamma vertex to an odd component, one edge per odd component."""
+    comp_of = {v: i for i, comp in enumerate(part.components) for v in comp}
+    if part.v0 | set(comp_of) != set(range(part.n)) or part.v0 & set(comp_of):
+        return False
+    if not part.v0 <= {v for e in part.matching for v in e}:
+        return False
+    gamma = part.v0 | {part.virtual_vertex}
+    hits = []
+    for e in part.alpha_edges:
+        if gamma.intersection(e):
+            others = [w for w in e if w not in gamma]
+            if len(others) != 1:
+                return False
+            hits.append(comp_of.get(others[0]))
+    odd = {i for i, c in enumerate(part.components) if len(c) % 2}
+    return len(hits) == len(odd) and set(hits) == odd
 
 
 @dataclass(frozen=True)
 class PartitionDiagnostics:
     """Raw outcome of every partition-based bound for one instance.
 
-    ``size_identity_ok`` and ``structure_ok`` restate the construction
-    invariants; ``chain_ok`` is beta <= n - p <= 2 alpha' - |v0|.  The last
-    group reports the stronger bounds that need n >= 2 alpha' + 2; they are
-    recorded as observed, with ``connected`` alongside because the stronger
-    bounds can genuinely fail on disconnected graphs.
+    ``size_identity_ok`` is alpha' = |v0| + sum(floor(|V_i| / 2)), and
+    ``structure_ok`` is that identity together with the structure around
+    ``v0``: the one check of a built partition.  ``chain_ok`` is
+    beta <= n - p <= 2 alpha' - |v0|.  The last group reports the stronger
+    bounds that need n >= 2 alpha' + 2; they are recorded as observed, with
+    ``connected`` alongside because the stronger bounds can genuinely fail
+    on disconnected graphs.  :meth:`gap` judges them all by one rule.
     """
 
     n: int
@@ -424,20 +406,35 @@ class PartitionDiagnostics:
     tight_comps_ok: bool | None
     tight_cover_ok: bool | None
 
+    def gap(self) -> str:
+        """Why the partition claim fails on this instance, or "" when it
+        holds: the identities always, the stronger bounds and their tight
+        case only on connected graphs."""
+        if not (self.size_identity_ok and self.structure_ok and self.chain_ok):
+            return f"partition identities fail: {self}"
+        # the stronger bounds can genuinely fail on disconnected graphs,
+        # so they are asserted only on connected instances
+        if self.connected and self.strong_applicable:
+            if not (self.strong_beta_ok and self.strong_v0_ok):
+                return f"strong cover bound fails on connected graph: {self}"
+            if self.tight_applicable and not (self.tight_comps_ok and self.tight_cover_ok):
+                return f"tight-case structure fails on connected graph: {self}"
+        return ""
+
     def to_json(self) -> dict:
         return _jsonable(self)
 
 
 def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
     """Evaluate the matching/covering bounds of the partition's graph (its
-    matching plus its gamma edges) against an exact cover.
+    matching plus its gamma edges) against an exact cover, and check the
+    partition itself once: ``structure_ok``.
 
     Never raises on a failed bound: this is a diagnostics report, meant to
     record which inequalities hold for the instance.
     """
     n, a = part.n, part.alpha_prime
     es = sorted(part.matching + part.gamma_edges)
-    eset = set(es)
     # a matching of the graph bounds its cover number from below; the
     # matching edges of a hand-built partition need not be disjoint
     disjoint = len({v for e in part.matching for v in e}) == 2 * a
@@ -447,7 +444,6 @@ def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
     p = part.p
 
     size_identity = a == v0 + sum(len(c) // 2 for c in part.components)
-    structure = not _partition_violations(part)
     chain = beta <= n - p <= 2 * a - v0
 
     applicable = n >= 2 * a + 2
@@ -457,6 +453,7 @@ def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
     tight_applicable = applicable and beta == 2 * a - 1
     tight_comps = tight_cover = None
     if tight_applicable:
+        eset = set(es)
         tight_comps = all(
             len(c) % 2 == 1
             and all((c[i], c[j]) in eset
@@ -477,7 +474,7 @@ def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
         p=p,
         connected=len(_components(_adjacency(n, es), ())) <= 1,
         size_identity_ok=size_identity,
-        structure_ok=structure,
+        structure_ok=size_identity and _structure_holds(part),
         chain_ok=chain,
         strong_applicable=applicable,
         strong_beta_ok=strong_beta,

@@ -342,6 +342,37 @@ def test_partition_above_cover_size_limit_is_usage_error(tmp_path, capsys):
     assert "instance too large for exact cover search (n=65)" in capsys.readouterr().err
 
 
+
+STAR_ECG = "ecg 4 3\n0 1 1\n0 2 2\n0 3 3\n"
+
+
+def test_partition_exits_by_the_eg_partition_rule(monkeypatch, tmp_path, capsys):
+    import dataclasses
+
+    import ecgraph.cli
+
+    src = tmp_path / "star.ecg"
+    src.write_text(STAR_ECG)
+    held, failed = tmp_path / "held.json", tmp_path / "failed.json"
+    assert main(["partition", str(src), "--json", str(held)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+
+    # a connected star with n >= 2 alpha' + 2: the strong bounds apply, and
+    # a failed one fails the command though the identities hold
+    star = ecgraph.cli.gallai_partition(4, [(0, 1), (0, 2), (0, 3)])
+    diag = dataclasses.replace(ecgraph.cli.verify_partition_lemmas(star), strong_beta_ok=False)
+    monkeypatch.setattr(ecgraph.cli, "verify_partition_lemmas", lambda part: diag)
+    assert main(["partition", str(src), "--json", str(failed)]) == 1
+    failed_out, failed_err = capsys.readouterr()
+    # stdout and the JSON are what the diagnostics say; stderr says why
+    assert failed_out == out
+    doc = json.loads(held.read_text())
+    doc["diagnostics"]["strong_beta_ok"] = False
+    assert json.loads(failed.read_text()) == doc and doc["diagnostics"]["connected"]
+    assert failed_err == f"strong cover bound fails on connected graph: {diag}\n"
+
+
 def test_verify_probability_range_outside_unit_interval_is_usage_error(capsys):
     rc = main(["verify", "--theorem", "li_triangle", "--p", "1.5:2",
                "--budget", "5"])

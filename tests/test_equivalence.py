@@ -57,6 +57,12 @@
   itself, not only its size, must equal the frozen edge-list search in
   ``oracles.py``, through ``min_vertex_cover`` and through
   ``verify_partition_lemmas``.
+- A built Gallai-Edmonds partition is checked once, by one structure
+  predicate in ``verify_partition_lemmas``; on built and tampered
+  partitions it must agree with the frozen message-list check in
+  ``oracles.py``, each of whose checks must be the only one to reject
+  some tamper.  ``eg_partition`` and ``ecgraph partition`` judge the
+  diagnostics by one verdict, which must give the frozen conclusion's gap.
 - A properly colored spanning fan is a perfect matching of the center's
   proper links; the frozen backtracking in ``oracles.py`` must find one at
   the same first center, or none.  The certificate conclusions come from
@@ -106,6 +112,7 @@ from oracles import (
     failure_json_reference,
     gallai_partition_json_reference,
     partition_diagnostics_json_reference,
+    partition_violations_reference,
     theorem_spec_echo_reference,
     triangle_bound_report_json_reference,
     find_book_reference,
@@ -148,12 +155,13 @@ from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_co
                                 sample_random_colored)
 from ecgraph.harness import (_concl_book, _concl_class_bounds, _concl_counting,
                              _concl_disjoint,
-                             _concl_fan, _concl_mono_balance, _concl_restriction,
+                             _concl_fan, _concl_mono_balance, _concl_partition,
+                             _concl_restriction,
                              _concl_spanning_fan, _repair_color_degree, Failure,
                              Report, TheoremSpec)
 from ecgraph.matching import (GallaiPartition, _cover_search, _greedy_matched,
-                              _normalize_edges, gallai_partition, max_matching,
-                              min_vertex_cover, verify_partition_lemmas)
+                              _normalize_edges, _structure_holds, gallai_partition,
+                              max_matching, min_vertex_cover, verify_partition_lemmas)
 from ecgraph.rainbow import (Certificate, _apexes, _links, build_index, find_book,
                              find_disjoint_rainbow_triangles, find_fan,
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
@@ -417,6 +425,141 @@ def test_partition_pipeline_matches_frozen_reference():
     for sizes in ([7, 5, 5, 3, 3], [5, 3, 3, 3]):
         assert _check_partition(rng, *odd_pieces(rng, sizes)).v0
     assert min(seen.values()) >= 30, seen
+
+
+
+# the check of ``partition_violations_reference`` that each message names
+_STRUCTURE_CHECKS = {"do not partition": "vertex partition",
+                     "size identity": "size identity",
+                     "unsaturated": "saturation",
+                     "not matched": "alpha edges into odd components",
+                     "alpha edges at gamma": "one alpha edge per odd component"}
+
+
+def _rejected_by(part: GallaiPartition) -> set[str]:
+    return {check for msg in partition_violations_reference(part)
+            for key, check in _STRUCTURE_CHECKS.items() if key in msg}
+
+
+def _tampers(rng: random.Random, part: GallaiPartition):
+    """Single edits of a built partition, each named by what it does."""
+    replace = dataclasses.replace
+    comp_of = {v: i for i, comp in enumerate(part.components) for v in comp}
+    saturated = {v for e in part.matching for v in e}
+    x = part.virtual_vertex
+
+    def moved(w: int, into: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """The components with w taken out, and put into component ``into``."""
+        comps = [tuple(v for v in comp if v != w) for comp in part.components]
+        if into is not None:
+            comps[into] = tuple(sorted(comps[into] + (w,)))
+        return tuple(comp for comp in comps if comp)
+
+    w = rng.choice(sorted(comp_of))
+    yield "component vertex into v0", replace(part, v0=part.v0 | {w}, components=moved(w))
+    if part.v0:
+        w = rng.choice(sorted(part.v0))
+        yield "v0 vertex into a component", replace(
+            part, v0=part.v0 - {w}, components=moved(w, rng.randrange(part.p)))
+    w = rng.choice([v for v in range(part.n) if v not in saturated])
+    yield "unsaturated vertex into v0", replace(part, v0=part.v0 | {w}, components=moved(w))
+    even = {i for i, comp in enumerate(part.components) if len(comp) % 2 == 0}
+    inside = [j for j, (u, v) in enumerate(part.alpha_edges)
+              if comp_of.get(u, -1) in even and comp_of.get(v) == comp_of[u]]
+    if inside:
+        # a matching edge of an even component, its far end pointed at x
+        j = rng.choice(inside)
+        alpha = list(part.alpha_edges)
+        alpha[j] = (alpha[j][0], x)
+        yield "alpha edge at a gamma vertex into an even component", replace(
+            part, alpha_edges=tuple(alpha))
+    odd = [comp for comp in part.components if len(comp) % 2]
+    yield "second alpha edge into an odd component", replace(
+        part, alpha_edges=part.alpha_edges + ((rng.choice(rng.choice(odd)), x),))
+    if part.matching:
+        j = rng.randrange(len(part.matching))
+        yield "matching edge dropped", replace(
+            part, matching=part.matching[:j] + part.matching[j + 1:])
+    yield "vertex count raised", replace(part, n=part.n + 1)
+
+
+def test_structure_predicate_matches_reference_on_built_and_tampered_partitions():
+    rng = random.Random(61)
+    graphs = [(g.n, g.edges) for _, g in _corpus(seed=59, count=500)]
+    for _ in range(2):  # the shapes ``ecgraph partition`` gets in the benchmark
+        graphs.append(odd_pieces(rng, [13, 11, 11, 9]))
+        graphs += [_bipartite(rng, *shape) for shape in ((36, 20, 0.15), (30, 18, 0.25))]
+    built, sole = 0, Counter()
+    for n, edges in graphs:
+        if n <= 2 * len(max_matching(n, edges)):
+            continue
+        part = gallai_partition(n, edges)
+        built += 1
+        assert _structure_holds(part) and not partition_violations_reference(part)
+        for name, tampered in _tampers(rng, part):
+            rejected = _rejected_by(tampered)
+            # the predicate leaves the size identity to its caller
+            assert _structure_holds(tampered) == (not rejected - {"size identity"}), name
+            if n <= 16:
+                assert verify_partition_lemmas(tampered).structure_ok == (not rejected), name
+            # the one check that rejects: the size identity for structure_ok,
+            # one of the predicate's own checks for the predicate
+            rest = rejected - {"size identity"}
+            if rejected == {"size identity"} or len(rest) == 1:
+                sole.update(rest or rejected)
+    assert built >= 200
+    # without any one check, structure_ok or the predicate would accept a
+    # tamper the reference rejects
+    assert set(sole) == set(_STRUCTURE_CHECKS.values()), sole
+
+
+def _concl_partition_reference(g: ColoredGraph, k: int) -> tuple[bool, str]:
+    """``harness._concl_partition`` frozen as it stood when it judged the
+    diagnostics itself."""
+    part = g.derived(ecgraph.harness._partition)
+    if isinstance(part, Exception):
+        return False, f"partition construction failed: {part}"
+    return _diagnostics_reference(verify_partition_lemmas(part))
+
+
+def _diagnostics_reference(diag) -> tuple[bool, str]:
+    if not (diag.size_identity_ok and diag.structure_ok and diag.chain_ok):
+        return False, f"partition identities fail: {diag}"
+    # the stronger bounds can genuinely fail on disconnected graphs,
+    # so they are asserted only on connected instances
+    if diag.connected and diag.strong_applicable:
+        if not (diag.strong_beta_ok and diag.strong_v0_ok):
+            return False, f"strong cover bound fails on connected graph: {diag}"
+        if diag.tight_applicable and not (diag.tight_comps_ok and diag.tight_cover_ok):
+            return False, f"tight-case structure fails on connected graph: {diag}"
+    return True, ""
+
+
+def test_partition_verdict_matches_frozen_conclusion():
+    seen = Counter()
+    for _, g in _corpus(seed=67, count=300):
+        result = _concl_partition(g, 0)
+        assert result == _concl_partition_reference(g, 0)
+        seen[result[1].split(":")[0]] += 1
+    assert seen[""] >= 100 and seen["partition construction failed"] >= 50, seen
+    # a connected star (the tight case), a path (the strong bounds do not
+    # apply) and K5 plus two isolated vertices (disconnected)
+    bases = [verify_partition_lemmas(gallai_partition(n, edges)) for n, edges in (
+        (4, [(0, 1), (0, 2), (0, 3)]), (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (7, list(itertools.combinations(range(5), 2))))]
+    assert bases[0].tight_applicable and bases[0].gap() == ""
+    flags = [f.name for f in dataclasses.fields(bases[0]) if f.type in ("bool", "bool | None")]
+    assert len(flags) == 10
+    gaps = set()
+    for diag in bases:
+        for flag in flags:
+            forced = dataclasses.replace(diag, **{flag: False})
+            ok, gap = _diagnostics_reference(forced)
+            assert forced.gap() == gap and ok == (gap == ""), flag
+            gaps.add(gap.split(":")[0])
+    assert gaps == {"", "partition identities fail",
+                    "strong cover bound fails on connected graph",
+                    "tight-case structure fails on connected graph"}
 
 
 def _check_cover(n: int, edges) -> bool:

@@ -331,6 +331,40 @@ def test_eg_partition_validates_each_graph_once_per_public_call(monkeypatch):
     assert len(calls) == report.samples_attempted > report.samples_admitted
 
 
+
+def test_each_partition_is_checked_once(monkeypatch, tmp_path, capsys):
+    import ecgraph.matching
+    from ecgraph.cli import main
+
+    holds = ecgraph.matching._structure_holds
+    checked = []
+
+    def counting(part):
+        checked.append(part)
+        return holds(part)
+
+    monkeypatch.setattr(ecgraph.matching, "_structure_holds", counting)
+    # the build checks nothing; the diagnostics check once
+    part = ecgraph.matching.gallai_partition(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert checked == []
+    assert ecgraph.matching.verify_partition_lemmas(part).structure_ok
+    assert checked == [part]
+
+    checked.clear()
+    src = tmp_path / "k2_5.ecg"
+    assert main(["gen", "--kind", "complete_multipartite", "--parts", "2,5",
+                 "--out", str(src)]) == 0
+    assert main(["partition", str(src)]) == 0
+    assert len(checked) == 1 and checked[0].v0 == {0, 1}
+    capsys.readouterr()
+
+    checked.clear()
+    report = verify(TheoremSpec(id="eg_partition", budget=40, seed=1))
+    assert report.ok and report.samples_admitted == 40
+    # one partition per admitted graph, each checked once by its conclusion
+    assert len(checked) == len({id(part) for part in checked}) == 40
+
+
 def test_eg_partition_hypothesis_is_exactly_an_unsaturated_vertex():
     from ecgraph.matching import max_matching
 

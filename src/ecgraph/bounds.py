@@ -89,7 +89,8 @@ def _edge_counts(graph: ColoredGraph) -> list[tuple[int, int, int, int, int]]:
     colors a != c; the loop over u's colors sums these intersections over
     every a, and the term of c is added back.  Without a common neighbor
     both sigmas and rt are 0, since a class at v inside X_u lies in
-    N(u) & N(v).
+    N(u) & N(v); the loops would find that too, but the early exit stays,
+    since many edges of the sparse samples have no common neighbor.
     """
     table = graph.color_table()
     colors = graph.edge_colors()
@@ -184,19 +185,18 @@ def _balance_forms(rows: list[tuple[int, int, int, int]],
     """The three algebraic forms of the balance term; they must agree.
 
     ``rows`` are the class rows of :func:`_vertex_bounds`, and ``hits_all``
-    counts the singleton-class hits into all of N(v).
+    counts the singleton-class hits into all of N(v).  Form 3 splits off the
+    largest class size d1 (rows come largest first), which is 0 at a vertex
+    with no classes; every form is 0 there.
     """
     sizes = [row[1] for row in rows]
     d = sum(sizes)
     excess = sum(s - 1 for s in sizes)
     form1 = sum(row[3] for row in rows)
     form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
-    if sizes:
-        d1 = sizes[0]
-        form3 = (d - d1) * (d1 - 1) - hits_all \
-            + sum((d - s) * (s - 1) for s in sizes[1:])
-    else:
-        form3 = 0
+    d1 = max(sizes, default=0)
+    form3 = (d - d1) * (d1 - 1) - hits_all \
+        + sum((d - s) * (s - 1) for s in sizes[1:])
     return form1, form2, form3
 
 

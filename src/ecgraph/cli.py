@@ -121,23 +121,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         v.add_argument("--theorem", required=True, choices=sorted(CLAIMS),
                        help="claim id")
         v.add_argument("--k", type=int, default=None)
-        v.add_argument("--n", type=_range(int), default=(4, 12),
+        v.add_argument("--n", type=_range(int), default=TheoremSpec.n_range,
                        help="vertex range A or A:B")
-        v.add_argument("--colors", type=_range(int), default=(2, 16),
+        v.add_argument("--colors", type=_range(int), default=TheoremSpec.c_range,
                        help="palette range A or A:B")
-        v.add_argument("--p", type=_range(float), default=(0.2, 0.9),
+        v.add_argument("--p", type=_range(float), default=TheoremSpec.p_range,
                        help="edge probability A or A:B")
-        v.add_argument("--budget", type=int, default=1000)
-        v.add_argument("--seed", type=int, default=0)
+        v.add_argument("--budget", type=int, default=TheoremSpec.budget)
+        v.add_argument("--seed", type=int, default=TheoremSpec.seed)
         v.add_argument("--json", dest="json_path", type=str, default=None)
 
     if h := add("hly-search", "search for disjoint-triangle counterexamples"):
         h.add_argument("--k", type=int, required=True)
         h.add_argument("--n", type=_range(int), required=True)
-        h.add_argument("--colors", type=_range(int), default=(2, 16))
-        h.add_argument("--p", type=_range(float), default=(0.2, 0.9))
-        h.add_argument("--budget", type=int, default=1000)
-        h.add_argument("--seed", type=int, default=0)
+        h.add_argument("--colors", type=_range(int), default=TheoremSpec.c_range)
+        h.add_argument("--p", type=_range(float), default=TheoremSpec.p_range)
+        h.add_argument("--budget", type=int, default=TheoremSpec.budget)
+        h.add_argument("--seed", type=int, default=TheoremSpec.seed)
         h.add_argument("--json", dest="json_path", type=str, default=None)
     return parser
 

@@ -100,37 +100,34 @@ def sample_random_colored(n: int, p: float, c: int,
     return ColoredGraph(n, triples, validate=False)
 
 
-def _round_robin_rounds(n_even: int) -> list:
-    """1-factorization of K_n (n even) by the circle method: n-1 rounds."""
+def _round_robin_rounds(n: int) -> list:
+    """1-factorization of K_n by the circle method, for either parity:
+    round r pairs r + i with r - i, both taken modulo the number of rounds.
+    Even n has n-1 rounds of perfect matchings, and round r also pairs r
+    with the fixed vertex n-1.  Odd n has n rounds of near-perfect
+    matchings, and vertex r rests in round r."""
+    mod = n if n % 2 else n - 1
     rounds = []
-    fixed = n_even - 1
-    mod = n_even - 1
     for r in range(mod):
-        pairs = [(r, fixed)]
-        for i in range(1, n_even // 2):
+        pairs = [] if n % 2 else [(r, n - 1)]
+        for i in range(1, (mod + 1) // 2):
             pairs.append(((r + i) % mod, (r - i) % mod))
         rounds.append(pairs)
     return rounds
 
 
 def gen_proper_complete(n: int, seed: int) -> ColoredGraph:
-    """K_n with a proper edge coloring from a round-robin 1-factorization.
+    """K_n with a proper edge coloring from the round-robin 1-factorization
+    of :func:`_round_robin_rounds`, round r giving color r + 1.
 
     Uses n-1 colors for even n and n colors for odd n (each odd-n color
-    class is a near-perfect matching); color ids are then permuted by the
-    seed, as ``random.Random(seed).shuffle`` permutes them.  The minimum
-    color degree is n-1.
+    class is a near-perfect matching, vertex r missing color r + 1); color
+    ids are then permuted by the seed, as ``random.Random(seed).shuffle``
+    permutes them.  The minimum color degree is n-1.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        rounds = _round_robin_rounds(n)
-    else:
-        # round-robin on n+1 players where the dummy's opponent sits out
-        rounds = [
-            [(u, v) for u, v in pairs if u != n and v != n]
-            for pairs in _round_robin_rounds(n + 1)
-        ]
+    rounds = _round_robin_rounds(n)
     # the Fisher-Yates loop of random.Random(seed).shuffle, drawn through
     # _below like every other sample path
     bits = random.Random(seed).getrandbits

@@ -565,10 +565,10 @@ def _disjoint_family_exists_bruteforce(g: ColoredGraph, k: int) -> bool:
     return False
 
 
-def search_hly_counterexample(k: int, n_range: tuple[int, int],
-                              c_range: tuple[int, int], budget: int,
-                              seed: int,
-                              p_range: tuple[float, float] = (0.2, 0.9)) -> Report:
+def search_hly_counterexample(
+        k: int, n_range: tuple[int, int], c_range: tuple[int, int],
+        budget: int, seed: int,
+        p_range: tuple[float, float] = TheoremSpec.p_range) -> Report:
     """Hunt for a graph meeting the disjoint-triangle color degree bound
     yet lacking k vertex-disjoint rainbow triangles.
 

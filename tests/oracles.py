@@ -278,6 +278,26 @@ def pc_spanning_fan_matching_reference(g: ColoredGraph) -> Certificate | None:
     return None
 
 
+def proper_complete_reference(n: int, seed: int) -> list[tuple[tuple[int, int], int]]:
+    """The edge colors of gen_proper_complete(n, seed), in insertion order,
+    frozen as its dummy-player construction stood before one circle method
+    served both parities: K_m for the even m of n and n + 1 is 1-factored
+    by the circle method (round r pairs r with the fixed vertex m - 1, then
+    (r + i) % (m - 1) with (r - i) % (m - 1) for i = 1 .. m/2 - 1), every
+    pair at the dummy vertex n is dropped, and round r takes color perm[r],
+    perm being 1..m-1 after random.Random(seed).shuffle."""
+    m = n + n % 2
+    perm = list(range(1, m))
+    random.Random(seed).shuffle(perm)
+    out = []
+    for r in range(m - 1):
+        pairs = [(r, m - 1)] + [((r + i) % (m - 1), (r - i) % (m - 1))
+                                for i in range(1, m // 2)]
+        out += [((min(u, v), max(u, v)), perm[r]) for u, v in pairs
+                if n not in (u, v)]
+    return out
+
+
 def two_odd_cliques(n: int) -> ColoredGraph:
     """Odd n: center 0 joined to two disjoint odd cliques, of sizes as
     equal as possible, that cover the other n-1 vertices; every edge has its

@@ -123,9 +123,13 @@ class TestTriangleBoundReport:
 
     def test_balance_forms_agree_fuzz(self):
         rng = random.Random(12)
-        for _ in range(500):
-            g = random_colored(rng, rng.randint(1, 9),
-                               rng.uniform(0.1, 0.95), rng.randint(1, 5))
+        # a monochromatic star beside an isolated vertex: the center and
+        # each leaf have one class (d1 = d), and vertex 4 has none (d1 = 0)
+        star = ColoredGraph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+        graphs = [star] + [random_colored(rng, rng.randint(1, 9),
+                                          rng.uniform(0.1, 0.95), rng.randint(1, 5))
+                           for _ in range(500)]
+        for g in graphs:
             for v in range(g.n):
                 prof = color_profile(g, v)
                 rep = triangle_bound_report(g, v)

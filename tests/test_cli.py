@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -9,8 +11,9 @@ import sys
 
 import pytest
 
-from ecgraph.cli import main
+from ecgraph.cli import _build_parser, main
 from ecgraph.core import _color_degrees, load_ecg, min_color_degree
+from ecgraph.harness import TheoremSpec, search_hly_counterexample
 
 P5_ECG = "ecg 5 4\n0 1 1\n1 2 2\n2 3 3\n3 4 4\n"
 MONO_K3_ECG = "ecg 3 3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -176,6 +179,25 @@ def test_malformed_range_exits_2(command, bad, capsys):
         main(command + ["--n", bad])
     assert err.value.code == 2
     assert "argument --n:" in capsys.readouterr().err
+
+
+SPEC_FIELDS = {"n": "n_range", "colors": "c_range", "p": "p_range", "budget": "budget",
+               "seed": "seed"}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--theorem", "li_triangle"],
+                                  ["hly-search", "--k", "1", "--n", "4:7"]],
+                         ids=lambda argv: argv[0])
+def test_sampling_defaults_are_the_spec_defaults(argv):
+    """A flag left out samples by TheoremSpec's default, and so does
+    search_hly_counterexample's p_range."""
+    defaults = {f.name: f.default for f in dataclasses.fields(TheoremSpec)}
+    args = _build_parser(argv[0]).parse_args(argv)
+    for flag, field in SPEC_FIELDS.items():
+        if f"--{flag}" not in argv:
+            assert getattr(args, flag) == defaults[field], flag
+    signature = inspect.signature(search_hly_counterexample)
+    assert signature.parameters["p_range"].default == defaults["p_range"]
 
 
 def test_k_for_a_claim_without_k_is_usage_error(tmp_path, capsys):

@@ -50,8 +50,8 @@
 - Restriction counts come from the color table's class bitsets; each must
   equal the frozen set-based count in ``oracles.py``, on every ordered
   edge the ``prop1`` conclusion visits and on random subsets X.  The
-  conclusion counts rt(a, b) by the edge's apex walk, only where the
-  restriction count is positive, and each count must equal the naive one.
+  conclusion reads rt(a, b) on every edge from the same pass that gives
+  both restriction counts, and each count must equal the naive one.
 - The minimum vertex cover comes from a bitset branch and bound with a
   clique-partition bound and a stop at the matching number; the cover
   itself, not only its size, must equal the frozen edge-list search in

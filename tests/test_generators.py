@@ -19,6 +19,7 @@ from ecgraph.generators import (
     sample_random_colored,
 )
 from ecgraph.rainbow import find_book, find_fan, max_book, max_fan
+from oracles import proper_complete_reference
 
 
 def _is_properly_colored(g) -> bool:
@@ -187,6 +188,16 @@ class TestProperComplete:
                 g = gen_proper_complete(n, seed)
                 assert list(g.edge_colors().items()) == [
                     (e, perm[c - 1]) for e, c in base.edge_colors().items()]
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1])
+    def test_edge_colors_are_the_dummy_player_construction(self, seed):
+        # one circle method for both parities gives the rounds, pair order
+        # and colors of the dummy-player construction, which factors
+        # K_(n+1) for odd n and drops the dummy vertex n
+        for n in range(2, 65):
+            assert list(gen_proper_complete(n, seed).edge_colors().items()) \
+                == proper_complete_reference(n, seed), n
 
 
 class TestCompleteMultipartite:

@@ -54,6 +54,12 @@ class ColoredGraph:
     pass over the edge colors, so a graph whose only color query is its
     color degrees never builds the class table.  Isolated vertices are
     legal and have color degree 0.
+
+    A graph is built by one of two routes, both through ``__init__``:
+    from (u, v, color) triples, checked unless ``validate`` is false, or
+    by :func:`_assembled` from a color store, bitsets and sorted edge
+    list that the caller (the colored sampler, or :func:`_extended` for
+    repair) has already made consistent.
     """
 
     __slots__ = ("n", "_color", "_bits", "_edges", "_derived")
@@ -164,17 +170,43 @@ def _color_table(graph: ColoredGraph) -> list[dict[int, int]]:
     return table
 
 
+def _assembled(n: int, color: dict[tuple[int, int], int], bits: list[int],
+               edges: list[tuple[int, int]]) -> ColoredGraph:
+    """A graph on 0..n-1 made from trusted parts, which it keeps without
+    a copy or a check: ``color`` keyed by (u, v) with u < v, ``bits`` the
+    adjacency bitsets of exactly those edges, and ``edges`` the keys of
+    ``color`` in lexicographic order.  It is built through
+    ``ColoredGraph(n)``, so every graph still passes one constructor."""
+    graph = ColoredGraph(n)
+    graph._color = color
+    graph._bits = bits
+    graph._edges = edges
+    return graph
+
+
 def _extended(graph: ColoredGraph, added: list[tuple[int, int, int]]) -> ColoredGraph:
     """``graph`` plus the ``added`` (u, v, color) edges, which must be
-    absent from it and valid: the same graph, insertion order included, as
-    one build from ``graph``'s edges followed by ``added``, without walking
-    ``graph``'s edges in Python.  ``graph`` is left as it was."""
-    new = ColoredGraph(graph.n, added, validate=False)
-    new._color = {**graph._color, **new._color}
-    new._bits = [a | b for a, b in zip(graph._bits, new._bits)]
-    # two sorted runs, which one merge pass of sorted() joins
-    new._edges = sorted(graph._edges + new._edges)
-    return new
+    absent from it and valid with u < v: the same graph, insertion order
+    included, as one build from ``graph``'s edges followed by ``added``.
+    ``graph``'s color store and bitsets are copied, not re-walked, and
+    ``graph`` is left as it was."""
+    color = graph._color.copy()
+    bits = graph._bits.copy()
+    keys = []
+    for u, v, c in added:
+        key = (u, v)
+        color[key] = c
+        keys.append(key)
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    # graph's edges are one sorted run, which sorted() finds and merges
+    # the added keys into
+    return _assembled(graph.n, color, bits, sorted(graph._edges + keys))
+
+
+def _largest_color(graph: ColoredGraph) -> int:
+    """The largest edge color, 0 for an edgeless graph."""
+    return max(graph._color.values(), default=0)
 
 
 def _members(bits: int) -> list[int]:

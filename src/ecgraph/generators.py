@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import ColoredGraph
+from .core import ColoredGraph, _assembled
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -87,17 +87,24 @@ def sample_random_colored(n: int, p: float, c: int,
     """G(n, p) with uniform colors from 1..c, drawn from ``rng``: one
     ``rng.random()`` per pair u < v in lexicographic order and one
     ``1 + _below(rng.getrandbits, c)`` per edge kept (the value and state
-    ``rng.randint(1, c)`` gives).  A palette c < 1 raises ``ValueError``
-    before anything is drawn."""
+    ``rng.randint(1, c)`` gives).  The color store and the adjacency
+    bitsets are written as the pairs are drawn, in lexicographic order,
+    and handed to :func:`core._assembled`.  A palette c < 1 raises
+    ``ValueError`` before anything is drawn."""
     if c < 1:
         raise ValueError("palette size must be >= 1")
     draw, bits = rng.random, rng.getrandbits
-    triples = []
+    color: dict[tuple[int, int], int] = {}
+    adjacency = [0] * n
     for u in range(n):
+        row = 0
         for v in range(u + 1, n):
             if draw() < p:
-                triples.append((u, v, 1 + _below(bits, c)))
-    return ColoredGraph(n, triples, validate=False)
+                color[u, v] = 1 + _below(bits, c)
+                row |= 1 << v
+                adjacency[v] |= 1 << u
+        adjacency[u] |= row
+    return _assembled(n, color, adjacency, list(color))
 
 
 def _round_robin_rounds(n: int) -> list:
@@ -138,7 +145,7 @@ def gen_proper_complete(n: int, seed: int) -> ColoredGraph:
     triples = []
     for r, pairs in enumerate(rounds):
         for u, v in pairs:
-            triples.append((min(u, v), max(u, v), perm[r]))
+            triples.append((u, v, perm[r]) if u < v else (v, u, perm[r]))
     return ColoredGraph(n, triples, validate=False)
 
 

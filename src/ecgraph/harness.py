@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _mono_degrees,
-                   load_ecg, max_mono_degree, min_color_degree, save_ecg)
+from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _largest_color,
+                   _mono_degrees, load_ecg, max_mono_degree, min_color_degree, save_ecg)
 from .generators import _below, gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
@@ -455,18 +455,20 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
     index order and joins it to the rank-``_below(rng.getrandbits, count)``
     vertex among its ``count`` non-neighbors in increasing order (the
     value and state ``rng.choice`` gives over that list), read off a bitset
-    of non-neighbors, with the next fresh color from max(colors) + 1 up.
-    A fresh color adds one to both ends' color degrees and degrees never
-    fall, so the scan only moves forward.  The result is ``graph``
-    extended by the added edges (see :func:`core._extended`): equal, in
-    insertion order too, to one build from the original edges followed by
-    the added ones.
+    of non-neighbors, with the next fresh color from max(colors) + 1 up,
+    numbered by a running counter.  A fresh color adds one to both ends'
+    color degrees and degrees never fall, so the scan only moves forward.
+    Each added edge is stored as (lower end, upper end, color).  The
+    result is ``graph`` extended by the added edges (see
+    :func:`core._extended`): equal, in insertion order too, to one build
+    from the original edges followed by the added ones.
     """
     n = graph.n
     full = (1 << n) - 1
     free = [full & ~(graph.adjacency_bits(v) | 1 << v) for v in range(n)]
     dc = list(graph.derived(_color_degrees))
-    fresh = max(graph.colors(), default=0) + 1
+    color = _largest_color(graph)
+    bits = rng.getrandbits
     added: list[tuple[int, int, int]] = []
     for v in range(n):
         while dc[v] < target:
@@ -474,15 +476,16 @@ def _repair_color_degree(graph: ColoredGraph, target: int,
             if not count:
                 return None
             # the rank-i non-neighbor: clear the i lowest bits, take the next
-            bits = free[v]
-            for _ in range(_below(rng.getrandbits, count)):
-                bits &= bits - 1
-            u = (bits & -bits).bit_length() - 1
+            rest = free[v]
+            for _ in range(_below(bits, count)):
+                rest &= rest - 1
+            u = (rest & -rest).bit_length() - 1
             free[v] ^= 1 << u
             free[u] ^= 1 << v
             dc[v] += 1
             dc[u] += 1
-            added.append((min(u, v), max(u, v), fresh + len(added)))
+            color += 1
+            added.append((u, v, color) if u < v else (v, u, color))
     if not added:
         return graph
     return _extended(graph, added)

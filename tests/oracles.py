@@ -403,6 +403,45 @@ def repair_rebuild_reference(graph: ColoredGraph, target: int,
         next_color += 1
 
 
+def repair_kernel_reference(graph: ColoredGraph, target: int,
+                            rng: random.Random) -> ColoredGraph | None:
+    """The bitset repair kernel as it stood before it ordered its pairs
+    inline: each step takes the first deficient vertex, clears the
+    ``rank`` lowest bits of its non-neighbor bitset (rank drawn by the
+    ``getrandbits`` rejection loop of ``rng.choice``), orders the pair
+    with ``min``/``max`` and colors it ``fresh + len(added)``, fresh being
+    the largest color + 1.  The result is one build from the original
+    edges followed by the added ones; None when a deficient vertex has no
+    non-neighbor left."""
+    n = graph.n
+    full = (1 << n) - 1
+    free = [full & ~(graph.adjacency_bits(v) | 1 << v) for v in range(n)]
+    dc = [len({graph.color(v, u) for u in graph.neighbors(v)}) for v in range(n)]
+    fresh = max(graph.colors(), default=0) + 1
+    added: list[tuple[int, int, int]] = []
+    for v in range(n):
+        while dc[v] < target:
+            count = free[v].bit_count()
+            if not count:
+                return None
+            width = count.bit_length()
+            rank = rng.getrandbits(width)
+            while rank >= count:
+                rank = rng.getrandbits(width)
+            bits = free[v]
+            for _ in range(rank):
+                bits &= bits - 1
+            u = (bits & -bits).bit_length() - 1
+            free[v] ^= 1 << u
+            free[u] ^= 1 << v
+            dc[v] += 1
+            dc[u] += 1
+            added.append((min(u, v), max(u, v), fresh + len(added)))
+    if not added:
+        return graph
+    return ColoredGraph(n, [(*e, c) for e, c in graph.edge_colors().items()] + added)
+
+
 def with_edge_reference(g: ColoredGraph, u: int, v: int, c: int) -> ColoredGraph:
     """``g`` plus the edge uv of color c, rebuilt from its triples (a
     present edge is a duplicate, which the build rejects)."""

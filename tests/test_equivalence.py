@@ -5,7 +5,14 @@
   must give the same graph, the same ``edge_colors()`` order and, for
   repair, leave the random generator in the same state.  Repair extends
   the sampled graph by its new edges; the result must match a one-shot
-  build in every stored row and leave the sampled graph as it was.
+  build in every stored row and leave the sampled graph as it was.  The
+  repair kernel, which orders its pairs inline and numbers colors by a
+  counter, must also match the frozen ``min``/``max`` kernel draw for draw.
+- The sampler and ``core._extended`` hand trusted parts to
+  ``core._assembled``; each graph must equal a validated build from
+  triples in every stored row, and a repair-path ``verify`` must build
+  exactly one graph per attempted sample and one per repair that added
+  edges.
 - Color degrees are counted from the edge colors without the class
   table; they must equal a naive count per vertex and the class table's
   row sizes, and a repair-path ``verify`` must build no class table and
@@ -133,6 +140,7 @@ from oracles import (
     random_colored,
     reduce_rescan_reference,
     removable_edges_reference,
+    repair_kernel_reference,
     repair_rebuild_reference,
     restriction_count_reference,
     self_check_reference,
@@ -148,7 +156,7 @@ from oracles import (
 from ecgraph.bounds import (_edge_counts, _rainbow_count, _rt_classes, _vertex_bounds,
                             counting_lower_bound, mono_balance_diagnostics,
                             restriction_count, triangle_bound_report)
-from ecgraph.core import (ColoredGraph, _color_degrees, _mono_degrees,
+from ecgraph.core import (ColoredGraph, _color_degrees, _extended, _mono_degrees,
                           color_profile, load_ecg, max_mono_degree, min_color_degree,
                           save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
@@ -187,9 +195,17 @@ def _corpus(seed: int, count: int):
         yield rng, g
 
 
-def _check_repair(g: ColoredGraph, target: int, seed: int) -> str:
+def _same_store(a: ColoredGraph, b: ColoredGraph) -> bool:
+    """Equal in every stored row: order, edge list, colors and bitsets."""
+    return (_same(a, b) and a.edges == b.edges
+            and [a.adjacency_bits(v) for v in range(a.n)]
+            == [b.adjacency_bits(v) for v in range(b.n)])
+
+
+def _check_repair(g: ColoredGraph, target: int, seed: int,
+                  reference=repair_rebuild_reference) -> str:
     ref_rng, new_rng = random.Random(seed), random.Random(seed)
-    expected = repair_rebuild_reference(g, target, ref_rng)
+    expected = reference(g, target, ref_rng)
     got = _repair_color_degree(g, target, new_rng)
     assert new_rng.getstate() == ref_rng.getstate()
     if expected is None:
@@ -219,6 +235,39 @@ def test_repair_edge_cases():
     mono = ColoredGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
     assert _check_repair(mono, 2, seed=5) == "exhausted"
     assert _check_repair(ColoredGraph(1), 1, seed=2) == "exhausted"
+
+
+def _exhausts_partway(g: ColoredGraph, target: int) -> bool:
+    """The first deficient vertex gets at least one edge and then runs out
+    of non-neighbors: each fresh edge raises its color degree by one and
+    uses up one non-neighbor."""
+    dc = color_degrees_reference(g)
+    v = next((v for v in range(g.n) if dc[v] < target), None)
+    return v is not None and 0 < g.n - 1 - g.degree(v) < target - dc[v]
+
+
+def test_repair_matches_the_frozen_kernel():
+    rng = random.Random(97)
+    cases = []
+    for n in range(18):
+        for target in {0, max(n - 1, 0), n}:
+            cases.append((ColoredGraph(n), target))  # first fresh color 1
+            cases.append((random_colored(rng, n, 1.0, rng.randint(1, 8)), target))
+    while len(cases) < 2400:
+        n = rng.randint(0, 17)
+        g = random_colored(rng, n, rng.choice([0.1, 0.35, 0.6, 0.9]), rng.choice([1, 2, 7, 64]))
+        cases.append((g, rng.choice([0, max(n - 1, 0), rng.randint(0, n)])))
+    # vertex 0 has color degree 1 and one non-neighbor: one draw, then none left
+    cases.append((ColoredGraph(4, [(0, 1, 1), (0, 2, 1)]), 3))
+    outcomes = Counter()
+    for g, target in cases:
+        outcome = _check_repair(g, target, rng.getrandbits(32), repair_kernel_reference)
+        outcomes[outcome] += 1
+        if outcome == "exhausted" and _exhausts_partway(g, target):
+            outcomes["exhausted partway"] += 1
+        if outcome == "repaired" and not g.edge_count:
+            outcomes["edgeless repaired"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def _repaired_corpus(seed: int, count: int):
@@ -256,6 +305,51 @@ def test_repaired_graph_matches_a_one_shot_build():
             assert getattr(got, name) is not getattr(g, name)
         repaired += 1
     assert repaired >= 100, repaired
+
+
+def test_extended_matches_a_validated_build():
+    rng = random.Random(101)
+    extended = 0
+    for n in range(18):
+        for _ in range(12):
+            g = random_colored(rng, n, rng.choice([0.0, 0.35, 1.0, rng.random()]),
+                               rng.choice([1, 2, 7, 64]))
+            absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            rng.shuffle(absent)
+            top = max(g.colors(), default=0)
+            added = [(u, v, top + i + 1)
+                     for i, (u, v) in enumerate(absent[:rng.randint(0, len(absent))])]
+            triples = [(*e, c) for e, c in g.edge_colors().items()] + added
+            assert _same_store(_extended(g, added), ColoredGraph(n, triples))
+            extended += bool(added)
+    assert extended >= 100, extended
+
+
+def test_repair_path_verify_builds_one_graph_per_sample_and_repair(monkeypatch):
+    builds = []
+    init = ColoredGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ColoredGraph, "__init__", counted)
+    repair = ecgraph.harness._repair_color_degree
+    extended = []
+
+    def recorded(graph, target, rng):
+        result = repair(graph, target, rng)
+        if result is not None and result is not graph:
+            extended.append(result)
+        return result
+    monkeypatch.setattr(ecgraph.harness, "_repair_color_degree", recorded)
+    attempted = 0
+    for spec in (TheoremSpec(id="li_triangle", budget=20, seed=1),
+                 TheoremSpec(id="book_bk", k=3, n_range=(7, 10), budget=20, seed=1),
+                 TheoremSpec(id="fan_fk", k=2, n_range=(13, 15), budget=10, seed=1)):
+        attempted += ecgraph.harness.verify(spec).samples_attempted
+    assert len(extended) > 40
+    assert len(builds) == attempted + len(extended)
+    assert {id(g) for g in extended} <= {id(g) for g in builds}
 
 
 def test_color_degrees_match_a_distinct_color_count():
@@ -1161,6 +1255,20 @@ def test_counting_conclusion_and_analyze_build_no_index(monkeypatch, tmp_path, c
             assert ecgraph.cli.main(["analyze", str(path)]) == 0
             assert f"\nrainbow_triangles: {count}\n" in capsys.readouterr().out
             checked += 1
+
+
+@pytest.mark.parametrize("c", [1, 2, 7, 64])
+def test_sampler_builds_what_the_triple_sampler_builds(c):
+    # random_colored is draw for draw the sampler that built from triples
+    rng = random.Random(109 + c)
+    for n in range(18):
+        for p in (0.0, 0.35, 1.0):
+            for _ in range(3):
+                seed = rng.getrandbits(32)
+                ref_rng, new_rng = random.Random(seed), random.Random(seed)
+                got = sample_random_colored(n, p, c, new_rng)
+                assert _same_store(got, random_colored(ref_rng, n, p, c))
+                assert new_rng.getstate() == ref_rng.getstate()
 
 
 def test_sampler_matches_random_colored():

@@ -81,42 +81,51 @@ def _edge_counts(graph: ColoredGraph) -> list[tuple[int, int, int, int, int]]:
     """(u, v, sigma(u, X_u, v), sigma(v, X_v, u), rt(u, v)) for each edge uv
     in lexicographic order, with X_a = N(a) minus the class of c(uv) at a.
 
-    Everything comes from the class bitsets of :meth:`ColoredGraph.color_table`:
-    each sigma is the test of :func:`_sigma`, in one loop over the colors at
-    v and one over the colors at u.  With c = c(uv) and W the common
-    neighbors outside C_u(c) and C_v(c), rt(u, v) is |W| less the w in W
-    with c(uw) = c(vw), which are the members of C_u(a) & C_v(a) over the
-    colors a != c; the loop over u's colors sums these intersections over
-    every a, and the term of c is added back.  Without a common neighbor
-    both sigmas and rt are 0, since a class at v inside X_u lies in
-    N(u) & N(v); the loops would find that too, but the early exit stays,
-    since many edges of the sparse samples have no common neighbor.
+    Everything comes from the class bitsets of :meth:`ColoredGraph.color_table`
+    and the graph's own color store, edge list and bitsets, read without a
+    copy.  Each sigma is the test of :func:`_sigma`, in one loop over the
+    colors at v and one over the colors at u.  A class at v lies in N(v),
+    so it lies in X_u exactly when it lies in (N(u) & N(v)) minus C_u(c),
+    with c = c(uv).  With W the common neighbors outside C_u(c) and C_v(c),
+    rt(u, v) is |W| less the w in W with c(uw) = c(vw), which are the
+    members of C_u(a) & C_v(a) over the colors a != c; the loop over u's
+    colors sums these intersections over every a (a color absent at v adds
+    0, so its popcount is skipped), and the term of c is added back.
+    Without a common neighbor both sigmas and rt are 0, since a class at v
+    inside X_u lies in N(u) & N(v); the loops would find that too, but the
+    early exit stays, since many edges of the sparse samples have no
+    common neighbor.
     """
     table = graph.color_table()
-    colors = graph.edge_colors()
+    color, adj = graph._color, graph._bits
     out = []
-    for u, v in graph.edges:
-        nu, nv = graph.adjacency_bits(u), graph.adjacency_bits(v)
-        common = nu & nv
+    for u, v in graph._edges:
+        common = adj[u] & adj[v]
         if not common:
             out.append((u, v, 0, 0, 0))
             continue
-        c = colors[u, v]
+        c = color[u, v]
         at_u, at_v = table[u], table[v]
         cu, cv = at_u[c], at_v[c]
-        # the complements of X_u and X_v
-        out_u, out_v = ~nu | cu, ~nv | cv
+        # X_u cut down to the common neighbors, and the complements of the
+        # two cut sets
+        in_u = common & ~cu
+        out_u, out_v = ~in_u, ~(common & ~cv)
         s_uv = 0
         for a, y in at_v.items():
             if not y & out_u and y & ~at_u.get(a, 0):
                 s_uv += 1
         s_vu = same = 0
         for a, y in at_u.items():
-            z = at_v.get(a, 0)
-            same += (y & z).bit_count()
-            if not y & out_v and y & ~z:
-                s_vu += 1
-        rt = (common & ~(cu | cv)).bit_count() - same + (cu & cv).bit_count()
+            z = at_v.get(a)
+            if z is None:
+                if not y & out_v:
+                    s_vu += 1
+            else:
+                same += (y & z).bit_count()
+                if not y & out_v and y & ~z:
+                    s_vu += 1
+        rt = (in_u & ~cv).bit_count() - same + (cu & cv).bit_count()
         out.append((u, v, s_uv, s_vu, rt))
     return out
 
@@ -170,11 +179,11 @@ def _rt_classes(graph: ColoredGraph) -> list[tuple[int, dict[int, int]]]:
     c(uv) at u and at v.  A triangle at v is counted at both of its edges at
     v, so rt(v) is half the sum over v's classes.
     """
-    colors = graph.edge_colors()
+    color = graph._color
     by_class = [dict.fromkeys(at_v, 0) for at_v in graph.color_table()]
     for u, v, _, _, rt in _edge_counts(graph):
         if rt:
-            c = colors[u, v]
+            c = color[u, v]
             by_class[u][c] += rt
             by_class[v][c] += rt
     return [(sum(row.values()) // 2, row) for row in by_class]
@@ -185,18 +194,30 @@ def _balance_forms(rows: list[tuple[int, int, int, int]],
     """The three algebraic forms of the balance term; they must agree.
 
     ``rows`` are the class rows of :func:`_vertex_bounds`, and ``hits_all``
-    counts the singleton-class hits into all of N(v).  Form 3 splits off the
-    largest class size d1 (rows come largest first), which is 0 at a vertex
-    with no classes; every form is 0 there.
+    counts the singleton-class hits into all of N(v).  Form 1 sums the rows'
+    balances, whose hits are counted per class.  Form 2 is
+    d * sum(s - 1) - sum(s (s - 1)) - hits_all over the class sizes s, with
+    d their sum.  Form 3 splits off the largest class size d1 (rows come
+    largest first), which is 0 at a vertex with no classes; every form is
+    0 there.  All three come from one pass over the rows.
+
+    Forms 2 and 3 are one polynomial regrouped: term by term
+    d (s - 1) - s (s - 1) = (d - s)(s - 1), and form 3 is that sum with the
+    first class written apart.  Their comparison cannot fail on any input;
+    the comparison that can catch a fault is form 1 (the per-class hits)
+    against form 2 (the hits into all of N(v)).  All three stay compared.
     """
-    sizes = [row[1] for row in rows]
-    d = sum(sizes)
-    excess = sum(s - 1 for s in sizes)
-    form1 = sum(row[3] for row in rows)
-    form2 = d * excess - sum(s * (s - 1) for s in sizes) - hits_all
-    d1 = max(sizes, default=0)
-    form3 = (d - d1) * (d1 - 1) - hits_all \
-        + sum((d - s) * (s - 1) for s in sizes[1:])
+    d = excess = squares = form1 = 0
+    for _, s, _, balance in rows:
+        d += s
+        excess += s - 1
+        squares += s * (s - 1)
+        form1 += balance
+    form2 = d * excess - squares - hits_all
+    d1 = rows[0][1] if rows else 0
+    # the sum of (d - s)(s - 1) over the classes after the first
+    rest = d * (excess - (d1 - 1)) - (squares - d1 * (d1 - 1))
+    form3 = (d - d1) * (d1 - 1) - hits_all + rest
     return form1, form2, form3
 
 
@@ -209,12 +230,13 @@ def _vertex_bounds(graph: ColoredGraph, v: int
     the balance term and the sum of the per-class lower bounds (twice the
     vertex bound).  The rt counts they bound are :func:`_rt_classes`.
     Every color degree, of v and of each class member x, is the number of
-    classes at that vertex in the class table.
+    classes at that vertex in the class table.  The hits of each class are
+    summed over the hit sets of the singleton classes, one set at a time.
     """
     graph._check_vertex(v)
     table = graph.color_table()
     at_v = table[v]
-    nv = graph.adjacency_bits(v)
+    nv = graph._bits[v]
     # per singleton class {y} of color c at v: y's edges of color c into N(v)
     hit_sets = [table[bits.bit_length() - 1][c] & nv
                 for c, bits in at_v.items() if not bits & (bits - 1)]
@@ -222,22 +244,30 @@ def _vertex_bounds(graph: ColoredGraph, v: int
     shift = len(at_v) - graph.n
 
     rows = []
-    for c, bits in sorted(at_v.items(), key=lambda item: (-item[1].bit_count(), item[0])):
-        size = bits.bit_count()
+    lower_sum = 0
+    # canonical order: size down, color up; colors are distinct, so the
+    # bitsets never take part in the comparison
+    for neg_size, c, bits in sorted([(-bits.bit_count(), c, bits)
+                                     for c, bits in at_v.items()]):
+        size = -neg_size
         neighbor_sum = size * shift
         members = bits
         while members:
             low = members & -members
             neighbor_sum += len(table[low.bit_length() - 1])
             members ^= low
-        hits = sum((t & bits).bit_count() for t in hit_sets)
+        hits = 0
+        for t in hit_sets:
+            hits += (t & bits).bit_count()
         balance = size * excess - size * (size - 1) - hits
-        rows.append((c, size, neighbor_sum + balance, balance))
+        lower = neighbor_sum + balance
+        lower_sum += lower
+        rows.append((c, size, lower, balance))
 
     forms = _balance_forms(rows, sum(map(int.bit_count, hit_sets)))
     if len(set(forms)) != 1:
         raise RuntimeError(f"balance forms disagree at vertex {v}: {forms}")
-    return rows, forms[0], sum(row[2] for row in rows)
+    return rows, forms[0], lower_sum
 
 
 def triangle_bound_report(graph: ColoredGraph, v: int) -> TriangleBoundReport:

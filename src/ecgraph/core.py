@@ -58,8 +58,9 @@ class ColoredGraph:
     A graph is built by one of two routes, both through ``__init__``:
     from (u, v, color) triples, checked unless ``validate`` is false, or
     by :func:`_assembled` from a color store, bitsets and sorted edge
-    list that the caller (the colored sampler, or :func:`_extended` for
-    repair) has already made consistent.
+    list that the caller (the two samplers, :func:`_extended` for repair,
+    ``reduction.edge_minimal_reduce`` and :func:`load_ecg`) has already
+    made consistent.
     """
 
     __slots__ = ("n", "_color", "_bits", "_edges", "_derived")
@@ -176,8 +177,10 @@ def _assembled(n: int, color: dict[tuple[int, int], int], bits: list[int],
     a copy or a check: ``color`` keyed by (u, v) with u < v, ``bits`` the
     adjacency bitsets of exactly those edges, and ``edges`` the keys of
     ``color`` in lexicographic order.  It is built through
-    ``ColoredGraph(n)``, so every graph still passes one constructor."""
-    graph = ColoredGraph(n)
+    ``ColoredGraph(0)``, whose empty stores it replaces, so every graph
+    still passes one constructor and no vertex list is allocated twice."""
+    graph = ColoredGraph(0)
+    graph.n = n
     graph._color = color
     graph._bits = bits
     graph._edges = edges
@@ -303,7 +306,13 @@ def max_mono_degree(graph: ColoredGraph) -> int:
 
 
 def load_ecg(text: str) -> ColoredGraph:
-    """Parse an ECG document.  Errors carry the offending line number."""
+    """Parse an ECG document.  Errors carry the offending line number.
+
+    The color store is written as the edge lines are read, in file order,
+    and each line is checked there (range, color, duplicate), so the graph
+    is assembled from its parts (see :func:`_assembled`) without a second,
+    validating walk.
+    """
     # lines end at "\n" only (a CR before it is stripped with the line);
     # the empty piece after a final newline is not a line
     lines = text.split("\n")
@@ -324,8 +333,7 @@ def load_ecg(text: str) -> ColoredGraph:
     if n < 0 or m < 0:
         raise EcgError("n and m must be nonnegative", 1)
 
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    color: dict[tuple[int, int], int] = {}
     for idx, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -339,22 +347,27 @@ def load_ecg(text: str) -> ColoredGraph:
             u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise EcgError("edge line must contain integers", idx) from None
-        if len(triples) == m:
+        if len(color) == m:
             raise EcgError(f"more than {m} edge lines", idx)
         if not (0 <= u < v < n):
             raise EcgError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", idx)
         if c < 1:
             raise EcgError(f"color must be >= 1, got {c}", idx)
-        if (u, v) in seen:
+        if (u, v) in color:
             raise EcgError(f"duplicate edge ({u}, {v})", idx)
-        seen.add((u, v))
-        triples.append((u, v, c))
-    if len(triples) != m:
-        raise EcgError(f"expected {m} edges, found {len(triples)}", len(lines))
+        color[u, v] = c
+    if len(color) != m:
+        raise EcgError(f"expected {m} edges, found {len(color)}", len(lines))
+    # the bitsets are allocated only after every line is read, so a line
+    # error comes before a vertex count too large to build
     try:
-        return ColoredGraph(n, triples, validate=False)
+        bits = [0] * n
     except (OverflowError, MemoryError):  # a vertex list of n entries fails
         raise EcgError(f"vertex count {n} is too large to build", 1) from None
+    for u, v in color:
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return _assembled(n, color, bits, sorted(color))
 
 
 def save_ecg(graph: ColoredGraph) -> str:

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .core import (ColoredGraph, _color_degrees, _extended, _jsonable, _largest_color,
-                   _mono_degrees, load_ecg, max_mono_degree, min_color_degree, save_ecg)
+from .core import (ColoredGraph, _assembled, _color_degrees, _extended, _jsonable,
+                   _largest_color, _mono_degrees, load_ecg, max_mono_degree,
+                   min_color_degree, save_ecg)
 from .generators import _below, gen_proper_complete, sample_random_colored
 from .rainbow import (
     build_index,
@@ -70,9 +71,23 @@ def _ceil_half(a: int) -> int:
 
 
 def _sample_injective(n: int, p: float, rng: random.Random) -> ColoredGraph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
-                        validate=False)
+    """G(n, p) with every edge its own color, drawn from ``rng``: one
+    ``rng.random()`` per pair u < v in lexicographic order, and the kept
+    pairs colored 1, 2, ... in that order.  The color store and the
+    adjacency bitsets are written as the pairs are drawn and handed to
+    :func:`core._assembled`, as in ``generators.sample_random_colored``."""
+    draw = rng.random
+    color: dict[tuple[int, int], int] = {}
+    adjacency = [0] * n
+    for u in range(n):
+        row = 0
+        for v in range(u + 1, n):
+            if draw() < p:
+                color[u, v] = len(color) + 1
+                row |= 1 << v
+                adjacency[v] |= 1 << u
+        adjacency[u] |= row
+    return _assembled(n, color, adjacency, list(color))
 
 
 # sampler name -> (n, p, spec, rng) -> graph; the names are looked up at

@@ -207,10 +207,7 @@ def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
 
     # both endpoints of a greedy maximal matching form a valid initial cover
     best: list[int] = sorted(_greedy_matched(es))
-    adj = [0] * n
-    for u, v in es:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adjacency_bits(n, es)
     live = sum(1 << v for v in range(n) if adj[v])
     stop = max(lower, _clique_bound(adj, live))
     visit = _node_budget("min_vertex_cover")
@@ -251,6 +248,29 @@ def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
     if len(best) > stop:
         bnb(live, [])
     return best
+
+
+def _adjacency_bits(n: int, es: list[tuple[int, int]]) -> list[int]:
+    """The neighbors of each vertex as a bitset."""
+    adj = [0] * n
+    for u, v in es:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _connected(n: int, es: list[tuple[int, int]]) -> bool:
+    """Whether the graph is connected (one with at most one vertex is): a
+    search from vertex 0 over the adjacency bitsets, which takes the lowest
+    vertex still to visit and adds its unseen neighbors."""
+    adj = _adjacency_bits(n, es)
+    seen = todo = 1 if n else 0
+    while todo:
+        low = todo & -todo
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo = (todo ^ low) | new
+    return seen == (1 << n) - 1
 
 
 def _components(adj: list[list[int]], removed) -> list[tuple[int, ...]]:
@@ -336,8 +356,7 @@ def gallai_partition(n: int, edges) -> GallaiPartition:
     # forest grown from every unsaturated vertex (see GallaiPartition)
     unsaturated = [v for v in range(n) if match[v] == -1]
     outer = _alternating_forest(adj, match, unsaturated)
-    v0 = frozenset(w for u, v in es for a, w in ((u, v), (v, u))
-                   if outer[a] and not outer[w])
+    v0 = frozenset(w for a in range(n) if outer[a] for w in adj[a] if not outer[w])
     comps = tuple(_components(adj, v0))
 
     x = n
@@ -472,7 +491,7 @@ def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
         cover=tuple(cover),
         v0_size=v0,
         p=p,
-        connected=len(_components(_adjacency(n, es), ())) <= 1,
+        connected=_connected(n, es),
         size_identity_ok=size_identity,
         structure_ok=size_identity and _structure_holds(part),
         chain_ok=chain,

@@ -8,7 +8,7 @@ no monochromatic path with three edges.
 
 from __future__ import annotations
 
-from .core import ColoredGraph
+from .core import ColoredGraph, _assembled
 
 
 def _removals(graph: ColoredGraph) -> list[tuple[int, int]]:
@@ -53,9 +53,17 @@ def edge_minimal_reduce(graph: ColoredGraph) -> ColoredGraph:
     edges.
     The result keeps d^c of every vertex, is edge-minimal and keeps the
     surviving edges in their original order (the input itself if none go).
+    It is assembled from the input's color store, bitsets and edge list
+    less the removed edges (see :func:`core._assembled`), without a
+    validating walk; the input is left as it was.
     """
-    removed = set(graph.derived(_removals))
+    removed = graph.derived(_removals)
     if not removed:
         return graph
-    return ColoredGraph(graph.n, [(*e, c) for e, c in graph.edge_colors().items()
-                                  if e not in removed], validate=False)
+    gone = set(removed)
+    bits = graph._bits.copy()
+    for u, v in removed:
+        bits[u] ^= 1 << v
+        bits[v] ^= 1 << u
+    return _assembled(graph.n, {e: c for e, c in graph._color.items() if e not in gone},
+                      bits, [e for e in graph._edges if e not in gone])

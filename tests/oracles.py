@@ -442,6 +442,15 @@ def repair_kernel_reference(graph: ColoredGraph, target: int,
     return ColoredGraph(n, [(*e, c) for e, c in graph.edge_colors().items()] + added)
 
 
+def injective_sample_reference(n: int, p: float, rng: random.Random) -> ColoredGraph:
+    """``harness._sample_injective`` frozen as it stood when it built its
+    graph from triples: one ``rng.random()`` per pair u < v in lexicographic
+    order, the kept pairs colored 1, 2, ... in that order."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
+                        validate=False)
+
+
 def with_edge_reference(g: ColoredGraph, u: int, v: int, c: int) -> ColoredGraph:
     """``g`` plus the edge uv of color c, rebuilt from its triples (a
     present edge is a duplicate, which the build rejects)."""
@@ -889,6 +898,14 @@ def _reference_components(n: int, es: list[tuple[int, int]]) -> list[tuple[int, 
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def v0_edge_pairs_reference(es: list[tuple[int, int]], outer: list[bool]) -> frozenset[int]:
+    """V_0 as ``matching.gallai_partition`` read it off the normalized edge
+    list ``es`` before it read the adjacency rows: every end w of an edge
+    whose other end is outer, w itself not outer."""
+    return frozenset(w for u, v in es for a, w in ((u, v), (v, u))
+                     if outer[a] and not outer[w])
 
 
 def partition_violations_reference(part: GallaiPartition) -> list[str]:

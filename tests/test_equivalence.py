@@ -91,6 +91,17 @@
   ``to_json()`` and ``TheoremSpec.echo()`` must equal the frozen
   hand-written encoder in ``oracles.py``, list for list (a tuple is not
   equal to a list) and in the same key order.
+- The injective sampler, ``edge_minimal_reduce`` and ``load_ecg`` write a
+  color store and bitsets and hand them to ``core._assembled``, without a
+  validating walk.  The sampler must match the frozen triple-building
+  sampler in ``oracles.py`` draw for draw, and each graph must equal a
+  validated build in every stored row; reduction must leave its input as
+  it was.
+- The partition diagnostics decide ``connected`` by a search over
+  adjacency bitsets, which must agree with the component count of the
+  list adjacency, and ``gallai_partition`` reads V_0 off the adjacency
+  rows of the outer vertices, which must give the frozen edge-pair read
+  in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -175,6 +186,10 @@ from ecgraph.rainbow import (Certificate, _apexes, _links, build_index, find_boo
                              find_pc_spanning_fan, has_rainbow_triangle, max_book,
                              max_fan)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
+from ecgraph.harness import _sample_injective
+from ecgraph.matching import (_adjacency, _alternating_forest, _components, _connected,
+                              _maximum_matching)
+from oracles import injective_sample_reference, v0_edge_pairs_reference
 
 
 _PACKAGE_MODULES = (ecgraph.core, ecgraph.rainbow, ecgraph.reduction, ecgraph.bounds,
@@ -1714,3 +1729,119 @@ def test_json_encodings_match_frozen_encoders():
     _same_json(failure.to_json(), failure_json_reference(failure))
     report = Report(spec_echo={}, conclusion_failures=[failure, failure])
     _same_json(report.to_json()["conclusion_failures"], [failure_json_reference(failure)] * 2)
+
+
+def _stores(g: ColoredGraph) -> tuple:
+    return (g.n, list(g.edge_colors().items()), g.edges,
+            [g.adjacency_bits(v) for v in range(g.n)])
+
+
+def test_injective_sampler_matches_the_frozen_triple_build():
+    edges = 0
+    for n in range(18):
+        for p in (0, 0.35, 1):
+            for seed in range(4):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                # two samples from one generator: the second starts where the
+                # first left it
+                for _ in range(2):
+                    got = _sample_injective(n, p, got_rng)
+                    want = injective_sample_reference(n, p, want_rng)
+                    assert _stores(got) == _stores(want)
+                    assert got_rng.getstate() == want_rng.getstate()
+                    edges += got.edge_count
+    assert edges > 8_000, edges
+
+
+def test_reduced_graph_matches_a_validated_build():
+    changed = 0
+    for _, g in _corpus(seed=167, count=400):
+        before = _stores(g)
+        facts = dict(g._derived)
+        got = edge_minimal_reduce(g)
+        kept = reduce_rescan_reference(g)
+        want = ColoredGraph(g.n, [(*e, c) for e, c in g.edge_colors().items()
+                                  if kept.has_edge(*e)])
+        assert _stores(got) == _stores(want)
+        assert got.color_table() == want.color_table()
+        # the input is unchanged and shares no stored row with the result
+        assert _stores(g) == before
+        assert all(g._derived[build] is fact for build, fact in facts.items())
+        if got is not g:
+            changed += 1
+            for name in ("_color", "_bits", "_edges", "_derived"):
+                assert getattr(got, name) is not getattr(g, name)
+    assert 40 <= changed <= 360, changed
+
+
+def test_loaded_graph_matches_a_validated_build():
+    rng = random.Random(173)
+    shuffled = 0
+    for _, g in _corpus(seed=179, count=400):
+        triples = [(u, v, g.color(u, v)) for u, v in g.edges]
+        assert _stores(load_ecg(save_ecg(g))) == _stores(ColoredGraph(g.n, triples))
+        # edge lines in any order, with comments and blank lines between
+        # them: the color store keeps the file's order
+        rng.shuffle(triples)
+        lines = [f"ecg {g.n} {len(triples)}"]
+        for u, v, c in triples:
+            lines += ["# edge", f"{u} {v} {c}", ""]
+        loaded = load_ecg("\n".join(lines) + "\n")
+        assert _stores(loaded) == _stores(ColoredGraph(g.n, triples))
+        shuffled += len(triples) > 1
+    assert shuffled >= 200, shuffled
+
+
+def _connected_reference(n: int, es: list[tuple[int, int]]) -> bool:
+    return len(_components(_adjacency(n, es), ())) <= 1
+
+
+def test_connectivity_matches_the_component_count():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            es = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            assert _connected(n, es) == _connected_reference(n, es), (n, es)
+    rng = random.Random(181)
+    outcomes = Counter()
+    for _ in range(2000):
+        n = rng.choice([0, 1, 2, rng.randint(3, 70)])
+        p = rng.choice([0.0, 2.0 / max(n, 1), rng.random()])
+        # a third of the graphs keep only the pairs inside two random sides
+        split = rng.random() < 0.33
+        side = [split and rng.random() < 0.5 for _ in range(n)]
+        es = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if side[u] == side[v] and rng.random() < p]
+        connected = _connected(n, es)
+        assert connected == _connected_reference(n, es), (n, es)
+        isolated = any(not any(w in e for e in es) for w in range(n))
+        outcomes[connected, isolated, min(n, 2)] += 1
+    # n = 0 and n = 1 are connected; isolated vertices on n >= 2 are not
+    assert min(outcomes[key] for key in ((True, False, 0), (True, True, 1), (False, True, 2),
+                                         (True, False, 2), (False, False, 2))) >= 50, outcomes
+
+
+def test_v0_matches_the_frozen_edge_pair_read(monkeypatch):
+    graphs = []
+    build = ecgraph.harness.gallai_partition
+
+    def recorded(n, edges):
+        graphs.append((n, list(edges)))
+        return build(n, edges)
+    monkeypatch.setattr(ecgraph.harness, "gallai_partition", recorded)
+    for seed in range(1, 6):
+        ecgraph.harness.verify(TheoremSpec(id="eg_partition", n_range=(4, 12),
+                                           c_range=(2, 16), p_range=(0.1, 0.9),
+                                           budget=60, seed=seed))
+    nonempty = 0
+    for n, edges in graphs:
+        es = _normalize_edges(n, edges)
+        adj = _adjacency(n, es)
+        match, m = _maximum_matching(adj)
+        if n <= 2 * len(m):
+            continue
+        outer = _alternating_forest(adj, match, [v for v in range(n) if match[v] == -1])
+        v0 = gallai_partition(n, edges).v0
+        assert v0 == v0_edge_pairs_reference(es, outer)
+        nonempty += bool(v0)
+    assert len(graphs) >= 300 and nonempty >= 50, (len(graphs), nonempty)

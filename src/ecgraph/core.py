@@ -3,6 +3,8 @@
 Vertices are dense integers 0..n-1.  Colors are sparse positive integers.
 A :class:`ColoredGraph` is immutable after construction, so it is safe to
 share between threads and to use as the input of pure functions.
+:func:`_adjacency_bits` is the one builder of adjacency bitsets from an
+edge collection, for graphs here and for the edge lists of ``matching``.
 """
 
 from __future__ import annotations
@@ -56,38 +58,38 @@ class ColoredGraph:
     legal and have color degree 0.
 
     A graph is built by one of two routes, both through ``__init__``:
-    from (u, v, color) triples, checked unless ``validate`` is false, or
-    by :func:`_assembled` from a color store, bitsets and sorted edge
-    list that the caller (the two samplers, :func:`_extended` for repair,
+    from (u, v, color) triples, which it always checks, or by
+    :func:`_assembled` from a color store, bitsets and sorted edge list
+    that the caller (the two samplers, :func:`_extended` for repair,
     ``reduction.edge_minimal_reduce`` and :func:`load_ecg`) has already
-    made consistent.
+    made consistent.  ``__init__`` and :func:`load_ecg` build the bitsets
+    with :func:`_adjacency_bits`; the samplers, repair and reduction write
+    their own as they go.
     """
 
     __slots__ = ("n", "_color", "_bits", "_edges", "_derived")
 
-    def __init__(self, n: int, edges: object = (), validate: bool = True):
-        """Build a graph on vertices 0..n-1 from (u, v, color) triples."""
+    def __init__(self, n: int, edges: object = ()):
+        """Build a graph on vertices 0..n-1 from (u, v, color) triples,
+        checking each one: vertices in range, no self-loop, color >= 1 and
+        no duplicate edge."""
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         color: dict[tuple[int, int], int] = {}
-        bits = [0] * n
         for u, v, c in edges:
-            if validate:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"vertex out of range in edge ({u}, {v})")
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if c < 1:
-                    raise ValueError(f"color must be >= 1, got {c}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex out of range in edge ({u}, {v})")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if c < 1:
+                raise ValueError(f"color must be >= 1, got {c}")
             k = (u, v) if u < v else (v, u)
-            if validate and k in color:
+            if k in color:
                 raise ValueError(f"duplicate edge {k}")
             color[k] = c
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
         self.n = n
         self._color = color
-        self._bits = bits
+        self._bits = _adjacency_bits(n, color)
         self._edges = sorted(color)
         self._derived: dict = {}
 
@@ -210,6 +212,18 @@ def _extended(graph: ColoredGraph, added: list[tuple[int, int, int]]) -> Colored
 def _largest_color(graph: ColoredGraph) -> int:
     """The largest edge color, 0 for an edgeless graph."""
     return max(graph._color.values(), default=0)
+
+
+def _adjacency_bits(n: int, pairs) -> list[int]:
+    """The neighbors of each vertex of 0..n-1 as a bitset (bit u of entry
+    v set iff uv is one of the (u, v) ``pairs``): the bitsets of a graph
+    built from triples or loaded, and of the uncolored edge lists of
+    ``matching``."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _members(bits: int) -> list[int]:
@@ -358,15 +372,12 @@ def load_ecg(text: str) -> ColoredGraph:
         color[u, v] = c
     if len(color) != m:
         raise EcgError(f"expected {m} edges, found {len(color)}", len(lines))
-    # the bitsets are allocated only after every line is read, so a line
+    # the bitsets are built only after every line is read, so a line
     # error comes before a vertex count too large to build
     try:
-        bits = [0] * n
+        bits = _adjacency_bits(n, color)
     except (OverflowError, MemoryError):  # a vertex list of n entries fails
         raise EcgError(f"vertex count {n} is too large to build", 1) from None
-    for u, v in color:
-        bits[u] |= 1 << v
-        bits[v] |= 1 << u
     return _assembled(n, color, bits, sorted(color))
 
 

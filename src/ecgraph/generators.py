@@ -146,7 +146,7 @@ def gen_proper_complete(n: int, seed: int) -> ColoredGraph:
     for r, pairs in enumerate(rounds):
         for u, v in pairs:
             triples.append((u, v, perm[r]) if u < v else (v, u, perm[r]))
-    return ColoredGraph(n, triples, validate=False)
+    return ColoredGraph(n, triples)
 
 
 def gen_complete_multipartite(parts: list[int]) -> ColoredGraph:
@@ -162,7 +162,7 @@ def gen_complete_multipartite(parts: list[int]) -> ColoredGraph:
     cross = ((u, v) for u in range(n) for v in range(u + 1, n)
              if part_of[u] != part_of[v])
     triples = [(u, v, color) for color, (u, v) in enumerate(cross, start=1)]
-    return ColoredGraph(n, triples, validate=False)
+    return ColoredGraph(n, triples)
 
 
 # The one table of generator kinds: kind -> (builder, its parameter names

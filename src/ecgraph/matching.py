@@ -2,6 +2,9 @@
 
 Operations take an uncolored view: a vertex count n and an edge collection
 on 0..n-1.  Everything here is exact and deterministic at desk scale.
+Edmonds' search walks list rows (``_adjacency``); the cover search and the
+component search :func:`_components` walk the bitsets of
+``core._adjacency_bits``.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .core import _jsonable
+from .core import _adjacency_bits, _jsonable, _members
 
 COVER_SIZE_LIMIT = 64
 # node limit of every exact backtracking search, counted by ``_node_budget``
@@ -169,7 +172,8 @@ def min_vertex_cover(n: int, edges) -> list[int]:
     bound.  Raises for instances above COVER_SIZE_LIMIT vertices, and with
     a ValueError past SEARCH_NODE_LIMIT search nodes.
     """
-    return _cover_search(n, _normalize_edges(n, edges), 0)
+    es = _normalize_edges(n, edges)
+    return _cover_search(es, _adjacency_bits(n, es), 0)
 
 
 def _clique_bound(adj: list[int], live: int) -> int:
@@ -190,10 +194,11 @@ def _clique_bound(adj: list[int], live: int) -> int:
     return total
 
 
-def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
-    """``min_vertex_cover`` of the normalized edge list ``es`` that may stop
-    as soon as its cover has ``lower`` vertices, where ``lower`` is at most
-    the cover number (a matching size).
+def _cover_search(es: list[tuple[int, int]], adj: list[int], lower: int) -> list[int]:
+    """``min_vertex_cover`` of the normalized edge list ``es``, whose
+    adjacency bitsets ``adj`` give n as their length, that may stop as soon
+    as its cover has ``lower`` vertices, where ``lower`` is at most the
+    cover number (a matching size).
 
     A node is the bitset ``live`` of undecided vertices; the edges left to
     cover are those of G[live].  The greedy initial cover is kept when it
@@ -202,12 +207,12 @@ def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
     global stop only ends the search once the cover is optimal, so bounds
     change the node count, never the cover.
     """
+    n = len(adj)
     if n > COVER_SIZE_LIMIT:
         raise ValueError(f"instance too large for exact cover search (n={n})")
 
     # both endpoints of a greedy maximal matching form a valid initial cover
     best: list[int] = sorted(_greedy_matched(es))
-    adj = _adjacency_bits(n, es)
     live = sum(1 << v for v in range(n) if adj[v])
     stop = max(lower, _clique_bound(adj, live))
     visit = _node_budget("min_vertex_cover")
@@ -250,48 +255,24 @@ def _cover_search(n: int, es: list[tuple[int, int]], lower: int) -> list[int]:
     return best
 
 
-def _adjacency_bits(n: int, es: list[tuple[int, int]]) -> list[int]:
-    """The neighbors of each vertex as a bitset."""
-    adj = [0] * n
-    for u, v in es:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def _connected(n: int, es: list[tuple[int, int]]) -> bool:
-    """Whether the graph is connected (one with at most one vertex is): a
-    search from vertex 0 over the adjacency bitsets, which takes the lowest
-    vertex still to visit and adds its unseen neighbors."""
-    adj = _adjacency_bits(n, es)
-    seen = todo = 1 if n else 0
-    while todo:
-        low = todo & -todo
-        new = adj[low.bit_length() - 1] & ~seen
-        seen |= new
-        todo = (todo ^ low) | new
-    return seen == (1 << n) - 1
-
-
-def _components(adj: list[list[int]], removed) -> list[tuple[int, ...]]:
-    """Components of the graph minus the vertices ``removed``, as sorted
-    vertex tuples ordered by smallest vertex."""
-    seen = [v in removed for v in range(len(adj))]
+def _components(adj: list[int], live: int) -> list[tuple[int, ...]]:
+    """The components of G[live], the subgraph of the graph with adjacency
+    bitsets ``adj`` induced by the bitset ``live``, as sorted vertex tuples
+    ordered by smallest vertex: the one component search of the package.
+    Each component grows from the lowest live vertex not yet reached, by a
+    search that takes the lowest vertex still to visit and adds its unseen
+    live neighbors."""
     comps = []
-    for s in range(len(adj)):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+    while live:
+        comp = todo = live & -live
+        live ^= comp
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & live
+            live ^= new
+            comp |= new
+            todo = (todo ^ low) | new
+        comps.append(tuple(_members(comp)))
     return comps
 
 
@@ -344,7 +325,9 @@ def gallai_partition(n: int, edges) -> GallaiPartition:
     decomposition needs unsaturated vertices).  The matching is maximum, so
     the alternating forest that finds ``v0`` never meets an augmenting path.
     The build checks nothing else: ``structure_ok`` of
-    ``verify_partition_lemmas`` is the check of a built partition.
+    ``verify_partition_lemmas`` is the check of a built partition.  The
+    ``components`` of G - V_0 come from :func:`_components` over the
+    bitsets of the normalized edges.
     """
     es = _normalize_edges(n, edges)
     adj = _adjacency(n, es)
@@ -357,7 +340,8 @@ def gallai_partition(n: int, edges) -> GallaiPartition:
     unsaturated = [v for v in range(n) if match[v] == -1]
     outer = _alternating_forest(adj, match, unsaturated)
     v0 = frozenset(w for a in range(n) if outer[a] for w in adj[a] if not outer[w])
-    comps = tuple(_components(adj, v0))
+    live = (1 << n) - 1 - sum(1 << w for w in v0)
+    comps = tuple(_components(_adjacency_bits(n, es), live))
 
     x = n
     alpha = tuple(m) + tuple((v, x) for v in unsaturated)
@@ -447,7 +431,9 @@ class PartitionDiagnostics:
 def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
     """Evaluate the matching/covering bounds of the partition's graph (its
     matching plus its gamma edges) against an exact cover, and check the
-    partition itself once: ``structure_ok``.
+    partition itself once: ``structure_ok``.  The graph's adjacency
+    bitsets are built once and serve both the cover search and
+    ``connected`` (at most one component).
 
     Never raises on a failed bound: this is a diagnostics report, meant to
     record which inequalities hold for the instance.
@@ -457,7 +443,8 @@ def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
     # a matching of the graph bounds its cover number from below; the
     # matching edges of a hand-built partition need not be disjoint
     disjoint = len({v for e in part.matching for v in e}) == 2 * a
-    cover = _cover_search(n, es, a if disjoint else 0)
+    adj = _adjacency_bits(n, es)
+    cover = _cover_search(es, adj, a if disjoint else 0)
     beta = len(cover)
     v0 = len(part.v0)
     p = part.p
@@ -491,7 +478,7 @@ def verify_partition_lemmas(part: GallaiPartition) -> PartitionDiagnostics:
         cover=tuple(cover),
         v0_size=v0,
         p=p,
-        connected=_connected(n, es),
+        connected=len(_components(adj, (1 << n) - 1)) <= 1,
         size_identity_ok=size_identity,
         structure_ok=size_identity and _structure_holds(part),
         chain_ok=chain,

@@ -447,8 +447,7 @@ def injective_sample_reference(n: int, p: float, rng: random.Random) -> ColoredG
     graph from triples: one ``rng.random()`` per pair u < v in lexicographic
     order, the kept pairs colored 1, 2, ... in that order."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)],
-                        validate=False)
+    return ColoredGraph(n, [(u, v, i + 1) for i, (u, v) in enumerate(edges)])
 
 
 def with_edge_reference(g: ColoredGraph, u: int, v: int, c: int) -> ColoredGraph:
@@ -889,6 +888,37 @@ def _reference_components(n: int, es: list[tuple[int, int]]) -> list[tuple[int, 
             continue
         seen[s] = True
         stack, comp = [s], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def components_list_dfs_reference(n: int, es: list[tuple[int, int]],
+                                  removed) -> list[tuple[int, ...]]:
+    """The components of G minus the vertices ``removed`` as
+    ``matching.gallai_partition`` found them before its bitset search: a
+    stack DFS over sorted list rows from each unseen vertex in index order,
+    each component a sorted vertex tuple."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in es:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    seen = [v in removed for v in range(len(adj))]
+    comps = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        stack = [s]
+        seen[s] = True
+        comp = []
         while stack:
             v = stack.pop()
             comp.append(v)

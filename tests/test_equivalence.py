@@ -97,11 +97,14 @@
   sampler in ``oracles.py`` draw for draw, and each graph must equal a
   validated build in every stored row; reduction must leave its input as
   it was.
-- The partition diagnostics decide ``connected`` by a search over
-  adjacency bitsets, which must agree with the component count of the
-  list adjacency, and ``gallai_partition`` reads V_0 off the adjacency
-  rows of the outer vertices, which must give the frozen edge-pair read
-  in ``oracles.py``.
+- Components come from one search over adjacency bitsets,
+  ``matching._components``; on every live vertex subset of every small
+  graph and on random graphs it must give the components of the naive
+  search in ``oracles.py``, and ``gallai_partition``'s components of
+  G - V_0 must equal the frozen list DFS there.  The partition
+  diagnostics decide ``connected`` by the same search.
+  ``gallai_partition`` reads V_0 off the adjacency rows of the outer
+  vertices, which must give the frozen edge-pair read in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ from oracles import (
     balance_forms_reference,
     blossom_matching_reference,
     certificate_json_reference,
+    components_list_dfs_reference,
     class_bound_json_reference,
     failure_json_reference,
     gallai_partition_json_reference,
@@ -146,6 +150,7 @@ from oracles import (
     naive_links,
     naive_rainbow_triangles,
     odd_pieces,
+    _reference_components,
     pc_spanning_fan_matching_reference,
     rainbow_edge_graph_reference,
     random_colored,
@@ -167,7 +172,8 @@ from oracles import (
 from ecgraph.bounds import (_edge_counts, _rainbow_count, _rt_classes, _vertex_bounds,
                             counting_lower_bound, mono_balance_diagnostics,
                             restriction_count, triangle_bound_report)
-from ecgraph.core import (ColoredGraph, _color_degrees, _extended, _mono_degrees,
+from ecgraph.core import (ColoredGraph, _adjacency_bits, _color_degrees, _extended,
+                          _mono_degrees,
                           color_profile, load_ecg, max_mono_degree, min_color_degree,
                           save_ecg)
 from ecgraph.generators import (gen_example1, gen_proper_complete, gen_random_colored,
@@ -187,7 +193,7 @@ from ecgraph.rainbow import (Certificate, _apexes, _links, build_index, find_boo
                              max_fan)
 from ecgraph.reduction import edge_minimal_reduce, is_edge_minimal
 from ecgraph.harness import _sample_injective
-from ecgraph.matching import (_adjacency, _alternating_forest, _components, _connected,
+from ecgraph.matching import (_adjacency, _alternating_forest, _components,
                               _maximum_matching)
 from oracles import injective_sample_reference, v0_edge_pairs_reference
 
@@ -678,7 +684,8 @@ def _check_cover(n: int, edges) -> bool:
     expected = min_vertex_cover_reference(n, edges)
     assert min_vertex_cover(n, edges) == expected
     m = max_matching(n, edges)
-    assert _cover_search(n, edges, len(m)) == expected
+    es = _normalize_edges(n, edges)
+    assert _cover_search(es, _adjacency_bits(n, es), len(m)) == expected
     if n > 2 * len(m):
         diag = verify_partition_lemmas(gallai_partition(n, edges))
         assert diag.cover == tuple(expected) and diag.beta == len(expected)
@@ -1792,16 +1799,23 @@ def test_loaded_graph_matches_a_validated_build():
     assert shuffled >= 200, shuffled
 
 
-def _connected_reference(n: int, es: list[tuple[int, int]]) -> bool:
-    return len(_components(_adjacency(n, es), ())) <= 1
-
-
 def test_connectivity_matches_the_component_count():
+    # every graph on at most 5 vertices, restricted to every vertex subset:
+    # the removed vertices are isolated in the reference's edge list, so
+    # each is a singleton there and is dropped
+    checked = Counter()
     for n in range(6):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             es = [e for i, e in enumerate(pairs) if mask >> i & 1]
-            assert _connected(n, es) == _connected_reference(n, es), (n, es)
+            adj = _adjacency_bits(n, es)
+            for live in range(1 << n):
+                inside = [(u, v) for u, v in es if live >> u & 1 and live >> v & 1]
+                expected = [c for c in _reference_components(n, inside) if live >> c[0] & 1]
+                got = _components(adj, live)
+                assert got == expected, (n, es, live)
+                checked[min(len(got), 3)] += 1
+    assert min(checked.values()) >= 1000, checked
     rng = random.Random(181)
     outcomes = Counter()
     for _ in range(2000):
@@ -1812,8 +1826,9 @@ def test_connectivity_matches_the_component_count():
         side = [split and rng.random() < 0.5 for _ in range(n)]
         es = [(u, v) for u in range(n) for v in range(u + 1, n)
               if side[u] == side[v] and rng.random() < p]
-        connected = _connected(n, es)
-        assert connected == _connected_reference(n, es), (n, es)
+        comps = _components(_adjacency_bits(n, es), (1 << n) - 1)
+        assert comps == _reference_components(n, es), (n, es)
+        connected = len(comps) <= 1
         isolated = any(not any(w in e for e in es) for w in range(n))
         outcomes[connected, isolated, min(n, 2)] += 1
     # n = 0 and n = 1 are connected; isolated vertices on n >= 2 are not
@@ -1821,7 +1836,9 @@ def test_connectivity_matches_the_component_count():
                                          (True, False, 2), (False, False, 2))) >= 50, outcomes
 
 
-def test_v0_matches_the_frozen_edge_pair_read(monkeypatch):
+def _eg_partition_graphs(monkeypatch) -> list[tuple[int, list]]:
+    """The graphs ``eg_partition`` samples at seeds 1-5, at the ranges of
+    the benchmark's ``verify-reduce`` template."""
     graphs = []
     build = ecgraph.harness.gallai_partition
 
@@ -1833,6 +1850,12 @@ def test_v0_matches_the_frozen_edge_pair_read(monkeypatch):
         ecgraph.harness.verify(TheoremSpec(id="eg_partition", n_range=(4, 12),
                                            c_range=(2, 16), p_range=(0.1, 0.9),
                                            budget=60, seed=seed))
+    monkeypatch.undo()
+    return graphs
+
+
+def test_v0_matches_the_frozen_edge_pair_read(monkeypatch):
+    graphs = _eg_partition_graphs(monkeypatch)
     nonempty = 0
     for n, edges in graphs:
         es = _normalize_edges(n, edges)
@@ -1845,3 +1868,27 @@ def test_v0_matches_the_frozen_edge_pair_read(monkeypatch):
         assert v0 == v0_edge_pairs_reference(es, outer)
         nonempty += bool(v0)
     assert len(graphs) >= 300 and nonempty >= 50, (len(graphs), nonempty)
+
+
+def test_partition_components_match_the_frozen_list_search(monkeypatch):
+    graphs = _eg_partition_graphs(monkeypatch)
+    # the shapes ``ecgraph partition`` gets in the benchmark: odd pieces
+    # 13/11/11/9 with two hubs, and unbalanced bipartite graphs
+    rng = random.Random(67)
+    for _ in range(6):
+        graphs.append(odd_pieces(rng, [13, 11, 11, 9]))
+        for left, right, p in ((36, 20, 0.15), (30, 18, 0.25)):
+            graphs.append(_bipartite(rng, left, right, p))
+    checked = Counter()
+    for n, edges in graphs:
+        if n <= 2 * len(max_matching(n, edges)):
+            continue
+        part = gallai_partition(n, edges)
+        expected = components_list_dfs_reference(n, _normalize_edges(n, edges), part.v0)
+        assert part.components == tuple(expected), (n, edges)
+        checked[n > 12, bool(part.v0), part.p > 1] += 1
+    # small and large graphs, with and without V_0, with one component and
+    # with several
+    assert checked[False, True, True] >= 50 and checked[True, True, True] >= 18, checked
+    assert checked[False, False, True] + checked[False, False, False] >= 50, checked
+    assert sum(checked.values()) >= 300, checked

@@ -15,6 +15,7 @@ from oracles import (
     gallai_sets_oracle,
 )
 
+from ecgraph.core import _adjacency_bits
 from ecgraph.matching import (
     GallaiPartition,
     _clique_bound as clique_bound,
@@ -155,7 +156,7 @@ class TestMinVertexCover:
             nu = len(max_matching(n, edges))
             assert nu <= brute_min_cover_size(n, edges)
             seen.clear()
-            assert len(_cover_search(n, edges, nu)) == \
+            assert len(_cover_search(edges, _adjacency_bits(n, edges), nu)) == \
                 len(min_vertex_cover(n, edges)) == brute_min_cover_size(n, edges)
             for adj, live, value in seen:
                 sub = [(u, v) for u, v in edges if live >> u & 1 and live >> v & 1]
@@ -344,6 +345,31 @@ class TestPartitionDiagnostics:
         assert diag.size_identity_ok and diag.structure_ok and diag.chain_ok
         assert diag.strong_applicable and not diag.connected
         assert diag.strong_beta_ok is False or diag.strong_v0_ok is False
+
+    def test_one_bitset_build_per_check(self, monkeypatch):
+        # the cover search and the connectivity test share one build of
+        # the graph's adjacency bitsets
+        rng = random.Random(12)
+        parts = []
+        while len(parts) < 100:
+            n = rng.randint(1, 14)
+            edges = _random_edges(rng, n, rng.uniform(0.05, 0.8))
+            if n > 2 * len(max_matching(n, edges)):
+                parts.append(gallai_partition(n, edges))
+        build = ecgraph.matching._adjacency_bits
+        calls = []
+
+        def counting(n, pairs):
+            calls.append(n)
+            return build(n, pairs)
+
+        monkeypatch.setattr(ecgraph.matching, "_adjacency_bits", counting)
+        connected = set()
+        for part in parts:
+            calls.clear()
+            connected.add(verify_partition_lemmas(part).connected)
+            assert calls == [part.n]
+        assert connected == {True, False}
 
     def test_strong_bounds_hold_on_connected_instances(self):
         rng = random.Random(10)
